@@ -28,9 +28,7 @@ The out-of-core tier has its own knobs: ``--scale city`` selects the
 ``--streaming`` forces the sharded sink on or off, and
 ``--assert-peak-rss-mb`` gates the parent process's peak RSS (VmHWM, as
 sampled by the run journal) — the memory contract of the streaming
-path.  ``--handoff-bench`` additionally measures the worker-pool result
-transport (shared-memory ring vs pickle) on synthetic series jobs and
-records the comparison in the ledger.
+path.
 
 ``--sweep-bench CONFIG`` times the sweep orchestrator against a serial
 per-cell baseline: every cell of the grid re-run alone with its own
@@ -62,7 +60,7 @@ PHASES = ("workload_nep", "workload_azure", "campaign_latency",
 #: Optional per-scale ledger sections measured by dedicated flags.  A
 #: run that does not re-measure one keeps the previously committed
 #: value instead of silently dropping it from the ledger.
-OPTIONAL_SECTIONS = ("handoff", "sweep", "cache", "qoe_sessions", "live")
+OPTIONAL_SECTIONS = ("sweep", "cache", "qoe_sessions", "live")
 
 
 def effective_seed(seed: int | None) -> int:
@@ -160,55 +158,6 @@ def peak_rss_mb(fresh: dict[str, object]) -> float:
     peaks = [stats.get("peak_rss_mb", 0.0)
              for stats in fresh["phases"].values()]
     return max(peaks, default=0.0)
-
-
-def bench_handoff(scale: str, seed: int | None,
-                  overrides: dict[str, int] | None = None,
-                  app_count: int = 12,
-                  vms_per_app: int = 24) -> dict[str, object]:
-    """Time the pooled series-render transports: shm ring vs pickle.
-
-    Renders one synthetic job set twice through
-    :func:`repro.parallel.run_series_jobs` with two worker processes,
-    differing only in ``handoff``.  Output is bit-identical by contract,
-    so the wall-clock delta is pure transport cost.
-    """
-    from repro.parallel import run_series_jobs
-    from repro.workload.apps import NEP_PROFILES
-    from repro.workload.series import NEP_RECIPE, SeriesJob
-
-    scenario = build_scenario(scale, seed, overrides)
-    jobs_list = [
-        SeriesJob(app_id=f"bench-app{i:03d}",
-                  profile=NEP_PROFILES[i % len(NEP_PROFILES)],
-                  vm_count=vms_per_app)
-        for i in range(app_count)
-    ]
-    result: dict[str, object] = {
-        "apps": app_count,
-        "vms_per_app": vms_per_app,
-        "workers": 2,
-    }
-    total_vms = app_count * vms_per_app
-    walls = {}
-    for handoff in ("pickle", "shm"):
-        moved = 0
-        start = time.perf_counter()
-        for block in run_series_jobs(jobs_list, scenario, NEP_RECIPE,
-                                     n_jobs=2, handoff=handoff):
-            moved += block.cpu_rows.nbytes + block.bw_rows.nbytes
-            if block.private_rows is not None:
-                moved += block.private_rows.nbytes
-        walls[handoff] = time.perf_counter() - start
-        result[f"{handoff}_wall_s"] = round(walls[handoff], 6)
-        # Self-describing throughput: the speedup ratio can be sanity-
-        # checked from the row alone, without knowing the job shape.
-        result[f"{handoff}_vms_per_s"] = round(
-            total_vms / max(walls[handoff], 1e-9), 1)
-        result["block_bytes"] = moved
-    result["shm_speedup"] = round(
-        walls["pickle"] / max(walls["shm"], 1e-9), 3)
-    return result
 
 
 def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
@@ -561,9 +510,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="MB",
                         help="exit non-zero if the parent's peak RSS over "
                              "the tracked phases exceeds this")
-    parser.add_argument("--handoff-bench", action="store_true",
-                        help="also time the pooled series transports "
-                             "(shared-memory ring vs pickle)")
     parser.add_argument("--sweep-bench", type=Path, default=None,
                         metavar="CONFIG",
                         help="also time a sweep over this grid config vs "
@@ -655,16 +601,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"assert-peak-rss: OK, peak {peak:.1f} MB within "
               f"{args.assert_peak_rss_mb:.1f} MB")
-
-    if args.handoff_bench:
-        handoff = bench_handoff(args.scale, args.seed,
-                                overrides=overrides or None)
-        fresh["handoff"] = handoff
-        print(f"  handoff: pickle {handoff['pickle_wall_s']:.3f}s "
-              f"({handoff['pickle_vms_per_s']:.0f} VMs/s), shm "
-              f"{handoff['shm_wall_s']:.3f}s "
-              f"({handoff['shm_vms_per_s']:.0f} VMs/s, "
-              f"{handoff['shm_speedup']}x)")
 
     if args.qoe_bench:
         qoe_stats = bench_qoe(args.scale, args.seed, jobs=args.jobs,
@@ -773,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     previous = runs.get(args.scale, {})
     # Carry forward sections a past run measured but this one did not:
     # replacing the scale row wholesale would silently drop e.g. the
-    # handoff comparison whenever a later run skips --handoff-bench.
+    # sweep comparison whenever a later run skips --sweep-bench.
     for section in OPTIONAL_SECTIONS:
         if section not in fresh and section in previous:
             fresh[section] = previous[section]

@@ -58,7 +58,7 @@ class BillingError(ReproError):
 
 
 class ParallelError(ReproError):
-    """The worker pool or its shared-memory transport failed to start."""
+    """The worker pool or its spool directory could not be created."""
 
 
 class InjectedFault(ReproError):

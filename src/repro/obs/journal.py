@@ -56,8 +56,7 @@ VOLATILE_FIELDS = frozenset({
 })
 
 #: Event *types* that exist only because of execution knobs — shard
-#: spills (``--streaming``), shared-memory handoff telemetry
-#: (``--jobs``/transport choice), and per-tick live-engine telemetry
+#: spills (``--streaming``) and per-tick live-engine telemetry
 #: (``live_tick``, one per simulated tick) — or because of *recovery*:
 #: retries,
 #: worker restarts, quarantines, and resume headers exist only when a
@@ -66,7 +65,7 @@ VOLATILE_FIELDS = frozenset({
 #: whole event rather than individual fields; that is what makes a
 #: ``--chaos`` run canonicalize bit-identical to a clean one.
 VOLATILE_EVENT_TYPES = frozenset({
-    "chunk_spill", "shm_handoff", "session_chunk",
+    "chunk_spill", "session_chunk",
     "live_tick", "live_retry",
     "job_retry", "worker_restart", "job_quarantined",
     "cache_retry", "cache_write_error", "io_retry",

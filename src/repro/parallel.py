@@ -19,21 +19,20 @@ back.  Worker-side spans are recorded into a private
 is lost to process boundaries (merged ``cpu_s`` sums across processes
 and can legitimately exceed the parent's wall time).
 
-Shared-memory handoff
----------------------
+Spool handoff
+-------------
 
-By default the rows travel through a ring of
-:mod:`multiprocessing.shared_memory` slot buffers instead of being
-pickled over the result pipe: a worker copies its finished block into a
-free slot and returns a tiny :class:`_ShmBlockRef` descriptor; the
-parent copies the rows back out and recycles the slot.  The ring holds
-``workers + 2`` slots and task submission is windowed to the slot
-count, which guarantees the head-of-line job can always obtain a slot
-(no deadlock) while out-of-order completions are bounded.  A block too
-large for a slot transparently falls back to pickling.  Set
-``handoff="pickle"`` (or ``REPRO_NO_SHM=1``) to force the legacy
-transport — ``scripts/bench_study.py --handoff-bench`` measures the
-difference and records it in ``BENCH_study.json``.
+Rows never cross the result pipe.  A worker writes each finished block
+to a spool file of its own — the row arrays as consecutive ``.npy``
+records, in a temporary directory the pool owns — and returns a small
+:class:`_SpooledBlock` naming it.  The parent reads a block back when
+its turn in submission order comes and deletes the file, so it holds
+one block at a time however far ahead the workers run; submission runs
+at most ``workers + 2`` jobs ahead of the consumer, which bounds the
+spool on disk.  A file is named after the worker process that wrote
+it, so a retried job never writes over a file a killed worker may
+still have reported, and whatever a dead worker left behind goes with
+the directory when the pool shuts down.
 
 ``--jobs 1`` (the default) renders in-process through the *same*
 per-app function, which is what makes serial and parallel output
@@ -89,6 +88,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
+import shutil
+import tempfile
 import threading
 import time
 from collections import deque
@@ -96,11 +97,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - non-POSIX minimal builds
-    shared_memory = None
 
 from .config import Scenario
 from .errors import (
@@ -110,7 +106,7 @@ from .errors import (
     QuarantineError,
 )
 from .perf import PerfRegistry
-from .resilience import RetryPolicy, SupervisionConfig, failpoint, fire
+from .resilience import RetryPolicy, SupervisionConfig, fire
 from .resilience.retry import call_with_retry
 from .workload.patterns import time_axis_minutes
 from .workload.series import (
@@ -121,17 +117,6 @@ from .workload.series import (
     job_rng,
     render_series_job,
 )
-
-#: Hard cap on one shared-memory slot; blocks larger than the resolved
-#: slot size fall back to pickle transport.  Override (in MiB) with
-#: ``REPRO_SHM_SLOT_MB``.
-SHM_SLOT_CAP_BYTES = 128 << 20
-
-#: Environment kill-switch: any non-empty value forces pickle handoff.
-SHM_DISABLE_ENV = "REPRO_NO_SHM"
-
-#: Accepted ``handoff`` transports for pooled rendering.
-HANDOFF_MODES = ("shm", "pickle")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -160,18 +145,15 @@ class _WorkerSetup:
 
 
 @dataclass(frozen=True)
-class _ShmBlockRef:
-    """A rendered block parked in a shared-memory slot.
+class _SpooledBlock:
+    """A rendered block whose rows wait in a spool file.
 
     Crosses the result pipe instead of the row payload: the parent
-    rebuilds the :class:`SeriesBlock` from the slot and recycles it.
+    rebuilds the :class:`SeriesBlock` with :func:`_unspool`.
     """
 
-    slot: int
+    path: str
     app_id: str
-    vm_count: int
-    cpu_points: int
-    bw_points: int
     private: bool
     mean_bws: np.ndarray
     perf: PerfRegistry | None
@@ -181,9 +163,8 @@ class _ShmBlockRef:
 _WORKER: dict | None = None
 
 
-def _init_worker(setup: _WorkerSetup, shm_names=None, free_slots=None,
-                 slot_bytes: int = 0) -> None:
-    """Pool initializer: precompute the time axes and season cache once."""
+def _init_worker(setup: _WorkerSetup) -> None:
+    """Worker start-up: precompute the time axes and season cache once."""
     global _WORKER
     _WORKER = {
         "setup": setup,
@@ -193,31 +174,10 @@ def _init_worker(setup: _WorkerSetup, shm_names=None, free_slots=None,
                                         setup.bw_interval_minutes),
         "seasons": SeasonCache(),
     }
-    if shm_names is not None:
-        _WORKER["shm"] = {
-            "names": shm_names,
-            "free": free_slots,
-            "slot_bytes": slot_bytes,
-            "segments": {},
-        }
 
 
-def _worker_segment(shm_cfg: dict, slot: int):
-    """Attach (and memoise) one ring segment inside a worker."""
-    segment = shm_cfg["segments"].get(slot)
-    if segment is None:
-        segment = shared_memory.SharedMemory(name=shm_cfg["names"][slot])
-        shm_cfg["segments"][slot] = segment
-    return segment
-
-
-def _render_in_worker(job: SeriesJob) -> SeriesBlock | _ShmBlockRef:
-    """Render one job inside a worker, with a private perf registry.
-
-    With a shared-memory ring configured, the finished rows are copied
-    into a free slot and only a :class:`_ShmBlockRef` travels back;
-    oversized blocks return whole (pickle fallback).
-    """
+def _render_in_worker(job: SeriesJob) -> SeriesBlock:
+    """Render one job inside a worker, with a private perf registry."""
     state = _WORKER
     if state is None:  # pragma: no cover - pool misconfiguration guard
         raise RuntimeError("series worker used before initialisation")
@@ -228,52 +188,27 @@ def _render_in_worker(job: SeriesJob) -> SeriesBlock | _ShmBlockRef:
                               state["bw_minutes"], rng,
                               seasons=state["seasons"], perf=perf)
     block.perf = perf
-    shm_cfg = state.get("shm")
-    if shm_cfg is None:
-        return block
-    parts = [block.cpu_rows, block.bw_rows]
-    if block.private_rows is not None:
-        parts.append(block.private_rows)
-    if sum(part.nbytes for part in parts) > shm_cfg["slot_bytes"]:
-        return block
-    failpoint("shm.acquire", job.app_id)
-    slot = shm_cfg["free"].get()
-    intent = state.get("slot_intent")
-    if intent is not None:
-        # Publish which slot this worker holds *before* using it, so the
-        # supervisor can account the slot as leaked if we die mid-job.
-        intent[state["worker_index"]] = slot
-    view = np.frombuffer(_worker_segment(shm_cfg, slot).buf,
-                         dtype=np.float32)
-    offset = 0
-    for part in parts:
-        view[offset:offset + part.size] = part.ravel()
-        offset += part.size
-    return _ShmBlockRef(
-        slot=slot, app_id=block.app_id, vm_count=job.vm_count,
-        cpu_points=block.cpu_rows.shape[1],
-        bw_points=block.bw_rows.shape[1],
-        private=block.private_rows is not None,
-        mean_bws=block.mean_bws, perf=perf,
-    )
+    return block
 
 
-def _block_from_ref(ref: _ShmBlockRef, segments) -> SeriesBlock:
-    """Rebuild a block from its shared-memory slot (copies the rows)."""
-    view = np.frombuffer(segments[ref.slot].buf, dtype=np.float32)
-    offset = 0
+def _spool(block: SeriesBlock, path: str) -> _SpooledBlock:
+    """Write a block's rows to ``path`` as consecutive ``.npy`` records."""
+    with open(path, "wb") as handle:
+        for rows in (block.cpu_rows, block.bw_rows, block.private_rows):
+            if rows is not None:
+                np.save(handle, rows)
+    return _SpooledBlock(path=path, app_id=block.app_id,
+                         private=block.private_rows is not None,
+                         mean_bws=block.mean_bws, perf=block.perf)
 
-    def take(points: int) -> np.ndarray:
-        nonlocal offset
-        size = ref.vm_count * points
-        rows = view[offset:offset + size].reshape(ref.vm_count,
-                                                  points).copy()
-        offset += size
-        return rows
 
-    cpu_rows = take(ref.cpu_points)
-    bw_rows = take(ref.bw_points)
-    private_rows = take(ref.bw_points) if ref.private else None
+def _unspool(ref: _SpooledBlock) -> SeriesBlock:
+    """Read a spooled block's rows back and delete its file."""
+    with open(ref.path, "rb") as handle:
+        cpu_rows = np.load(handle)
+        bw_rows = np.load(handle)
+        private_rows = np.load(handle) if ref.private else None
+    os.unlink(ref.path)
     return SeriesBlock(app_id=ref.app_id, mean_bws=ref.mean_bws,
                        cpu_rows=cpu_rows, bw_rows=bw_rows,
                        private_rows=private_rows, perf=ref.perf)
@@ -282,9 +217,9 @@ def _block_from_ref(ref: _ShmBlockRef, segments) -> SeriesBlock:
 def _pool_context() -> multiprocessing.context.BaseContext | None:
     """The fork context, or ``None`` where fork is unavailable.
 
-    The pool requires fork: workers inherit the initializer arguments
-    (including live shared-memory queue handles) without pickling, and
-    start cheaply without re-importing the package.
+    The pool requires fork: workers inherit their start-up arguments
+    (including live queue handles) without pickling, and start cheaply
+    without re-importing the package.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -292,30 +227,9 @@ def _pool_context() -> multiprocessing.context.BaseContext | None:
         return None
 
 
-def _slot_bytes_for(jobs_list: Sequence[SeriesJob],
-                    setup: _WorkerSetup) -> int:
-    """Resolved ring-slot size: the largest block, capped."""
-    minutes_per_day = 24 * 60
-    cpu_points = setup.trace_days * minutes_per_day \
-        // setup.cpu_interval_minutes
-    bw_points = setup.trace_days * minutes_per_day \
-        // setup.bw_interval_minutes
-    per_vm = cpu_points + bw_points * (2 if setup.recipe.private else 1)
-    largest = max(job.vm_count for job in jobs_list) * per_vm * 4
-    cap = SHM_SLOT_CAP_BYTES
-    override = os.environ.get("REPRO_SHM_SLOT_MB")
-    if override:
-        try:
-            cap = max(1, int(override)) << 20
-        except ValueError:
-            pass
-    return max(1, min(largest, cap))
-
-
 def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
                     recipe: SeriesRecipe, n_jobs: int = 1,
                     perf: PerfRegistry | None = None,
-                    handoff: str = "shm",
                     supervision: SupervisionConfig | None = None,
                     ) -> Iterator[SeriesBlock]:
     """Render series jobs, yielding blocks in submission order.
@@ -323,20 +237,16 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
     ``n_jobs == 1`` (or a single job) renders inline; otherwise a pool
     of ``min(n_jobs, len(jobs_list))`` supervised worker processes
     renders concurrently with windowed submission, so the caller sees
-    the same sequence of bit-identical blocks.  ``handoff`` selects the
-    pooled result transport (``"shm"`` or ``"pickle"``); it changes
-    speed, never bytes.  ``supervision`` bundles the watchdog timeouts
-    and retry budget (default: :meth:`SupervisionConfig.from_env`).
+    the same sequence of bit-identical blocks.  ``supervision`` bundles
+    the watchdog timeouts and retry budget (default:
+    :meth:`SupervisionConfig.from_env`).
 
     Raises:
-        ConfigurationError: on a bad ``n_jobs`` or ``handoff`` value.
-        ParallelError: when the worker pool fails to start, or the
-            shared-memory ring is exhausted by repeated worker deaths.
+        ConfigurationError: on a bad ``n_jobs`` value.
+        ParallelError: when the worker pool or its spool directory
+            cannot be created.
         QuarantineError: when one job exhausts its retry budget.
     """
-    if handoff not in HANDOFF_MODES:
-        raise ConfigurationError(
-            f"unknown handoff {handoff!r}, expected one of {HANDOFF_MODES}")
     n_jobs = resolve_jobs(n_jobs)
     if supervision is None:
         supervision = SupervisionConfig.from_env()
@@ -368,7 +278,7 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
                                supervision.retry)
         return
     yield from _run_pooled(jobs_list, setup, ctx, min(n_jobs, len(jobs_list)),
-                           handoff, perf, journal, supervision)
+                           perf, journal, supervision)
 
 
 #: Parent watchdog poll and worker heartbeat stamp intervals (seconds).
@@ -380,8 +290,7 @@ _STOP = None
 
 
 def _supervised_worker(index: int, gen: int, setup: _WorkerSetup, tasks,
-                       results, heartbeats, slot_intent, shm_names,
-                       free_slots, slot_bytes: int) -> None:
+                       results, heartbeats, spool_dir: str) -> None:
     """Worker main loop: render dispatched jobs until the stop sentinel.
 
     A daemon thread stamps ``heartbeats[index]`` continuously so the
@@ -389,12 +298,11 @@ def _supervised_worker(index: int, gen: int, setup: _WorkerSetup, tasks,
     reported as outcomes, never raised: the worker survives a failed
     job and stays available for the next dispatch.  ``gen`` tags every
     result with the spawn generation, so a straggler message from a
-    killed predecessor cannot be mistaken for the respawn's work.
+    killed predecessor cannot be mistaken for the respawn's work; it
+    also names the spool files, so a respawn never writes over a file
+    its predecessor may have reported.
     """
-    _init_worker(setup, shm_names, free_slots, slot_bytes)
-    state = _WORKER
-    state["worker_index"] = index
-    state["slot_intent"] = slot_intent
+    _init_worker(setup)
 
     def stamp() -> None:  # pragma: no cover - timing-dependent thread
         while True:
@@ -407,19 +315,13 @@ def _supervised_worker(index: int, gen: int, setup: _WorkerSetup, tasks,
         if message is _STOP:
             return
         job_index, job = message
+        path = os.path.join(spool_dir, f"{job_index}-{index}-{gen}.npy")
         try:
-            outcome = _render_in_worker(job)
+            outcome = _spool(_render_in_worker(job), path)
             results.put((index, gen, job_index, True, outcome))
         except BaseException as exc:  # noqa: BLE001 - relayed to parent
-            if slot_intent is not None and slot_intent[index] >= 0:
-                # Acquired a slot but never shipped a ref for it: hand
-                # the slot straight back so it is not stranded.
-                free_slots.put(slot_intent[index])
             results.put((index, gen, job_index, False,
                          f"{type(exc).__name__}: {exc}"))
-        finally:
-            if slot_intent is not None:
-                slot_intent[index] = -1
 
 
 @dataclass
@@ -448,61 +350,33 @@ class _PoolWorker:
 
 
 def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
-                ctx, processes: int, handoff: str,
-                perf: PerfRegistry | None, journal,
+                ctx, processes: int, perf: PerfRegistry | None, journal,
                 supervision: SupervisionConfig) -> Iterator[SeriesBlock]:
-    """The supervised pool path: windowed submission, shm transport,
+    """The supervised pool path: windowed submission, spool handoff,
     watchdog-driven retry.
 
-    Submission is windowed to the slot count minus any slots leaked by
-    dead workers: in-flight jobs never exceed the free slots, so the
-    head-of-line job can always obtain one and in-order consumption
-    cannot deadlock.  Results are drained eagerly (rows copied out,
-    slot recycled, block buffered) and yielded in submission order, so
-    perf accounting and ``job_complete`` events keep the serial order.
+    At most ``processes + 2`` jobs are dispatched ahead of the consumer,
+    which bounds the spool files waiting behind a slow head-of-line
+    job.  Results are drained eagerly (the spool reference buffered)
+    and yielded in submission order, so perf accounting and
+    ``job_complete`` events keep the serial order.
     """
-    use_shm = (handoff == "shm" and shared_memory is not None
-               and not os.environ.get(SHM_DISABLE_ENV))
-    n_slots = processes + 2
+    try:
+        spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
+    except OSError as exc:
+        raise ParallelError(
+            f"could not create the series spool directory: {exc}") from exc
+    window = processes + 2
     policy = supervision.retry
-    segments: list = []
-    free_slots = None
-    shm_names = None
-    slot_intent = None
-    slot_bytes = 0
-    if use_shm:
-        slot_bytes = _slot_bytes_for(jobs_list, setup)
-        try:
-            for _ in range(n_slots):
-                segments.append(shared_memory.SharedMemory(
-                    create=True, size=slot_bytes))
-        except OSError as exc:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-            raise ParallelError(
-                f"could not allocate {n_slots} shared-memory slots of "
-                f"{slot_bytes} bytes: {exc}") from exc
-        shm_names = [segment.name for segment in segments]
-        free_slots = ctx.Queue()
-        for index in range(n_slots):
-            free_slots.put(index)
-        slot_intent = ctx.Array("i", processes, lock=False)
-        for index in range(processes):
-            slot_intent[index] = -1
     heartbeats = ctx.Array("d", processes, lock=False)
     results = ctx.Queue()
     states = [_JobState(job=job, index=index)
               for index, job in enumerate(jobs_list)]
     workers: list[_PoolWorker | None] = [None] * processes
     retrying: set[int] = set()
-    buffered: dict[int, SeriesBlock] = {}
+    buffered: dict[int, _SpooledBlock] = {}
     next_new = 0
     next_yield = 0
-    started = 0
-    leaked = 0
-    shm_blocks = pickle_blocks = 0
-    shm_bytes = 0
 
     generations = [0] * processes
 
@@ -513,8 +387,7 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
         proc = ctx.Process(
             target=_supervised_worker,
             args=(index, generations[index], setup, tasks, results,
-                  heartbeats, slot_intent, shm_names, free_slots,
-                  slot_bytes),
+                  heartbeats, spool_dir),
             daemon=True)
         try:
             proc.start()
@@ -555,7 +428,6 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
                          error=str(reason))
 
     def handle(message, now: float) -> None:
-        nonlocal shm_blocks, pickle_blocks, shm_bytes
         worker_index, gen, job_index, ok, payload = message
         state = states[job_index]
         worker = workers[worker_index]
@@ -563,32 +435,19 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
                 and worker.current == job_index:
             worker.current = None
         if state.phase == "done":
-            # Stale duplicate from a worker presumed dead: recycle its
-            # slot, drop the copy (its perf was never merged, so the
-            # accepted render stays exactly one per job).
-            if ok and isinstance(payload, _ShmBlockRef):
-                free_slots.put(payload.slot)
+            # Stale duplicate from a worker presumed dead: drop it (its
+            # perf was never merged, so the accepted render stays
+            # exactly one per job); its file goes with the spool.
             return
         if not ok:
             if state.phase == "inflight":
                 schedule_retry(state, str(payload), now)
             return
         retrying.discard(job_index)
-        if isinstance(payload, _ShmBlockRef):
-            block = _block_from_ref(payload, segments)
-            free_slots.put(payload.slot)
-            shm_blocks += 1
-            shm_bytes += (block.cpu_rows.nbytes + block.bw_rows.nbytes
-                          + (block.private_rows.nbytes
-                             if block.private_rows is not None else 0))
-        else:
-            block = payload
-            pickle_blocks += 1
         state.phase = "done"
-        buffered[job_index] = block
+        buffered[job_index] = payload
 
     def handle_death(worker: _PoolWorker, reason: str, now: float) -> None:
-        nonlocal leaked
         worker.proc.join()
         # Its final result may have been flushed before death: drain the
         # queue so a completed job is accepted instead of retried.
@@ -597,17 +456,6 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
             if message is None:
                 break
             handle(message, now)
-        if slot_intent is not None and slot_intent[worker.index] >= 0:
-            # The worker held a slot it never shipped: count it leaked
-            # and shrink the window.  Never re-free it — the worker may
-            # have died between shipping and clearing the intent, and a
-            # double-freed slot would corrupt two blocks at once.
-            leaked += 1
-            slot_intent[worker.index] = -1
-            if n_slots - leaked < 1:
-                raise ParallelError(
-                    "shared-memory ring exhausted by repeated worker "
-                    f"deaths ({leaked} of {n_slots} slots leaked)")
         job_index = worker.current
         worker.current = None
         if journal is not None:
@@ -670,10 +518,9 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
                     state = states[min(ready)]
                     retrying.discard(state.index)
                 elif next_new < len(states) \
-                        and started - next_yield < n_slots - leaked:
+                        and next_new - next_yield < window:
                     state = states[next_new]
                     next_new += 1
-                    started += 1
                 else:
                     break
                 dispatch(worker, state, now)
@@ -692,20 +539,11 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
                 watchdog(now)
                 last_watchdog = now
             while next_yield in buffered:
-                block = buffered.pop(next_yield)
-                state = states[next_yield]
-                _account_block(state.job, block.perf, perf, journal)
+                block = _unspool(buffered.pop(next_yield))
+                _account_block(states[next_yield].job, block.perf, perf,
+                               journal)
                 block.perf = None
                 next_yield += 1
-                if next_yield == len(states) and journal is not None \
-                        and use_shm:
-                    # Emitted before the final yield: consumers like the
-                    # generators' zip() never advance the iterator past
-                    # its last block, so a post-loop emit would be lost.
-                    journal.emit("shm_handoff", blocks=shm_blocks,
-                                 fallback_blocks=pickle_blocks,
-                                 slots=n_slots, slot_bytes=slot_bytes,
-                                 bytes=shm_bytes, workers=processes)
                 yield block
     finally:
         for worker in workers:
@@ -720,16 +558,9 @@ def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
             if worker.proc.exitcode is None:
                 worker.proc.kill()
                 worker.proc.join()
-        for q in (results, free_slots):
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
-        for segment in segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
+        results.close()
+        results.cancel_join_thread()
+        shutil.rmtree(spool_dir, ignore_errors=True)
 
 
 def _account_block(job: SeriesJob, worker_perf: PerfRegistry | None,

@@ -5,8 +5,7 @@ often than cloud — and a harness that reproduces it must itself survive
 torn cache writes, dying workers, and hung jobs.  This module provides
 the *injection* half of that story: a registry of named **sites** wired
 into the I/O and pool boundaries (cache commit/read, shard write/read,
-shared-memory slot acquisition, series rendering, sweep cells, worker
-kills).  Each instrumented code path calls :func:`failpoint` with its
+series rendering, sweep cells, worker kills).  Each instrumented code path calls :func:`failpoint` with its
 site name; when a configured rule fires, the call raises
 :class:`~repro.errors.InjectedFault` (or, for supervisor-side sites,
 :func:`fire` returns ``True`` and the supervisor kills a worker).
@@ -63,7 +62,6 @@ SITES = frozenset({
     "cache.read",         # ArtifactCache entry load
     "shard.write",        # ShardWriter flush of one shard file
     "shard.read",         # shard header/size verification at load
-    "shm.acquire",        # shared-memory slot acquisition in a worker
     "series.render",      # one series job render (worker or serial)
     "sweep.cell",         # one sweep cell execution
     "pool.kill_worker",   # supervisor-side: SIGKILL the dispatched worker
@@ -79,8 +77,7 @@ CHAOS_PROFILES = {
     "ci": ("cache.commit:p=0.05,seed=11;pool.kill_worker:nth=2,times=1;"
            "qoe.chunk:p=0.05,seed=14;live.tick:p=0.02,seed=15"),
     "cache": "cache.commit:p=0.2,seed=7;cache.read:p=0.05,seed=8",
-    "pool": ("series.render:p=0.05,seed=9;shm.acquire:p=0.02,seed=10;"
-             "pool.kill_worker:nth=3,times=1"),
+    "pool": "series.render:p=0.05,seed=9;pool.kill_worker:nth=3,times=1",
     "harsh": ("cache.commit:p=0.1,seed=11;shard.write:p=0.02,seed=12;"
               "series.render:p=0.05,seed=13;qoe.chunk:p=0.05,seed=14;"
               "pool.kill_worker:nth=2,times=2;live.tick:p=0.05,seed=15"),

@@ -161,13 +161,13 @@ class TestMisc:
     def test_canonical_events_drops_volatile_event_types(self):
         from repro.obs import VOLATILE_EVENT_TYPES
 
-        assert {"chunk_spill", "shm_handoff"} <= VOLATILE_EVENT_TYPES
+        assert {"chunk_spill", "live_tick"} <= VOLATILE_EVENT_TYPES
         journal = RunJournal(None)
         journal.emit("phase_begin", phase="p")
         journal.emit("chunk_spill", kind="cpu", shard=0, rows=64,
                      bytes=1024)
-        journal.emit("shm_handoff", blocks=3, fallback_blocks=0, slots=4,
-                     slot_bytes=128, bytes=4096, workers=2)
+        journal.emit("live_tick", tick=0, active=3, down=0, admitted=1,
+                     rejected=0)
         journal.emit("phase_end", phase="p", status="ok", wall_s=0.1)
         canonical = canonical_events(journal.events)
         assert [e["type"] for e in canonical] == ["phase_begin", "phase_end"]

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.config import Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ParallelError
 from repro.obs import RunJournal, canonical_events
 from repro.parallel import resolve_jobs, run_series_jobs
 from repro.perf import PerfRegistry
+from repro.resilience import install, reset
 from repro.workload.apps import NEP_PROFILES
 from repro.workload.series import NEP_RECIPE, SeriesJob
 
@@ -36,6 +39,12 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_jobs(-1)
+
+
+def _block_rows(blocks):
+    return [(b.app_id, b.cpu_rows.tobytes(), b.bw_rows.tobytes(),
+             None if b.private_rows is None else b.private_rows.tobytes())
+            for b in blocks]
 
 
 class TestRunSeriesJobs:
@@ -72,106 +81,6 @@ class TestRunSeriesJobs:
         assert len(blocks) == 1
         assert perf.spans["series_render"].calls == 1
 
-
-def _block_rows(blocks):
-    return [(b.app_id, b.cpu_rows.tobytes(), b.bw_rows.tobytes(),
-             None if b.private_rows is None else b.private_rows.tobytes())
-            for b in blocks]
-
-
-class TestShmHandoff:
-    """The shared-memory transport changes speed, never bytes."""
-
-    def test_shm_equals_pickle_handoff(self):
-        jobs = _jobs(5)
-        via_shm = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                       n_jobs=2, handoff="shm"))
-        via_pickle = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                          n_jobs=2, handoff="pickle"))
-        assert _block_rows(via_shm) == _block_rows(via_pickle)
-
-    def test_unknown_handoff_rejected(self):
-        with pytest.raises(ConfigurationError):
-            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE,
-                                 n_jobs=2, handoff="carrier-pigeon"))
-
-    def test_shm_handoff_event_counts_blocks(self):
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                      n_jobs=2, perf=perf))
-        assert len(blocks) == len(jobs)
-        events = [e for e in journal.events if e["type"] == "shm_handoff"]
-        assert len(events) == 1
-        assert events[0]["blocks"] == len(jobs)
-        assert events[0]["fallback_blocks"] == 0
-        assert events[0]["workers"] == 2
-        assert events[0]["bytes"] > 0
-
-    def test_shm_handoff_event_survives_partial_consumers(self):
-        """Regression: the generators zip() over the block iterator and
-        never advance it past the last block, so the event must be
-        emitted before the final yield, not after the loop."""
-        from repro.workload.generator import generate_nep_workload
-
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        generate_nep_workload(SCENARIO, jobs=2, perf=perf)
-        events = [e for e in journal.events if e["type"] == "shm_handoff"]
-        assert len(events) == 1
-        assert events[0]["blocks"] + events[0]["fallback_blocks"] > 0
-
-    def test_oversized_blocks_fall_back_to_pickle(self, monkeypatch):
-        # A 1-byte slot makes every block oversized: the ring stays up
-        # but every result travels the legacy pipe, bit-identically.
-        monkeypatch.setattr("repro.parallel.SHM_SLOT_CAP_BYTES", 1)
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        fallback = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                        n_jobs=2, perf=perf))
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
-        assert _block_rows(fallback) == _block_rows(serial)
-        event = next(e for e in journal.events
-                     if e["type"] == "shm_handoff")
-        assert event["blocks"] == 0
-        assert event["fallback_blocks"] == len(jobs)
-
-    def test_kill_switch_disables_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        disabled = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                        n_jobs=2, perf=perf))
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
-        assert _block_rows(disabled) == _block_rows(serial)
-        assert not [e for e in journal.events if e["type"] == "shm_handoff"]
-
-    def test_slot_size_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_SLOT_MB", "1")
-        jobs = _jobs(3)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=2,
-                             perf=perf))
-        event = next(e for e in journal.events
-                     if e["type"] == "shm_handoff")
-        assert event["slot_bytes"] <= 1 << 20
-
-    def test_canonical_journal_invariant_across_transports(self):
-        def run(**kwargs):
-            journal = RunJournal(None)
-            perf = PerfRegistry(journal=journal)
-            list(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
-                                 perf=perf, **kwargs))
-            return canonical_events(journal.events)
-
-        serial = run(n_jobs=1)
-        assert serial == run(n_jobs=2, handoff="shm")
-        assert serial == run(n_jobs=2, handoff="pickle")
-
     def test_serial_fallback_warns_when_fork_unavailable(self, monkeypatch):
         monkeypatch.setattr("repro.parallel._pool_context", lambda: None)
         jobs = _jobs(3)
@@ -186,6 +95,59 @@ class TestShmHandoff:
         # The fallback still renders in-process: same job_complete trail.
         assert sum(1 for e in journal.events
                    if e["type"] == "job_complete") == len(jobs)
+
+
+@pytest.fixture
+def spool_root(tmp_path, monkeypatch):
+    """Make the pool create its spool directory under ``tmp_path``."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+class TestSpoolHandoff:
+    """Blocks travel through per-job spool files that never outlive a run."""
+
+    def test_canonical_journal_invariant_across_jobs(self):
+        def run(n_jobs):
+            journal = RunJournal(None)
+            perf = PerfRegistry(journal=journal)
+            list(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
+                                 n_jobs=n_jobs, perf=perf))
+            return canonical_events(journal.events)
+
+        assert run(1) == run(2)
+
+    def test_spool_removed_after_run(self, spool_root):
+        blocks = list(run_series_jobs(_jobs(5), SCENARIO, NEP_RECIPE,
+                                      n_jobs=2))
+        assert len(blocks) == 5
+        assert not list(spool_root.iterdir())
+
+    def test_spool_removed_when_consumer_stops_early(self, spool_root):
+        blocks = run_series_jobs(_jobs(6), SCENARIO, NEP_RECIPE, n_jobs=2)
+        next(blocks)
+        assert [p.name.startswith("repro-spool-")
+                for p in spool_root.iterdir()] == [True]
+        blocks.close()
+        assert not list(spool_root.iterdir())
+
+    def test_spool_removed_after_worker_kill(self, spool_root):
+        jobs = _jobs(6)
+        install("pool.kill_worker:nth=2,times=1")
+        try:
+            survived = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
+                                            n_jobs=2))
+        finally:
+            reset()
+        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
+        assert _block_rows(survived) == _block_rows(serial)
+        assert not list(spool_root.iterdir())
+
+    def test_unusable_temp_dir_raises_parallel_error(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(ParallelError, match="spool directory"):
+            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE, n_jobs=2))
 
 
 def _square(x):
