@@ -1,0 +1,469 @@
+#!/usr/bin/env python
+"""Run the CLI in child processes and check its determinism contracts.
+
+One harness behind the CI probes (``docs/resilience.md``,
+``docs/live.md``, ``docs/sweep.md``).  Every scenario runs
+``python -m repro`` children against this checkout's ``src``, compares
+stdout and canonical journals, and exits 1 with ``probe: FAILED, ...``
+on the first broken promise.
+
+``chaos``
+    ``repro run`` clean and under ``--chaos PROFILE``, each against its
+    own cold cache.  Both exit 0, their stdouts are byte-identical, their
+    journals canonicalise to the same events, the chaos run stays under
+    ``--max-retries`` recovery events and quarantines nothing, and with
+    ``--jobs >= 2`` and a profile that kills workers at least one
+    ``worker_restart`` proves the watchdog ran.
+``live``
+    ``repro run live`` with the cache off: clean at ``--jobs 1``, clean at
+    ``--jobs N`` and under chaos.  All exit 0 with byte-identical stdout,
+    the clean and chaos journals canonicalise equal, and a profile that
+    arms ``live.tick`` must journal at least one ``live_retry``.
+``study-resume``
+    SIGKILLs ``repro run`` the moment its first phase commits to the
+    cache, then re-runs it with ``--resume``: it exits 0, a ``resume``
+    event names the committed phases, each is served as a ``cache_hit``
+    (never re-stored), and at least one pending phase commits.
+``sweep-resume``
+    SIGKILLs ``repro sweep run`` once its first cell publishes: only
+    complete cells are visible, a resume completes exactly the rest and
+    leaves finished cells byte-untouched, and a second resume is a
+    no-op.  ``--kill worker`` instead SIGKILLs one of the sweep's farm
+    workers mid-cell: the sweep still completes every cell and journals
+    a ``worker_restart``.
+
+Usage::
+
+    PYTHONPATH=src python scripts/probe.py chaos --jobs 2 --max-retries 25
+    PYTHONPATH=src python scripts/probe.py chaos fig9 --profile harsh
+    PYTHONPATH=src python scripts/probe.py live --ticks 200 --jobs 4
+    PYTHONPATH=src python scripts/probe.py study-resume --jobs 2
+    PYTHONPATH=src python scripts/probe.py sweep-resume \\
+        benchmarks/sweeps/ci_smoke.toml --jobs 2 [--kill worker]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Volatile event types that tell a chaos run's recovery story.
+RECOVERY_EVENTS = ("job_retry", "worker_restart", "cache_retry",
+                   "io_retry", "job_quarantined", "cache_write_error")
+
+
+class ProbeFailure(Exception):
+    """A contract the probe checks was broken."""
+
+
+def fail(message: str) -> None:
+    """Abort the probe with ``message``."""
+    raise ProbeFailure(message)
+
+
+# ---- the child-run and journal-compare core ------------------------------
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child run: this checkout first, no chaos."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("REPRO_FAILPOINTS", None)  # the child decides its own chaos
+    return env
+
+
+def repro(*args: object) -> list[str]:
+    """The argv of one ``python -m repro`` invocation."""
+    return [sys.executable, "-m", "repro", *map(str, args)]
+
+
+def run(argv: list[str], name: str) -> bytes:
+    """Run a child to completion; its stdout, or fail on a non-zero exit."""
+    proc = subprocess.run(argv, env=child_env(), stdout=subprocess.PIPE)
+    if proc.returncode != 0:
+        fail(f"{name} run exited {proc.returncode}")
+    return proc.stdout
+
+
+def run_journaled(argv: list[str], root: Path, name: str,
+                  chaos: str | None = None) -> tuple[bytes, Path]:
+    """Run a child writing ``root/<name>.jsonl``; (stdout, journal path)."""
+    journal = root / f"{name}.jsonl"
+    argv = argv + ["--log-json", str(journal)]
+    if chaos is not None:
+        argv += ["--chaos", chaos]
+    return run(argv, name), journal
+
+
+def load(*journals: Path) -> list[list[dict]]:
+    """Each journal's events; fail on any unreadable line."""
+    from repro.obs import read_journal
+
+    loaded, warnings = [], []
+    for path in journals:
+        events, problems = read_journal(path)
+        loaded.append(events)
+        warnings += problems
+    if warnings:
+        fail(f"journal warnings: {warnings}")
+    return loaded
+
+
+def same_canonical(a: list[dict], b: list[dict]) -> None:
+    """Fail unless two journals canonicalise to the same events."""
+    from repro.obs import canonical_events
+
+    if canonical_events(a) != canonical_events(b):
+        fail("canonical journals differ")
+    print("probe: canonical journals identical")
+
+
+def count(events: list[dict], etype: str) -> int:
+    """How many events of one type a journal holds."""
+    return sum(1 for event in events if event["type"] == etype)
+
+
+def sha(blob: bytes) -> str:
+    """A short digest for the log."""
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
+@contextmanager
+def launch(argv: list[str]) -> Iterator[subprocess.Popen]:
+    """Start a child; SIGKILL it on leaving the block if still running."""
+    proc = subprocess.Popen(argv, env=child_env(),
+                            stdout=subprocess.DEVNULL)
+    try:
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+
+
+def wait_for(proc: subprocess.Popen, ready: Callable[[], object],
+             timeout_s: float, larger: str) -> object:
+    """Poll until ``ready()`` is truthy and return it (``None`` on
+    timeout); fail when the child exits first."""
+    deadline = time.time() + timeout_s
+    while time.time() < deadline:
+        if proc.poll() is not None:
+            fail(f"the run finished before it could be interrupted; "
+                 f"use a larger {larger}")
+        found = ready()
+        if found:
+            return found
+        time.sleep(0.01)
+    return None
+
+
+# ---- scenarios -----------------------------------------------------------
+
+
+def probe_chaos(args: argparse.Namespace, root: Path) -> str:
+    """Clean vs ``--chaos`` run of the same experiments."""
+    from repro.resilience import chaos_spec
+
+    spec = chaos_spec(args.profile)
+
+    def run_cli(name: str, chaos: str | None) -> tuple[bytes, Path]:
+        return run_journaled(
+            repro("run", *args.experiments, "--scale", args.scale,
+                  "--jobs", args.jobs, "--cache-dir", root / f"cache-{name}"),
+            root, name, chaos)
+
+    clean_out, clean_journal = run_cli("clean", None)
+    chaos_out, chaos_journal = run_cli("chaos", args.profile)
+    if clean_out != chaos_out:
+        fail("chaos run produced different stdout")
+    print(f"probe: stdout identical (sha256 {sha(clean_out)})")
+    clean, chaotic = load(clean_journal, chaos_journal)
+    same_canonical(clean, chaotic)
+
+    counts = {etype: count(chaotic, etype) for etype in RECOVERY_EVENTS}
+    recovered = sum(counts.values())
+    story = " ".join(f"{k}={v}" for k, v in counts.items() if v)
+    print(f"probe: chaos run recovered from {recovered} event(s)"
+          + (f" ({story})" if story else ""))
+    if counts["job_quarantined"]:
+        fail("chaos run quarantined a job")
+    if recovered > args.max_retries:
+        fail(f"{recovered} recovery events exceed the --max-retries "
+             f"ceiling of {args.max_retries}")
+    if args.jobs >= 2 and "pool.kill_worker" in spec \
+            and not counts["worker_restart"]:
+        fail("profile kills pool workers but no worker_restart was "
+             "journaled")
+    return f"--chaos {args.profile} run is behaviour-identical"
+
+
+def probe_live(args: argparse.Namespace, root: Path) -> str:
+    """The live engine across ``--jobs`` and under chaos."""
+    from repro.resilience import chaos_spec
+
+    spec = chaos_spec(args.profile)
+
+    def run_live(name: str, jobs: int,
+                 chaos: str | None) -> tuple[bytes, Path]:
+        argv = repro("run", "live", "--scale", args.scale, "--ticks",
+                     args.ticks, "--jobs", jobs, "--no-cache")
+        if args.faults is not None:
+            argv += ["--faults", args.faults]
+        return run_journaled(argv, root, name, chaos)
+
+    clean_out, clean_journal = run_live("clean", 1, None)
+    jobs_out, _ = run_live("jobs", args.jobs, None)
+    chaos_out, chaos_journal = run_live("chaos", 1, args.profile)
+    if clean_out != jobs_out:
+        fail(f"--jobs {args.jobs} run produced different stdout")
+    print(f"probe: stdout identical across --jobs 1/{args.jobs}")
+    if clean_out != chaos_out:
+        fail("chaos run produced different stdout")
+    print(f"probe: stdout identical under --chaos {args.profile} "
+          f"(sha256 {sha(clean_out)})")
+    clean, chaotic = load(clean_journal, chaos_journal)
+    same_canonical(clean, chaotic)
+
+    retries = count(chaotic, "live_retry")
+    print(f"probe: chaos run absorbed {retries} live.tick fault(s) via "
+          f"retry")
+    if "live.tick" in spec and not retries:
+        fail("profile arms live.tick but no live_retry was journaled")
+    return (f"live run is bit-identical across --jobs and --chaos "
+            f"{args.profile}")
+
+
+def committed_entries(cache: Path) -> list[Path]:
+    """Published cache entries (staging dirs have no meta.json yet)."""
+    if not cache.exists():
+        return []
+    return sorted(p for p in cache.rglob("meta.json")
+                  if ".tmp-" not in str(p.parent))
+
+
+def probe_study_resume(args: argparse.Namespace, root: Path) -> str:
+    """SIGKILL a study after its first commit, then ``--resume`` it."""
+    cache = root / "cache"
+    base = repro("run", *args.experiments, "--scale", args.scale,
+                 "--jobs", args.jobs, "--cache-dir", cache)
+    with launch(base) as proc:
+        wait_for(proc, lambda: committed_entries(cache), args.timeout,
+                 "scale")
+    committed = len(committed_entries(cache))
+    if not committed:
+        fail("no phase committed before the kill")
+    print(f"probe: killed the run after {committed} committed phase(s)")
+
+    _, journal = run_journaled(base + ["--resume"], root, "resume")
+    events, = load(journal)
+    resume = next((e for e in events if e["type"] == "resume"), None)
+    if resume is None:
+        fail("no resume event journaled")
+    cached, pending = resume["cached"], resume["pending"]
+    if not cached:
+        fail("resume header lists no committed phase")
+    hits = {e["artifact"] for e in events if e["type"] == "cache_hit"}
+    stores = {e["artifact"] for e in events if e["type"] == "cache_store"}
+    rebuilt = [name for name in cached
+               if name in stores or name not in hits]
+    if rebuilt:
+        fail(f"committed phase(s) re-ran: {', '.join(rebuilt)}")
+    # The experiment set may not need every resumable phase, but a
+    # resume that did no new work means the kill came too late.
+    progressed = [name for name in pending if name in stores]
+    if not progressed:
+        fail("resume committed nothing new; the kill landed after the "
+             "whole run finished")
+    return (f"resume served {len(cached)} phase(s) from cache "
+            f"({', '.join(cached)}) and committed {len(progressed)} more "
+            f"({', '.join(progressed)})")
+
+
+def visible_cells(cells_dir: Path) -> list[Path]:
+    """Published cell directories (staging dirs are not cells)."""
+    if not cells_dir.exists():
+        return []
+    return sorted(p for p in cells_dir.iterdir()
+                  if p.is_dir() and not p.name.startswith(".tmp-"))
+
+
+def farm_workers(pid: int) -> list[int]:
+    """Forked farm workers of ``pid`` (multiprocessing helper processes
+    such as the resource tracker run a different command line)."""
+    try:
+        raw = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    except OSError:
+        return []
+    workers = []
+    for child in (int(token) for token in raw.split()):
+        try:
+            cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if b"tracker" not in cmdline:
+            workers.append(child)
+    return workers
+
+
+def probe_sweep_resume(args: argparse.Namespace, root: Path) -> str:
+    """SIGKILL a sweep (or one of its workers) and check what survives."""
+    from repro.sweep import load_sweep_spec, run_sweep
+    from repro.sweep.runner import JOURNAL_NAME
+
+    spec = load_sweep_spec(args.config)
+    out, cache = root / "out", root / "cache"
+    cells_dir = out / "cells"
+    argv = repro("sweep", "run", args.config, "--out", out, "--cache-dir",
+                 cache, "--jobs", args.jobs)
+
+    if args.kill == "worker":
+        if args.jobs < 2:
+            fail("--kill worker needs --jobs >= 2 (a serial sweep has no "
+                 "farm workers)")
+        with launch(argv) as proc:
+            workers = wait_for(proc, lambda: farm_workers(proc.pid),
+                               args.timeout, "grid")
+            if not workers:
+                fail("no farm worker appeared before the timeout")
+            os.kill(workers[0], signal.SIGKILL)
+            returncode = proc.wait(timeout=600)
+        print(f"probe: SIGKILLed farm worker {workers[0]} mid-sweep")
+        if returncode != 0:
+            fail(f"sweep exited {returncode} after the worker kill")
+        completed = visible_cells(cells_dir)
+        if len(completed) != len(spec.cells):
+            fail(f"only {len(completed)}/{len(spec.cells)} cells "
+                 f"completed")
+        events, = load(out / JOURNAL_NAME)
+        restarts = [e for e in events if e["type"] == "worker_restart"]
+        if not restarts:
+            fail("no worker_restart event journaled")
+        return (f"sweep completed all {len(completed)} cells after "
+                f"restarting the worker of cell "
+                f"{restarts[0].get('task')!r}")
+
+    if len(spec.cells) < 2:
+        fail(f"config has {len(spec.cells)} cell(s); need >= 2")
+    with launch(argv) as proc:
+        wait_for(proc, lambda: visible_cells(cells_dir), args.timeout,
+                 "grid")
+    completed = [p.name for p in visible_cells(cells_dir)]
+    if not completed:
+        fail("no cell completed before the kill")
+    print(f"probe: killed after {len(completed)}/{len(spec.cells)} "
+          f"cell(s): {', '.join(completed)}")
+
+    for cell_dir in visible_cells(cells_dir):
+        payload = json.loads(
+            (cell_dir / "result.json").read_text(encoding="utf-8"))
+        if payload.get("status") != "ok":
+            fail(f"visible cell {cell_dir.name!r} is not complete")
+    before = {p.name: (p / "journal.jsonl").read_bytes()
+              for p in visible_cells(cells_dir)}
+
+    resumed = run_sweep(spec, out, cache_dir=str(cache), jobs=args.jobs)
+    statuses = {c.name: c.status for c in resumed.cells}
+    if not resumed.ok:
+        fail(f"resume left failed cells: {', '.join(resumed.failed)}")
+    wrong = [name for name in completed if statuses.get(name) != "resumed"]
+    if wrong:
+        fail(f"completed cell(s) re-ran: {', '.join(wrong)}")
+    for name, blob in before.items():
+        if (cells_dir / name / "journal.jsonl").read_bytes() != blob:
+            fail(f"resume rewrote {name!r}")
+    fresh = sum(1 for s in statuses.values() if s == "ok")
+    print(f"probe: resume completed the remaining {fresh} cell(s), "
+          f"finished cells untouched")
+
+    noop = run_sweep(spec, out, cache_dir=str(cache), jobs=args.jobs)
+    if not (noop.ok and noop.resumed == len(noop.cells)):
+        fail("finished sweep re-run was not a no-op")
+    return "finished sweep re-run is a no-op"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="scenario", required=True)
+
+    chaos = sub.add_parser("chaos", help="clean vs --chaos study run")
+    chaos.add_argument("experiments", nargs="*",
+                       default=["fig2a", "table3", "qoe-sessions"],
+                       help="experiments to run "
+                            "(default: fig2a table3 qoe-sessions)")
+    chaos.add_argument("--profile", default="ci",
+                       help="chaos profile for the faulty run")
+    chaos.add_argument("--scale", default="smoke")
+    chaos.add_argument("--jobs", type=int, default=2)
+    chaos.add_argument("--max-retries", type=int, default=25,
+                       help="ceiling on total recovery events in the "
+                            "chaos run")
+    chaos.set_defaults(probe=probe_chaos)
+
+    live = sub.add_parser("live", help="live engine across --jobs and "
+                                       "--chaos")
+    live.add_argument("--profile", default="ci",
+                      help="chaos profile for the faulty run")
+    live.add_argument("--scale", default="smoke")
+    live.add_argument("--ticks", type=int, default=200)
+    live.add_argument("--jobs", type=int, default=4,
+                      help="the alternate --jobs for the equality check")
+    live.add_argument("--faults", default=None,
+                      help="also interleave this fault profile "
+                           "(simulation weather, not harness chaos)")
+    live.set_defaults(probe=probe_live)
+
+    study = sub.add_parser("study-resume",
+                           help="SIGKILL a study mid-run, then --resume")
+    study.add_argument("experiments", nargs="*",
+                       default=["fig2a", "fig9", "table3"],
+                       help="experiments to run "
+                            "(default: fig2a fig9 table3)")
+    study.add_argument("--scale", default="smoke")
+    study.add_argument("--jobs", type=int, default=1)
+    study.add_argument("--timeout", type=float, default=300.0,
+                       help="seconds to wait for the first commit")
+    study.set_defaults(probe=probe_study_resume)
+
+    sweep = sub.add_parser("sweep-resume",
+                           help="SIGKILL a sweep or one of its workers")
+    sweep.add_argument("config", type=Path,
+                       help="sweep spec (.toml or .json), >= 2 cells")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="concurrent cells for the killed run and the "
+                            "resume")
+    sweep.add_argument("--timeout", type=float, default=300.0,
+                       help="seconds to wait for the first cell (or "
+                            "worker) before giving up")
+    sweep.add_argument("--kill", choices=("sweep", "worker"),
+                       default="sweep",
+                       help="what to SIGKILL: the whole sweep process "
+                            "(resume contract) or one of its farm workers "
+                            "(supervision contract)")
+    sweep.set_defaults(probe=probe_sweep_resume)
+
+    args = parser.parse_args(argv)
+    try:
+        with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
+            verdict = args.probe(args, Path(tmp))
+    except ProbeFailure as exc:
+        print(f"probe: FAILED, {exc}")
+        return 1
+    print(f"probe: OK, {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -578,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                if args.command in ("info", "run", "export") else None)
     try:
         if getattr(args, "chaos", None):
-            # Exported to the env, so forked workers (series pools,
+            # Exported to the env, so forked farm workers (series jobs,
             # sweep cells) inherit the same deterministic failpoints.
             install(chaos_spec(args.chaos), export=True)
         if args.command == "list":

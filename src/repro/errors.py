@@ -58,17 +58,17 @@ class BillingError(ReproError):
 
 
 class ParallelError(ReproError):
-    """The worker pool or its spool directory could not be created."""
+    """A worker, task or spool directory failed in :mod:`repro.parallel`."""
 
 
 class InjectedFault(ReproError):
     """A deterministic failpoint fired (see :mod:`repro.resilience`).
 
     Raised only by the failpoint registry at an instrumented site; the
-    supervised layers (cache commit, shard flush, pool jobs, farm
-    tasks) treat it as a transient infrastructure failure and retry
-    with seeded backoff, which is exactly how chaos runs exercise the
-    recovery paths without changing results.
+    supervised layers (cache commit, shard flush, farm tasks) treat it
+    as a transient infrastructure failure and retry with seeded
+    backoff, which is exactly how chaos runs exercise the recovery
+    paths without changing results.
     """
 
 

@@ -432,13 +432,6 @@ def run_sessions(workload: SessionWorkload, arm: str,
         raise ParallelError(
             f"chunk_sessions must be positive, got {chunk_sessions}")
     starts = list(range(0, workload.n_sessions, chunk_sessions))
-    farm = TaskFarm(n_jobs=jobs, journal=journal)
-    for chunk_index, chunk_start in enumerate(starts):
-        chunk_count = min(chunk_sessions,
-                          workload.n_sessions - chunk_start)
-        farm.submit(f"qoe:{arm}:{chunk_index}", _simulate_chunk_task,
-                    (workload, chunk_start, chunk_count, arm))
-
     writer = None
     if spill_dir is not None:
         from ..shards import ShardWriter
@@ -451,27 +444,33 @@ def run_sessions(workload: SessionWorkload, arm: str,
     sums = {metric: 0.0 for metric in METRICS}
     pending: dict[int, dict[str, np.ndarray]] = {}
     next_index = 0
-    while farm.outstanding:
-        outcome = farm.next_outcome()
-        if not outcome.ok:
-            raise ParallelError(
-                f"session chunk {outcome.task_id} failed: "
-                f"{outcome.error}")
-        pending[int(outcome.task_id.rsplit(":", 1)[1])] = outcome.value
-        while next_index in pending:
-            chunk = pending.pop(next_index)
-            digest.update(chunk)
-            for metric in METRICS:
-                histograms[metric].add(chunk[metric])
-                sums[metric] += float(chunk[metric].sum())
-            if writer is not None:
-                writer.append(np.stack(
-                    [chunk[metric] for metric in METRICS],
-                    axis=1).astype(np.float32))
-            if journal is not None:
-                journal.emit("session_chunk", arm=arm, chunk=next_index,
-                             sessions=int(chunk[METRICS[0]].size))
-            next_index += 1
+    with TaskFarm(n_jobs=jobs, journal=journal) as farm:
+        for chunk_index, chunk_start in enumerate(starts):
+            chunk_count = min(chunk_sessions,
+                              workload.n_sessions - chunk_start)
+            farm.submit(f"qoe:{arm}:{chunk_index}", _simulate_chunk_task,
+                        (workload, chunk_start, chunk_count, arm))
+        while farm.outstanding:
+            outcome = farm.next_outcome()
+            if not outcome.ok:
+                raise ParallelError(
+                    f"session chunk {outcome.task_id} failed: "
+                    f"{outcome.error}")
+            pending[int(outcome.task_id.rsplit(":", 1)[1])] = outcome.value
+            while next_index in pending:
+                chunk = pending.pop(next_index)
+                digest.update(chunk)
+                for metric in METRICS:
+                    histograms[metric].add(chunk[metric])
+                    sums[metric] += float(chunk[metric].sum())
+                if writer is not None:
+                    writer.append(np.stack(
+                        [chunk[metric] for metric in METRICS],
+                        axis=1).astype(np.float32))
+                if journal is not None:
+                    journal.emit("session_chunk", arm=arm, chunk=next_index,
+                                 sessions=int(chunk[METRICS[0]].size))
+                next_index += 1
     if writer is not None:
         writer.finalize()
     means = {metric: sums[metric] / workload.n_sessions

@@ -10,8 +10,8 @@ the *runner* survive the same weather.  It has three pieces:
 * :mod:`repro.resilience.retry` — the shared bounded-retry loop with
   seeded exponential backoff and jitter;
 * :mod:`repro.resilience.supervise` — the watchdog configuration
-  (per-job timeout, heartbeat staleness, retry budget) consumed by the
-  supervised pool and task farm in :mod:`repro.parallel`.
+  (per-task timeout, heartbeat staleness, retry budget) consumed by the
+  task farm in :mod:`repro.parallel`.
 
 The design contract, enforced by the chaos CI gate: recovery changes
 *when* work happens, never *what* it produces — a run that survives

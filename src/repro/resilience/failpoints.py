@@ -29,7 +29,7 @@ with parameters
 
 Example: ``cache.commit:p=0.05,seed=11;pool.kill_worker:nth=2,times=1``
 fails ~5% of cache commit attempts and kills the worker holding the
-second dispatched series job, once.
+second dispatched task, once.
 
 Activation
 ----------
@@ -65,7 +65,6 @@ SITES = frozenset({
     "series.render",      # one series job render (worker or serial)
     "sweep.cell",         # one sweep cell execution
     "pool.kill_worker",   # supervisor-side: SIGKILL the dispatched worker
-    "farm.kill_worker",   # supervisor-side: SIGKILL a farm worker
     "qoe.chunk",          # one vectorized session-chunk simulation
     "live.tick",          # one live-engine tick step (probed pre-mutation)
 })

@@ -1,7 +1,7 @@
 """Bounded, seeded retry with exponential backoff and jitter.
 
-Every supervised boundary — cache commits, shard flushes, pool jobs,
-farm tasks — shares one policy shape: try up to ``max_attempts`` times,
+Every supervised boundary — cache commits, shard flushes, farm tasks —
+shares one policy shape: try up to ``max_attempts`` times,
 sleeping ``backoff_s * factor**(attempt-1)`` between attempts with a
 deterministic jitter drawn from a seeded stream.  Jitter is derived
 from ``sha256(seed | token | attempt)`` rather than a live RNG, so a
@@ -10,7 +10,7 @@ the determinism contract extends to *how long* a chaos run waits, and
 no global RNG state is consumed (retries must never shift simulation
 draws).
 
-:func:`call_with_retry` is the shared loop; the pool supervisor uses
+:func:`call_with_retry` is the shared loop; the task farm uses
 :meth:`RetryPolicy.delay` directly because its retries are scheduled
 asynchronously (a waiting parent must keep consuming other results
 instead of sleeping).

@@ -11,10 +11,10 @@ artifact cold into the sweep's :class:`~repro.cache.ArtifactCache`;
 once it finishes, the remaining *followers* are released all at once
 and load the shared artifacts warm.  Groups are mutually independent,
 so leaders of different groups run concurrently up to ``--jobs``.
-Cells execute in non-daemonic forked workers
-(:class:`~repro.parallel.TaskFarm`), so each cell may itself run a
-series pool.  Without a cache every cell is its own group (nothing can
-be shared, nothing is serialised).
+Cells execute on the persistent, non-daemonic workers of a
+:class:`~repro.parallel.TaskFarm`, so each cell may itself render its
+series on a nested farm.  Without a cache every cell is its own group
+(nothing can be shared, nothing is serialised).
 
 Resume discipline
 -----------------
@@ -45,7 +45,7 @@ from ..cache import ARTIFACT_TOKEN_EXCLUDES, ArtifactCache
 from ..errors import ConfigurationError, ReproError
 from ..obs import RunJournal, merge_cell_journal, read_journal
 from ..parallel import TaskFarm
-from ..resilience import failpoint
+from ..resilience import SupervisionConfig, failpoint
 from ..study import EdgeStudy
 from .analyses import run_analysis
 from .spec import SweepCell, SweepSpec
@@ -123,8 +123,8 @@ def _execute_cell(task: dict) -> dict:
     """Worker body: run one cell, publish its directory atomically."""
     cell: SweepCell = task["cell"]
     # Chaos site: fires before any output exists, so a tripped cell
-    # leaves nothing behind and the farm's retry (serial mode) or a
-    # sweep resume (pooled mode) re-runs it from scratch.
+    # leaves nothing behind and the farm's retry re-runs it from
+    # scratch.
     failpoint("sweep.cell", cell.name)
     cells_dir = Path(task["cells_dir"])
     staging = cells_dir / f".tmp-{cell.name}-{os.getpid()}"
@@ -196,7 +196,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path,
     """Run (or resume) a sweep into ``out_dir``.
 
     ``jobs`` bounds how many *cells* run concurrently (each cell's own
-    series-pool width is the cell's ``jobs`` knob).  ``cache_dir`` is
+    series-rendering width is the cell's ``jobs`` knob).  ``cache_dir`` is
     the shared artifact cache enabling cross-cell dedup; ``None``
     disables both caching and grouping.  ``echo`` receives sweep
     journal events as they are emitted (the CLI's progress line hook).
@@ -263,7 +263,10 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path,
         farm.submit(cell.name, _execute_cell,
                     {**task_base, "cell": cell})
 
-    with TaskFarm(jobs, journal=journal) as farm:
+    # A cell may run for minutes at city scale: no per-cell timeout,
+    # only the heartbeat watchdog.
+    with TaskFarm(jobs, journal=journal,
+                  supervision=SupervisionConfig(job_timeout_s=None)) as farm:
         for token, members in queue.items():
             if cache_dir is None or token in warm:
                 for cell in members:
@@ -283,8 +286,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path,
                     checks_total=summary["checks_total"],
                     group=token, error=summary["error"])
             else:
-                # The worker itself died (OOM, SIGKILL) or the cell code
-                # raised past the result writer.
+                # The cell's worker kept dying (OOM, SIGKILL) or the cell
+                # code raised past the result writer.
                 outcomes[outcome.task_id] = CellOutcome(
                     name=outcome.task_id, status="failed", wall_s=0.0,
                     checks_ok=0, checks_total=0, group=token,

@@ -132,9 +132,8 @@ class SeriesBlock:
     bw_rows: np.ndarray
     #: Private-traffic rows, or ``None`` when the recipe doesn't log them.
     private_rows: np.ndarray | None
-    #: Spans/counters recorded while rendering in a worker process;
-    #: ``None`` on the in-process path (which records into the parent
-    #: registry directly).
+    #: Spans/counters recorded while rendering; the executor merges
+    #: them into the caller's registry and resets this to ``None``.
     perf: PerfRegistry | None = None
 
 

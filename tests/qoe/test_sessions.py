@@ -124,6 +124,12 @@ class TestRunSessions:
             assert result.quantile(metric, 0.9) \
                 >= result.quantile(metric, 0.5)
 
+    def test_pooled_run_leaves_no_worker_processes(self):
+        import multiprocessing
+
+        run_sessions(_workload(), "edge", chunk_sessions=32, jobs=2)
+        assert multiprocessing.active_children() == []
+
     def test_unknown_arm_rejected(self):
         with pytest.raises(ParallelError):
             run_sessions(_workload(), "fog")

@@ -17,7 +17,7 @@ import pytest
 
 import repro.parallel as parallel
 from repro.config import Scenario
-from repro.errors import InjectedFault, QuarantineError
+from repro.errors import InjectedFault, ParallelError, QuarantineError
 from repro.obs import RunJournal, canonical_events
 from repro.parallel import TaskFarm, run_series_jobs
 from repro.perf import PerfRegistry
@@ -71,7 +71,7 @@ class TestInjectedRenderFaults:
         retries = [e for e in chaos_journal.events
                    if e["type"] == "job_retry"]
         assert len(retries) == 1
-        assert retries[0]["app_id"] == jobs[0].app_id
+        assert retries[0]["task"] == jobs[0].app_id
         assert "InjectedFault" in retries[0]["error"]
         # Only the accepted render counts: telemetry stays deterministic.
         assert perf.spans["series_render"].calls == len(jobs)
@@ -102,6 +102,24 @@ class TestInjectedRenderFaults:
         install("series.render:nth=1,times=99")
         with pytest.raises(QuarantineError, match="failed after 3 attempts"):
             _run(_jobs(3), 2)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_genuine_error_has_one_shape_and_no_retry(self, monkeypatch,
+                                                      n_jobs):
+        def broken(setup, job):
+            raise ValueError(f"bad render {job.app_id}")
+
+        monkeypatch.setattr(parallel, "_render", broken)
+        journal = RunJournal(None)
+        perf = PerfRegistry(journal=journal)
+        with pytest.raises(ParallelError) as info:
+            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE,
+                                 n_jobs=n_jobs, perf=perf,
+                                 supervision=FAST_RETRY))
+        assert type(info.value) is ParallelError
+        assert "ValueError: bad render app-00" in str(info.value)
+        assert not any(e["type"] in ("job_retry", "job_quarantined")
+                       for e in journal.events)
 
     def test_quarantine_event_precedes_the_raise(self):
         install("series.render:nth=1,times=99")
@@ -136,18 +154,18 @@ class TestWatchdog:
         jobs = _jobs(4)
         clean, _, _ = _run(jobs, 2)
         flag = tmp_path / "hung-once"
-        real = parallel._render_in_worker
+        real = parallel._render
 
-        def hang_once(job):
+        def hang_once(setup, job):
             # Hangs the first attempt of the first job only: the flag
             # file is shared across forked workers, so the retry (and
             # every other job) renders normally.
             if job.app_id == jobs[0].app_id and not flag.exists():
                 flag.write_text("hung")
                 time.sleep(60)
-            return real(job)
+            return real(setup, job)
 
-        monkeypatch.setattr(parallel, "_render_in_worker", hang_once)
+        monkeypatch.setattr(parallel, "_render", hang_once)
         supervision = SupervisionConfig(
             job_timeout_s=0.75, heartbeat_timeout_s=60.0,
             retry=RetryPolicy(max_attempts=3, backoff_s=0.01))
@@ -156,25 +174,25 @@ class TestWatchdog:
         restarts = [e for e in journal.events
                     if e["type"] == "worker_restart"]
         assert [e["reason"] for e in restarts] == ["job timeout"]
-        assert restarts[0]["app_id"] == jobs[0].app_id
+        assert restarts[0]["task"] == jobs[0].app_id
 
     def test_wedged_worker_detected_by_stale_heartbeat(self, tmp_path,
                                                        monkeypatch):
         jobs = _jobs(4)
         clean, _, _ = _run(jobs, 2)
         flag = tmp_path / "wedged-once"
-        real = parallel._render_in_worker
+        real = parallel._render
 
-        def freeze_once(job):
+        def freeze_once(setup, job):
             if job.app_id == jobs[0].app_id and not flag.exists():
                 flag.write_text("frozen")
                 # SIGSTOP freezes the whole process, heartbeat thread
                 # included -- the job-timeout path cannot see it wedge,
                 # only heartbeat staleness can.
                 os.kill(os.getpid(), signal.SIGSTOP)
-            return real(job)
+            return real(setup, job)
 
-        monkeypatch.setattr(parallel, "_render_in_worker", freeze_once)
+        monkeypatch.setattr(parallel, "_render", freeze_once)
         supervision = SupervisionConfig(
             job_timeout_s=60.0, heartbeat_timeout_s=1.0,
             retry=RetryPolicy(max_attempts=3, backoff_s=0.01))
@@ -188,8 +206,8 @@ class TestWatchdog:
 def _flaky_once(flag_path: str) -> str:
     """Fails with an injected fault until its flag file exists.
 
-    The flag lives on disk, so the retry (a fresh forked worker in
-    pooled mode) sees the first attempt happened and succeeds.
+    The flag lives on disk, so the retry (on whichever worker it lands
+    in pooled mode) sees the first attempt happened and succeeds.
     """
     from pathlib import Path
 
@@ -229,7 +247,7 @@ class TestTaskFarmRetry:
         assert any(e["type"] == "job_retry" for e in journal.events)
 
     def test_injected_worker_kill_retried_as_restart(self):
-        install("farm.kill_worker:nth=1,times=1")
+        install("pool.kill_worker:nth=1,times=1")
         journal = RunJournal(None)
         with TaskFarm(2, journal=journal) as farm:
             farm.submit("victim", _farm_square, 3)

@@ -9,9 +9,6 @@ from repro.resilience import SupervisionConfig
 from repro.resilience.supervise import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     DEFAULT_JOB_TIMEOUT_S,
-    HEARTBEAT_TIMEOUT_ENV,
-    JOB_TIMEOUT_ENV,
-    MAX_ATTEMPTS_ENV,
 )
 
 
@@ -37,34 +34,3 @@ class TestDefaults:
         assert config.job_timeout_s is None
         assert config.heartbeat_timeout_s is None
 
-
-class TestFromEnv:
-    def test_no_env_gives_defaults(self, monkeypatch):
-        for name in (JOB_TIMEOUT_ENV, HEARTBEAT_TIMEOUT_ENV,
-                     MAX_ATTEMPTS_ENV):
-            monkeypatch.delenv(name, raising=False)
-        assert SupervisionConfig.from_env() == SupervisionConfig()
-
-    def test_numeric_overrides(self, monkeypatch):
-        monkeypatch.setenv(JOB_TIMEOUT_ENV, "12.5")
-        monkeypatch.setenv(HEARTBEAT_TIMEOUT_ENV, "3")
-        monkeypatch.setenv(MAX_ATTEMPTS_ENV, "5")
-        config = SupervisionConfig.from_env()
-        assert config.job_timeout_s == 12.5
-        assert config.heartbeat_timeout_s == 3.0
-        assert config.retry.max_attempts == 5
-
-    @pytest.mark.parametrize("raw", ["off", "none", "0", "OFF"])
-    def test_off_values_disable_the_watchdog(self, monkeypatch, raw):
-        monkeypatch.setenv(JOB_TIMEOUT_ENV, raw)
-        assert SupervisionConfig.from_env().job_timeout_s is None
-
-    @pytest.mark.parametrize("name, raw", [
-        (JOB_TIMEOUT_ENV, "soon"),
-        (JOB_TIMEOUT_ENV, "-3"),
-        (MAX_ATTEMPTS_ENV, "many"),
-    ])
-    def test_bad_overrides_rejected(self, monkeypatch, name, raw):
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ConfigurationError):
-            SupervisionConfig.from_env()

@@ -1,8 +1,9 @@
-"""Tests for the process-pool series executor (repro.parallel)."""
+"""Tests for the task-farm executor and series rendering (repro.parallel)."""
 
 from __future__ import annotations
 
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestSpoolHandoff:
 
         assert run(1) == run(2)
 
+    def test_inline_mode_writes_no_spool(self, spool_root):
+        blocks = run_series_jobs(_jobs(3), SCENARIO, NEP_RECIPE, n_jobs=1)
+        next(blocks)
+        assert not list(spool_root.iterdir())
+        assert len(list(blocks)) == 2
+
     def test_spool_removed_after_run(self, spool_root):
         blocks = list(run_series_jobs(_jobs(5), SCENARIO, NEP_RECIPE,
                                       n_jobs=2))
@@ -162,6 +169,16 @@ def _die_silently(_):
     import os
     import signal
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _worker_pid(_):
+    import os
+    return os.getpid()
+
+
+def _nested_render(n_jobs):
+    return _block_rows(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
+                                       n_jobs=n_jobs))
 
 
 class TestTaskFarm:
@@ -240,3 +257,46 @@ class TestTaskFarm:
                 lambda: farm.next_outcome() if farm.outstanding else None,
                 None))
         assert done == 6
+
+    def test_workers_persist_across_tasks(self):
+        import os
+
+        from repro.parallel import TaskFarm
+        journal = RunJournal(None)
+        with TaskFarm(2, journal=journal) as farm:
+            for i in range(6):
+                farm.submit(f"t{i}", _worker_pid, i)
+            pids = set()
+            while farm.outstanding:
+                pids.add(farm.next_outcome().value)
+        assert not any(e["type"] == "worker_restart" for e in journal.events)
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+
+    def test_nested_series_farm_matches_inline(self):
+        from repro.parallel import TaskFarm
+        with TaskFarm(2) as farm:
+            farm.submit("nested", _nested_render, 2)
+            outcome = farm.next_outcome()
+        assert outcome.ok, outcome.error
+        assert outcome.value == _nested_render(1)
+
+    @pytest.mark.parametrize("fn, arg", [
+        (lambda x: x, 1),
+        (_square, threading.Lock()),
+    ], ids=["fn", "arg"])
+    def test_unpicklable_task_raises_parallel_error(self, fn, arg):
+        from repro.parallel import TaskFarm
+        with TaskFarm(2) as farm:
+            with pytest.raises(ParallelError, match="'unsendable'"):
+                farm.submit("unsendable", fn, arg)
+            assert farm.outstanding == 0
+
+    def test_oversubscribed_farm_returns_each_task_once(self):
+        from repro.parallel import TaskFarm
+        with TaskFarm(4) as farm:  # more workers than most CI cores
+            for i in range(24):
+                farm.submit(f"t{i}", _square, i)
+            seen = [farm.next_outcome() for _ in range(24)]
+            assert farm.outstanding == 0
+        assert sorted((o.task_id, o.value) for o in seen) \
+            == sorted((f"t{i}", i * i) for i in range(24))
