@@ -29,30 +29,31 @@ Layout and atomicity
 --------------------
 
 Each entry is a directory ``<root>/<key[:2]>/<key>/`` holding
-``meta.json`` plus its payload files.  Writers fill a ``.tmp-*``
-staging directory and ``os.rename`` it into place — the rename is
-atomic, so readers only ever see complete entries; a run killed
-mid-write leaves at most an ignored staging directory that the next
-``clear`` sweeps.  Corrupt entries (truncated payloads, unpicklable
-bytes) are treated as misses and removed.
+``meta.json`` plus its payload: pickled files (``object.pkl``, or a
+workload's ``platform.pkl`` and ``tables.pkl``) and, for workloads,
+per-kind shard directories (``cpu/shard-00000.npy``, ...) indexed by
+``shards.json`` — see :mod:`repro.shards`.  Every store goes through one
+:class:`StreamedEntryWriter`: payload files are filled into a ``.tmp-*``
+staging directory, and :meth:`StreamedEntryWriter.commit` pickles the
+objects, writes ``meta.json`` last and renames the directory into
+place with ``os.rename``.  The rename is atomic, so readers only ever
+see complete entries; a run killed mid-write leaves at most an ignored
+staging directory that the next ``clear`` sweeps.  Corrupt entries (truncated
+payloads, unpicklable bytes) are treated as misses and removed.
 
-Workload series are stored as stacked ``.npy`` matrices and loaded
-memory-mapped, so a warm hit on a multi-gigabyte paper-scale trace
-returns in milliseconds and pages series in on demand.
+Workload entries
+----------------
 
-Sharded workload entries
-------------------------
-
-Streamed (city-tier) workload generation writes a *sharded* entry
-instead: per-kind shard directories (``cpu/shard-00000.npy``, ...) plus
-a ``shards.json`` index — see :mod:`repro.shards` — produced
-incrementally inside the staging directory via
-:meth:`ArtifactCache.workload_writer`, then sealed with the same
-meta-last + atomic-rename protocol.  ``get_workload`` transparently
-loads either layout; sharded entries come back as lazy windowed
-:class:`~repro.shards.ShardedSeriesMap` views, and any shard whose
-header or size fails verification turns the whole entry into an
-evicted miss.
+A workload has one on-disk layout whatever produced it.  A streamed
+run writes shards into the staging directory as blocks are rendered
+(:meth:`ArtifactCache.workload_writer`); an in-memory run writes its
+dataset's series through the same :class:`~repro.shards.ShardWriter`
+at store time (:meth:`ArtifactCache.put_workload`).  Both produce
+byte-identical shards.  ``get_workload`` returns lazy windowed
+:class:`~repro.shards.ShardedSeriesMap` views over memory-mapped
+shards, so a warm hit on a paper-scale trace returns in milliseconds
+and pages series in on demand; any shard whose header or size fails
+verification turns the whole entry into an evicted miss.
 """
 
 from __future__ import annotations
@@ -69,29 +70,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from .config import Scenario
+from .core.chunks import iter_series_chunks
 from .errors import ConfigurationError, InjectedFault, TraceError
 from .resilience import RetryPolicy, failpoint
 from .resilience.retry import call_with_retry
 from .shards import (
     SHARD_INDEX_NAME,
-    _verify_shard,
+    ShardWriter,
     load_sharded_series,
     read_shard_index,
-    shard_path,
+    verify_layout,
+    write_shard_index,
 )
 from .trace.dataset import TraceDataset
 from .workload.generator import GeneratedWorkload
 
 #: Bump when the on-disk entry layout changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Files above this size record only their byte count in the entry
-#: manifest, not a sha256 — hashing a 10 GB monolithic series matrix at
-#: store time would dominate the write, and torn writes (the realistic
-#: corruption) are caught by the size check alone.
+#: manifest, not a sha256 — hashing a large pickled artifact (a
+#: paper-scale VM table or campaign result) at store time would
+#: dominate the write, and torn writes (the realistic corruption) are
+#: caught by the size check alone.
 DIGEST_MAX_BYTES = 64 << 20
 
 #: Commit retry budget.  At the ci chaos profile's 5% injected failure
@@ -112,28 +114,28 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(staging: Path,
-              skip_dirs: frozenset[str] = frozenset()) -> dict[str, dict]:
+def _manifest(staging: Path) -> dict[str, dict]:
     """The integrity manifest of a staged entry: size (and, for files
-    under :data:`DIGEST_MAX_BYTES`, sha256) per relative path.
+    under :data:`DIGEST_MAX_BYTES`, sha256) per top-level file.
 
-    ``skip_dirs`` omits top-level subdirectories whose integrity is
-    tracked elsewhere — shard payloads carry per-shard checksums in
-    ``shards.json``, so hashing them twice would double the commit cost.
+    Shard payloads live in subdirectories and carry per-shard checksums
+    in ``shards.json``, so hashing them here would double the commit
+    cost.
     """
     files: dict[str, dict] = {}
-    for path in sorted(staging.rglob("*")):
+    for path in sorted(staging.iterdir()):
         if not path.is_file():
-            continue
-        rel = path.relative_to(staging)
-        if rel.parts[0] in skip_dirs:
             continue
         size = path.stat().st_size
         info: dict[str, object] = {"bytes": size}
         if size <= DIGEST_MAX_BYTES:
             info["sha256"] = _file_sha256(path)
-        files[rel.as_posix()] = info
+        files[path.name] = info
     return files
+
+#: The ``kind`` of every workload entry, in ``meta.json``, journal
+#: events and ``repro cache ls``.
+WORKLOAD_KIND = "workload"
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -203,6 +205,11 @@ def workload_tables(dataset: TraceDataset) -> dict[str, object]:
     }
 
 
+def _unpickle(path: Path) -> object:
+    with path.open("rb") as handle:
+        return pickle.load(handle)
+
+
 def _dataset_from_tables(tables: dict[str, object]) -> TraceDataset:
     return TraceDataset(
         platform_name=tables["platform_name"],
@@ -270,221 +277,135 @@ class ArtifactCache:
 
     def get_object(self, artifact: str, scenario: Scenario) -> object | None:
         """Load a pickled artifact, or ``None`` on miss/corruption."""
-        key = self.key(artifact, scenario)
-        entry = self._entry_dir(key)
-        if not (entry / "meta.json").exists():
-            self._emit("cache_miss", artifact=artifact, key=key)
-            return None
-        try:
-            failpoint("cache.read", artifact)
-            with (entry / "object.pkl").open("rb") as handle:
-                value = pickle.load(handle)
-        except Exception:
-            self._discard(entry)
-            self._emit("cache_evict", artifact=artifact, key=key,
-                       reason="corrupt entry")
-            self._emit("cache_miss", artifact=artifact, key=key)
-            return None
-        self._emit("cache_hit", artifact=artifact, kind="object", key=key)
-        return value
+        return self._get(artifact, scenario, "object",
+                         lambda entry: _unpickle(entry / "object.pkl"))
 
     def put_object(self, artifact: str, scenario: Scenario,
                    value: object) -> None:
         """Store a pickled artifact (no-op if already present)."""
-        key = self.key(artifact, scenario)
+        self._store(artifact, scenario, "object", {"object.pkl": value})
 
-        def write(staging: Path) -> None:
-            with (staging / "object.pkl").open("wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-        self._write_entry(key, artifact, "object", scenario, write)
-
-    # ---- workload artifacts (mmap-backed series) -------------------------
+    # ---- workload artifacts (sharded, mmap-backed series) ----------------
 
     def get_workload(self, artifact: str,
                      scenario: Scenario) -> GeneratedWorkload | None:
         """Load a generated workload, series memory-mapped, or ``None``."""
-        key = self.key(artifact, scenario)
-        entry = self._entry_dir(key)
-        if not (entry / "meta.json").exists():
-            self._emit("cache_miss", artifact=artifact, key=key)
-            return None
-        try:
-            failpoint("cache.read", artifact)
-            workload = self._load_workload(entry)
-        except Exception:
-            self._discard(entry)
-            self._emit("cache_evict", artifact=artifact, key=key,
-                       reason="corrupt entry")
-            self._emit("cache_miss", artifact=artifact, key=key)
-            return None
-        self._emit("cache_hit", artifact=artifact, kind="workload", key=key)
-        return workload
+        return self._get(artifact, scenario, WORKLOAD_KIND,
+                         self._load_workload)
 
     def put_workload(self, artifact: str, scenario: Scenario,
                      workload: GeneratedWorkload) -> None:
-        """Store a generated workload under ``artifact`` + scenario."""
-        key = self.key(artifact, scenario)
+        """Store an in-memory workload (no-op if already present).
 
-        def write(staging: Path) -> None:
-            self._save_workload(staging, workload)
+        The series are written as shards — the layout a streamed run
+        commits — in :func:`~repro.core.chunks.iter_series_chunks`
+        windows, so the store holds at most one window and one shard
+        buffer beyond the dataset itself.
+        """
+        ds = workload.dataset
+        tables = workload_tables(ds)
+        kinds = {"cpu": (ds.cpu_series, tables["order"], ds.cpu_points),
+                 "bw": (ds.bw_series, tables["order"], ds.bw_points)}
+        if tables["private_ids"]:
+            kinds["private"] = (ds.bw_private_series, tables["private_ids"],
+                                ds.bw_points)
 
-        self._write_entry(key, artifact, "workload", scenario, write)
+        def write_shards(staging: Path) -> int:
+            layouts = []
+            for kind, (series, order, points) in kinds.items():
+                if list(series) != order:
+                    raise TraceError(
+                        f"{kind} series order does not match the VM table")
+                writer = ShardWriter(staging, kind, points)
+                for _, window in iter_series_chunks(series):
+                    writer.append(window)
+                layouts.append(writer.finalize())
+            write_shard_index(staging, layouts)
+            return sum(layout.n_shards for layout in layouts)
+
+        self._store(artifact, scenario, WORKLOAD_KIND,
+                    {"platform.pkl": workload.platform,
+                     "tables.pkl": tables}, write_shards)
 
     def workload_writer(self, artifact: str,
                         scenario: Scenario) -> "StreamedEntryWriter":
-        """A staging handle for streaming a *sharded* workload entry.
+        """A staging handle for streaming a workload entry.
 
         The caller (a :class:`~repro.workload.streaming.WorkloadSink`)
         writes shard files into :attr:`StreamedEntryWriter.staging` as
-        blocks arrive, then calls
-        :meth:`StreamedEntryWriter.commit` to seal the entry with the
-        same meta-last + atomic-rename protocol as every other writer.
+        blocks arrive, then calls :meth:`StreamedEntryWriter.commit` to
+        seal the entry.
         """
-        key = self.key(artifact, scenario)
-        staging = self.root / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
-        staging.mkdir(parents=True)
-        return StreamedEntryWriter(self, key, artifact, scenario, staging)
-
-    def _save_workload(self, staging: Path,
-                       workload: GeneratedWorkload) -> None:
-        ds = workload.dataset
-        order = list(ds.vms)
-        tables = workload_tables(ds)
-        with (staging / "platform.pkl").open("wb") as handle:
-            pickle.dump(workload.platform, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        with (staging / "tables.pkl").open("wb") as handle:
-            pickle.dump(tables, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._save_series(staging / "cpu.npy", ds.cpu_series, order,
-                          ds.cpu_points)
-        self._save_series(staging / "bw.npy", ds.bw_series, order,
-                          ds.bw_points)
-        if ds.bw_private_series:
-            self._save_series(staging / "private.npy", ds.bw_private_series,
-                              list(ds.bw_private_series), ds.bw_points)
+        return StreamedEntryWriter(self, artifact, scenario, WORKLOAD_KIND)
 
     @staticmethod
-    def _save_series(path: Path, series: dict[str, np.ndarray],
-                     order: list[str], points: int) -> None:
-        """Stack rows into one ``.npy``, row-by-row to bound the copy."""
-        out = np.lib.format.open_memmap(path, mode="w+", dtype=np.float32,
-                                        shape=(len(order), points))
-        for i, vm_id in enumerate(order):
-            out[i] = series[vm_id]
-        out.flush()
-        del out
-
-    def _load_workload(self, entry: Path) -> GeneratedWorkload:
-        with (entry / "platform.pkl").open("rb") as handle:
-            platform = pickle.load(handle)
-        with (entry / "tables.pkl").open("rb") as handle:
-            tables = pickle.load(handle)
-        dataset = _dataset_from_tables(tables)
-        if (entry / SHARD_INDEX_NAME).exists():
-            return self._load_sharded_workload(entry, platform, dataset,
-                                               tables)
-        order = tables["order"]
-        cpu = np.load(entry / "cpu.npy", mmap_mode="r")
-        bw = np.load(entry / "bw.npy", mmap_mode="r")
-        if cpu.shape != (len(order), dataset.cpu_points):
-            raise ConfigurationError("cpu series shape mismatch")
-        if bw.shape != (len(order), dataset.bw_points):
-            raise ConfigurationError("bw series shape mismatch")
-        dataset.cpu_series = {vm_id: cpu[i] for i, vm_id in enumerate(order)}
-        dataset.bw_series = {vm_id: bw[i] for i, vm_id in enumerate(order)}
-        private_ids = tables["private_ids"]
-        if private_ids:
-            private = np.load(entry / "private.npy", mmap_mode="r")
-            if private.shape != (len(private_ids), dataset.bw_points):
-                raise ConfigurationError("private series shape mismatch")
-            dataset.bw_private_series = {
-                vm_id: private[i] for i, vm_id in enumerate(private_ids)}
-        return GeneratedWorkload(platform=platform, dataset=dataset)
-
-    @staticmethod
-    def _load_sharded_workload(entry: Path, platform,
-                               dataset: TraceDataset,
-                               tables: dict) -> GeneratedWorkload:
-        """Attach windowed shard maps for a streamed entry.
+    def _load_workload(entry: Path) -> GeneratedWorkload:
+        """Open a workload entry: pickled tables plus windowed shard maps.
 
         Shard verification (headers, sizes, counts) happens inside
         :func:`repro.shards.load_sharded_series`; a failure propagates
         to :meth:`get_workload`, which evicts the entry and misses.
         """
-        order = tables["order"]
-        private_ids = tables["private_ids"]
-        orders = {"cpu": order, "bw": order}
-        if private_ids:
-            orders["private"] = private_ids
+        tables = _unpickle(entry / "tables.pkl")
+        dataset = _dataset_from_tables(tables)
+        orders = {"cpu": tables["order"], "bw": tables["order"]}
+        if tables["private_ids"]:
+            orders["private"] = tables["private_ids"]
         maps = load_sharded_series(entry, orders)
         dataset.attach_series(maps["cpu"], maps["bw"], maps.get("private"))
-        return GeneratedWorkload(platform=platform, dataset=dataset)
+        return GeneratedWorkload(platform=_unpickle(entry / "platform.pkl"),
+                                 dataset=dataset)
 
     # ---- entry lifecycle --------------------------------------------------
 
-    def _write_entry(self, key: str, artifact: str, kind: str,
-                     scenario: Scenario, writer) -> None:
-        final = self._entry_dir(key)
-        if (final / "meta.json").exists():
-            return
+    def _get(self, artifact: str, scenario: Scenario, kind: str, load):
+        """``load(entry_dir)`` of a committed entry, or ``None``.
 
-        def attempt() -> None:
-            # A fresh staging dir per attempt: a failed write may leave
-            # torn files behind, and reusing them would defeat the point
-            # of retrying.
-            staging = self.root / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
-            staging.mkdir(parents=True)
-            try:
-                failpoint("cache.commit", artifact)
-                writer(staging)
-                meta = {
-                    "format": CACHE_FORMAT,
-                    "key": key,
-                    "artifact": artifact,
-                    "kind": kind,
-                    "code_version": code_version(),
-                    "scenario": json.loads(scenario.cache_token()),
-                    "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                time.gmtime()),
-                    "files": _manifest(staging),
-                }
-                # meta.json lands last inside the staging dir, and the
-                # rename below is atomic: a reader can never observe a
-                # partial entry.
-                with (staging / "meta.json").open("w") as handle:
-                    json.dump(meta, handle, indent=2, sort_keys=True)
-                final.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(staging, final)
-                except OSError:
-                    if not (final / "meta.json").exists():
-                        raise
-                    # Another process materialised the same entry first.
-                    shutil.rmtree(staging, ignore_errors=True)
-            except BaseException:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise
-
-        def retried(attempt_no: int, delay_s: float,
-                    exc: BaseException) -> None:
-            self._emit("cache_retry", artifact=artifact, key=key,
-                       attempt=attempt_no, delay_s=round(delay_s, 6),
-                       error=f"{type(exc).__name__}: {exc}")
-
+        A missing entry is a miss; one whose load raises anything is
+        corrupt, so it is evicted and also reported as a miss.
+        """
+        key = self.key(artifact, scenario)
+        entry = self._entry_dir(key)
+        if not (entry / "meta.json").exists():
+            self._emit("cache_miss", artifact=artifact, key=key)
+            return None
         try:
-            call_with_retry(attempt, policy=COMMIT_RETRY,
-                            token=f"{artifact}|{key}", on_retry=retried)
+            failpoint("cache.read", artifact)
+            value = load(entry)
+        except Exception:
+            self._discard(entry)
+            self._emit("cache_evict", artifact=artifact, key=key,
+                       reason="corrupt entry")
+            self._emit("cache_miss", artifact=artifact, key=key)
+            return None
+        self._emit("cache_hit", artifact=artifact, kind=kind, key=key)
+        return value
+
+    def _store(self, artifact: str, scenario: Scenario, kind: str,
+               payload: dict[str, object], write_shards=None) -> None:
+        """Commit one entry unless it is already present.
+
+        ``write_shards(staging)`` fills the staging directory before the
+        seal and returns the shard count.  A store that cannot commit
+        (disk full, persistent fault) degrades to a ``cache_write_error``
+        event: it costs recompute time on the next run, never
+        correctness of this one.  The staging directory is removed
+        either way, so the cache stays readable.
+        """
+        key = self.key(artifact, scenario)
+        if (self._entry_dir(key) / "meta.json").exists():
+            return
+        try:
+            writer = StreamedEntryWriter(self, artifact, scenario, kind)
+            try:
+                shards = write_shards(writer.staging) if write_shards else 0
+                writer.commit(payload, shards=shards)
+            except BaseException:
+                writer.abort()
+                raise
         except (InjectedFault, OSError) as exc:
-            # Degrade, don't crash: a store that cannot commit (disk
-            # full, persistent fault) costs recompute time on the next
-            # run, never correctness of this one.  The staging dir was
-            # already cleaned up, so the cache stays readable.
             self._emit("cache_write_error", artifact=artifact, key=key,
                        error=f"{type(exc).__name__}: {exc}")
-            return
-        self._emit("cache_store", artifact=artifact, kind=kind, key=key,
-                   bytes=self._entry_size(final))
 
     @staticmethod
     def _discard(entry: Path) -> None:
@@ -570,13 +491,17 @@ class ArtifactCache:
         recent artifacts while reclaiming abandoned ones.  ``dry_run``
         counts without deleting.  Staging directories are swept too:
         all of them on a full clear, only ones older than the cutoff
-        otherwise (a live writer may own a fresh one).
+        otherwise (a live writer may own a fresh one).  A full clear
+        also removes entries whose ``meta.json`` no longer parses, which
+        :meth:`entries` cannot list.
         """
         stale = self.stale_entries(older_than_days)
         if dry_run:
             return len(stale)
-        for entry in stale:
-            shutil.rmtree(entry.path, ignore_errors=True)
+        doomed = (list(self.root.glob("??/*")) if older_than_days is None
+                  else [entry.path for entry in stale])
+        for path in doomed:
+            shutil.rmtree(path, ignore_errors=True)
         cutoff = (None if older_than_days is None
                   else time.time() - older_than_days * 86_400)
         for staging in self.root.glob(".tmp-*"):
@@ -680,80 +605,72 @@ class ArtifactCache:
             try:
                 layouts = read_shard_index(entry_dir)
                 for kind in sorted(layouts):
-                    layout = layouts[kind]
-                    checksums = layout.checksums
-                    for shard in range(layout.n_shards):
-                        start, stop = layout.shard_extent(shard)
-                        _verify_shard(
-                            shard_path(entry_dir, kind, shard),
-                            stop - start, layout.points,
-                            checksum=(checksums[shard]
-                                      if shard < len(checksums) else None),
-                            deep=deep)
+                    verify_layout(entry_dir, layouts[kind], deep=deep)
             except TraceError as exc:
                 issues.append(str(exc))
         return artifact, issues
 
 
 class StreamedEntryWriter:
-    """A live staging directory for one streamed (sharded) cache entry.
+    """A live staging directory for one cache entry: the only commit path.
 
-    Created by :meth:`ArtifactCache.workload_writer`; shard files are
-    written into :attr:`staging` while generation runs, and
-    :meth:`commit` seals the entry (tables + ``meta.json`` last, then
-    one atomic rename).  :meth:`abort` discards everything.
+    Created by :meth:`ArtifactCache.workload_writer` (shards streamed in
+    while generation runs) and by every ``put_*`` store; payload files
+    are written into :attr:`staging`, and :meth:`commit` seals the entry
+    (pickled objects + ``meta.json`` last, then one atomic rename).
+    :meth:`abort` discards everything.
     """
 
-    def __init__(self, cache: ArtifactCache, key: str, artifact: str,
-                 scenario: Scenario, staging: Path) -> None:
+    def __init__(self, cache: ArtifactCache, artifact: str,
+                 scenario: Scenario, kind: str) -> None:
         self.cache = cache
-        self.key = key
+        self.key = cache.key(artifact, scenario)
         self.artifact = artifact
         self.scenario = scenario
-        self.staging = staging
-        self.final = cache._entry_dir(key)
+        self.kind = kind
+        self.staging = cache.root / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
+        self.staging.mkdir(parents=True)
+        self.final = cache._entry_dir(self.key)
 
-    def commit(self, platform, tables: dict, shards: int) -> Path:
-        """Seal the staged entry; returns the directory now holding it.
+    def commit(self, payload: dict[str, object], shards: int = 0) -> Path:
+        """Seal the staged entry; returns the entry directory.
 
-        If another process materialised the same key first, the staged
-        copy yields to it when the winner is also sharded (same bytes);
-        a monolithic winner keeps *this* run's staged store alive as an
-        anonymous spill directory so the returned path always holds the
-        shards this writer produced.
+        ``payload`` maps file names to objects pickled into the entry
+        beside what the caller already staged.  If another process
+        materialised the same key first, the staged copy yields to it:
+        entries are pure functions of their key, so the winner holds the
+        same bytes.
 
-        Unlike the rebuildable :meth:`ArtifactCache.put_object` path,
-        a commit that keeps failing *raises* after its retry budget
-        (cleaning the staging dir first): the caller's dataset needs
-        these shards, so there is nothing to degrade to.  The seal step
-        (tables + meta + rename) is what retries — the multi-gigabyte
-        shard payload is already on disk and is not rewritten.
+        A commit that keeps failing *raises* after its retry budget,
+        cleaning the staging dir first; :meth:`ArtifactCache.put_object`
+        and :meth:`ArtifactCache.put_workload` degrade that to a
+        ``cache_write_error``, while a streamed workload, whose dataset
+        needs these shards, propagates it.  Only the seal (pickles +
+        meta + rename) retries — the shard payload is already on disk
+        and is not rewritten.
         """
 
-        def seal() -> Path:
+        def seal() -> None:
             failpoint("cache.commit", self.artifact)
-            with (self.staging / "platform.pkl").open("wb") as handle:
-                pickle.dump(platform, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            with (self.staging / "tables.pkl").open("wb") as handle:
-                pickle.dump(tables, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            skip = frozenset(p.name for p in self.staging.iterdir()
-                             if p.is_dir())
+            for name, value in payload.items():
+                with (self.staging / name).open("wb") as handle:
+                    pickle.dump(value, handle,
+                                protocol=pickle.HIGHEST_PROTOCOL)
             meta = {
                 "format": CACHE_FORMAT,
                 "key": self.key,
                 "artifact": self.artifact,
-                "kind": "workload-shards",
+                "kind": self.kind,
                 "shards": int(shards),
                 "code_version": code_version(),
                 "scenario": json.loads(self.scenario.cache_token()),
                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                             time.gmtime()),
-                # Shard payloads carry per-shard checksums in
-                # shards.json; the manifest covers the rest.
-                "files": _manifest(self.staging, skip_dirs=skip),
+                "files": _manifest(self.staging),
             }
+            # meta.json lands last inside the staging dir, and the
+            # rename below is atomic: a reader can never observe a
+            # partial entry.
             with (self.staging / "meta.json").open("w") as handle:
                 json.dump(meta, handle, indent=2, sort_keys=True)
             self.final.parent.mkdir(parents=True, exist_ok=True)
@@ -762,11 +679,7 @@ class StreamedEntryWriter:
             except OSError:
                 if not (self.final / "meta.json").exists():
                     raise
-                if (self.final / SHARD_INDEX_NAME).exists():
-                    shutil.rmtree(self.staging, ignore_errors=True)
-                else:
-                    return self.staging
-            return self.final
+                shutil.rmtree(self.staging, ignore_errors=True)
 
         def retried(attempt_no: int, delay_s: float,
                     exc: BaseException) -> None:
@@ -776,17 +689,17 @@ class StreamedEntryWriter:
                              error=f"{type(exc).__name__}: {exc}")
 
         try:
-            landed = call_with_retry(seal, policy=COMMIT_RETRY,
-                                     token=f"{self.artifact}|{self.key}",
-                                     on_retry=retried)
+            call_with_retry(seal, policy=COMMIT_RETRY,
+                            token=f"{self.artifact}|{self.key}",
+                            on_retry=retried)
         except BaseException:
-            shutil.rmtree(self.staging, ignore_errors=True)
+            self.abort()
             raise
         self.cache._emit(
-            "cache_store", artifact=self.artifact,
-            kind="workload-shards", key=self.key, shards=int(shards),
-            bytes=ArtifactCache._entry_size(landed))
-        return landed
+            "cache_store", artifact=self.artifact, kind=self.kind,
+            key=self.key, shards=int(shards),
+            bytes=ArtifactCache._entry_size(self.final))
+        return self.final
 
     def abort(self) -> None:
         """Discard the staged entry without publishing anything."""

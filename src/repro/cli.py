@@ -461,8 +461,8 @@ def _command_cache(args: argparse.Namespace) -> int:
           f"{'shards':>7}{'size':>11}  key")
     for entry in entries:
         shards = str(entry.shards) if entry.shards else "-"
-        # Always MiB — matching docs/performance.md — so sharded and
-        # monolithic entries line up in one sortable unit.
+        # Always MiB — matching docs/performance.md — so object and
+        # workload entries line up in one sortable unit.
         size = f"{entry.bytes / 1048576:.1f} MiB"
         print(f"{entry.created_at:<21}{entry.artifact:<22}{entry.kind:<16}"
               f"{shards:>7}{size:>11}  {entry.key[:16]}")

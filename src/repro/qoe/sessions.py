@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -411,16 +410,12 @@ def _simulate_chunk_task(arg: tuple) -> dict[str, np.ndarray]:
 
 def run_sessions(workload: SessionWorkload, arm: str,
                  chunk_sessions: int = CHUNK_SESSIONS,
-                 jobs: int = 1, journal=None,
-                 spill_dir: Path | str | None = None) -> ArmResult:
+                 jobs: int = 1, journal=None) -> ArmResult:
     """Run one arm chunked through a :class:`~repro.parallel.TaskFarm`.
 
     Chunks are submitted up front and folded strictly in index order as
     they complete, so digests, histograms and means are independent of
-    worker scheduling.  With ``spill_dir`` set, the per-session metric
-    rows additionally stream to float32 shards (``repro.shards`` layout)
-    for offline inspection; the in-memory state stays a handful of
-    sketches either way.
+    worker scheduling; the in-memory state is a handful of sketches.
 
     Raises:
         ParallelError: on an unknown arm, a bad chunk size, or a chunk
@@ -432,12 +427,6 @@ def run_sessions(workload: SessionWorkload, arm: str,
         raise ParallelError(
             f"chunk_sessions must be positive, got {chunk_sessions}")
     starts = list(range(0, workload.n_sessions, chunk_sessions))
-    writer = None
-    if spill_dir is not None:
-        from ..shards import ShardWriter
-        writer = ShardWriter(Path(spill_dir), kind=f"qoe-{arm}",
-                             points=len(METRICS))
-
     digest = SessionDigest()
     histograms = {metric: StreamingHistogram(*HIST_SPECS[metric])
                   for metric in METRICS}
@@ -463,16 +452,10 @@ def run_sessions(workload: SessionWorkload, arm: str,
                 for metric in METRICS:
                     histograms[metric].add(chunk[metric])
                     sums[metric] += float(chunk[metric].sum())
-                if writer is not None:
-                    writer.append(np.stack(
-                        [chunk[metric] for metric in METRICS],
-                        axis=1).astype(np.float32))
                 if journal is not None:
                     journal.emit("session_chunk", arm=arm, chunk=next_index,
                                  sessions=int(chunk[METRICS[0]].size))
                 next_index += 1
-    if writer is not None:
-        writer.finalize()
     means = {metric: sums[metric] / workload.n_sessions
              for metric in METRICS}
     return ArmResult(arm=arm, sessions=workload.n_sessions,
@@ -554,17 +537,13 @@ class QoeSessionsResult:
         return "\n".join(lines)
 
 
-def run_qoe_sessions(scenario: Scenario, jobs: int = 1, journal=None,
-                     spill_root: Path | str | None = None,
-                     ) -> QoeSessionsResult:
+def run_qoe_sessions(scenario: Scenario, jobs: int = 1,
+                     journal=None) -> QoeSessionsResult:
     """The full experiment: both arms over one CDN model and workload."""
     model = CdnModel(scenario)
     workload = build_session_workload(scenario, model=model)
-    arms = {}
-    for arm in ARMS:
-        spill_dir = None if spill_root is None else Path(spill_root)
-        arms[arm] = run_sessions(workload, arm, jobs=jobs,
-                                 journal=journal, spill_dir=spill_dir)
+    arms = {arm: run_sessions(workload, arm, jobs=jobs, journal=journal)
+            for arm in ARMS}
     return QoeSessionsResult(
         sessions=workload.n_sessions,
         ticks=workload.n_ticks,

@@ -14,9 +14,9 @@ The writer half (:class:`ShardWriter`) is stream-oriented: callers
 append row blocks as they are rendered and each filled shard is flushed
 to disk immediately, so the writer's working set never exceeds one
 shard regardless of the total VM count.  Writers always target a
-staging directory (the :class:`~repro.cache.ArtifactCache` entry
-protocol or a spill directory), so crash atomicity is inherited from
-the entry-level atomic rename.
+staging directory (a :class:`~repro.cache.ArtifactCache` entry
+being staged, or a workload spill directory), so crash atomicity is
+inherited from the entry-level atomic rename.
 
 Every load verifies the store before serving from it: shard count,
 per-shard header dtype/shape, and on-disk payload size must all match
@@ -306,12 +306,28 @@ def _verify_shard(path: Path, expected_rows: int, points: int,
                 f"shard {path.name}: payload checksum mismatch")
 
 
+def verify_layout(root: Path, layout: ShardLayout,
+                  deep: bool = False) -> None:
+    """Check every shard of one series kind with :func:`_verify_shard`.
+
+    Raises:
+        TraceError: on the first shard that fails.
+    """
+    checksums = layout.checksums
+    for shard in range(layout.n_shards):
+        start, stop = layout.shard_extent(shard)
+        _verify_shard(shard_path(root, layout.kind, shard), stop - start,
+                      layout.points,
+                      checksum=(checksums[shard]
+                                if shard < len(checksums) else None),
+                      deep=deep)
+
+
 class ShardedSeriesMap(Mapping):
     """Read-only ``{vm_id: row}`` view over a sharded series store.
 
     ``__getitem__`` returns a float32 row *view* into the shard's
-    memory map — the same contract as the monolithic mmap cache path —
-    while keeping at most a small number of shard maps open.
+    memory map while keeping at most a small number of shard maps open.
     :meth:`iter_windows` is the bulk path: shard-bounded, zero-copy
     ``(vm_ids, rows)`` windows in trace order for the chunked analyses.
     """
@@ -339,14 +355,7 @@ class ShardedSeriesMap(Mapping):
         ``deep=True`` additionally hashes each shard's payload against
         the recorded checksum (when the index carries one).
         """
-        checksums = self.layout.checksums
-        for shard in range(self.layout.n_shards):
-            start, stop = self.layout.shard_extent(shard)
-            _verify_shard(shard_path(self.root, self.layout.kind, shard),
-                          stop - start, self.layout.points,
-                          checksum=(checksums[shard]
-                                    if shard < len(checksums) else None),
-                          deep=deep)
+        verify_layout(self.root, self.layout, deep=deep)
 
     def _shard(self, index: int) -> np.ndarray:
         cached = self._maps.get(index)

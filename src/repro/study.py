@@ -16,7 +16,6 @@ runnable).
 
 from __future__ import annotations
 
-import tempfile
 from functools import cached_property, lru_cache
 
 from .billing.cloud import alicloud_billing, huawei_billing
@@ -338,10 +337,7 @@ class EdgeStudy:
 
         Runs the vectorized ABR engine over the analytic CDN model for
         both arms, chunked through a task farm and folded into streaming
-        sketches.  With :attr:`streaming` on, per-session metric rows
-        additionally spill to shard files in a throwaway directory
-        (deleted once aggregated) so even the inspection copy never
-        accumulates in RSS.
+        sketches.
         """
         cached = self._campaign_cache_peek("qoe_sessions")
         with self.perf.span("qoe_sessions"), \
@@ -349,16 +345,8 @@ class EdgeStudy:
             if cached is not None:
                 result = cached
             else:
-                if self.streaming:
-                    with tempfile.TemporaryDirectory(
-                            prefix="repro-qoe-spill-") as spill:
-                        result = run_qoe_sessions(
-                            self.scenario, jobs=self.jobs,
-                            journal=self.journal, spill_root=spill)
-                else:
-                    result = run_qoe_sessions(
-                        self.scenario, jobs=self.jobs,
-                        journal=self.journal)
+                result = run_qoe_sessions(self.scenario, jobs=self.jobs,
+                                          journal=self.journal)
                 self._campaign_cache_store("qoe_sessions", result)
         self.perf.count("qoe_sessions_simulated",
                         result.sessions * len(result.arms))

@@ -215,8 +215,9 @@ class WorkloadSink:
             # order is the sink's row order whenever the kind exists.
             tables["private_ids"] = (list(self._order)
                                      if "private" in self._writers else [])
-            final_root = self._entry_writer.commit(platform, tables,
-                                                   shards=shard_count)
+            final_root = self._entry_writer.commit(
+                {"platform.pkl": platform, "tables.pkl": tables},
+                shards=shard_count)
         else:
             final_root = self.root
         orders = {kind: self._order for kind in self._writers}

@@ -140,12 +140,6 @@ class TestRunSessions:
         with pytest.raises(ParallelError):
             run_sessions(_workload(), "edge", chunk_sessions=0)
 
-    def test_spill_writes_metric_shards(self, tmp_path):
-        run_sessions(_workload(), "edge", chunk_sessions=64,
-                     spill_dir=tmp_path)
-        shards = sorted(p.name for p in tmp_path.iterdir())
-        assert any("qoe-edge" in name for name in shards)
-
     def test_session_chunks_journaled_as_volatile(self, tmp_path):
         assert "session_chunk" in VOLATILE_EVENT_TYPES
         with RunJournal(tmp_path / "run.jsonl") as journal:

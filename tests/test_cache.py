@@ -105,10 +105,28 @@ class TestWorkloadRoundTrip:
     def test_truncated_series_is_a_miss(self, cache, nep_workload):
         cache.put_workload("workload_nep", SCENARIO, nep_workload)
         entry = cache._entry_dir(cache.key("workload_nep", SCENARIO))
-        payload = (entry / "cpu.npy").read_bytes()
-        (entry / "cpu.npy").write_bytes(payload[:len(payload) // 2])
+        shard = entry / "cpu" / "shard-00000.npy"
+        shard.write_bytes(shard.read_bytes()[:shard.stat().st_size // 2])
         assert cache.get_workload("workload_nep", SCENARIO) is None
         assert not entry.exists()
+
+    def test_one_kind_everywhere_and_no_second_store(self, tmp_path,
+                                                      nep_workload):
+        from repro.obs import RunJournal
+
+        journal = RunJournal(None)
+        cache = ArtifactCache(tmp_path, journal=journal)
+        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        assert not list(cache.root.glob(".tmp-*"))
+        assert cache.get_workload("workload_nep", SCENARIO) is not None
+        stores = [e for e in journal.events if e["type"] == "cache_store"]
+        hits = [e for e in journal.events if e["type"] == "cache_hit"]
+        assert len(stores) == 1 and len(hits) == 1
+        entry = cache.entries()[0]
+        meta = json.loads((entry.path / "meta.json").read_text())
+        assert (meta["kind"] == stores[0]["kind"] == hits[0]["kind"]
+                == entry.kind == "workload")
 
 
 class _Bomb:
@@ -202,6 +220,15 @@ class TestMaintenance:
         entry = cache.entries()[0]
         (entry.path / "meta.json").write_text("{not json")
         assert cache.entries() == []
+
+    def test_full_clear_removes_entry_with_damaged_meta(self, cache):
+        cache.put_object("a", SCENARIO, 1)
+        entry = cache.entries()[0]
+        (entry.path / "meta.json").write_text("{not json")
+        cache.clear()
+        assert not entry.path.exists()
+        cache.put_object("a", SCENARIO, 2)
+        assert cache.get_object("a", SCENARIO) == 2
 
     def test_meta_records_scenario_and_version(self, cache):
         cache.put_object("a", SCENARIO, 1)

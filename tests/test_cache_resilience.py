@@ -119,7 +119,6 @@ class TestSimulatedEnospc:
                 handle.write(b"torn")
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cache_mod.np, "save", no_space, raising=False)
         import repro.shards as shards_mod
 
         monkeypatch.setattr(shards_mod.np, "save", no_space)

@@ -181,7 +181,7 @@ class TestCacheCommand:
         assert "shards" in out  # the column header
         workload_rows = [line for line in out.splitlines()
                          if "workload_nep" in line]
-        assert workload_rows and "workload-shards" in workload_rows[0]
+        assert workload_rows and workload_rows[0].split()[2] == "workload"
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         info_out = capsys.readouterr().out
         assert "sharded:" in info_out

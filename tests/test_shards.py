@@ -231,7 +231,7 @@ class TestShardedCacheEntries:
                                       shard_rows=8)
         generate_nep_workload(SCENARIO, sink=sink)
         entry = cache.entries()[0]
-        assert entry.kind == "workload-shards"
+        assert entry.kind == "workload"
         assert entry.shards > 0
         on_disk = sum(1 for _ in entry.path.rglob("shard-*.npy"))
         assert entry.shards == on_disk

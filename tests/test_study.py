@@ -67,7 +67,7 @@ class TestFacade:
         cold.nep
         entry = next(e for e in cache.entries()
                      if e.artifact == "workload_nep")
-        assert entry.kind == "workload-shards"
+        assert entry.kind == "workload"
         assert entry.shards > 0
         warm = EdgeStudy(scenario, cache=cache, streaming="on")
         warm.nep

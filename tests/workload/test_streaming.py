@@ -100,6 +100,25 @@ class TestStudyStreaming:
                 == repr(cpu_utilization_summary(in_core.nep.dataset)))
 
 
+class TestOneEntryFormat:
+    def test_in_memory_and_streamed_stores_commit_equal_shards(self,
+                                                                tmp_path):
+        from repro.shards import read_shard_index
+        from repro.study import EdgeStudy
+
+        committed = {}
+        for mode in ("off", "on"):
+            cache = ArtifactCache(tmp_path / mode)
+            study = EdgeStudy(SCENARIO, cache=cache, streaming=mode)
+            study.nep, study.azure
+            committed[mode] = {
+                entry.artifact: (entry.kind, read_shard_index(entry.path))
+                for entry in cache.entries()}
+        assert set(committed["off"]) == {"workload_nep", "workload_azure"}
+        # Equal layouts include equal per-shard payload checksums.
+        assert committed["off"] == committed["on"]
+
+
 class TestSinkProtocol:
     def _block(self, n=2, points=8):
         block = type("B", (), {})()
