@@ -59,8 +59,8 @@ SITE_REQUEST_RATE_HZ = 2.0
 #: One cached object ~ a few seconds of 1080p video (MB).
 OBJECT_MB = 4.0
 
-#: Sites solved per vectorised bisection block (bounds the
-#: ``(sites, catalog)`` temporary at city-tier site counts).
+#: Sites solved per vectorised Newton block (bounds the two
+#: ``(sites, catalog)`` buffers at city-tier site counts).
 SOLVER_SITE_BLOCK = 256
 
 #: Bisection iterations: 2^-48 relative interval is far below the hit
@@ -145,20 +145,26 @@ def lru_hit_ratio_curve(alphas: np.ndarray, catalog: int,
         block = alphas[start:start + SOLVER_SITE_BLOCK]
         weights = ranks[None, :] ** -block[:, None]
         weights /= weights.sum(axis=1, keepdims=True)
+        # Two (sites, catalog) buffers serve every iteration: fresh
+        # temporaries of that size cost more in page faults than the
+        # arithmetic.  weights * -x equals -weights * x bit for bit.
+        decay = np.empty_like(weights)
+        scratch = np.empty_like(weights)
         # f(x) <= x * f'(0) = x (weights sum to 1), so f(C) <= C: the
         # capacity itself is a starting point at or below the root.
         x = np.full(block.size, float(capacity))
         for _ in range(SOLVER_ITERATIONS):
-            decay = np.exp(-weights * x[:, None])
-            filled = np.sum(1.0 - decay, axis=1)
-            slope = np.sum(weights * decay, axis=1)
+            np.exp(np.multiply(weights, -x[:, None], out=decay), out=decay)
+            filled = np.sum(np.subtract(1.0, decay, out=scratch), axis=1)
+            slope = np.sum(np.multiply(weights, decay, out=scratch), axis=1)
             step = (capacity - filled) / slope
             x = x + step
             if float(np.max(np.abs(step))) <= 1e-12 * float(np.min(x)):
                 break
-        hits = 1.0 - np.exp(-weights * x[:, None])
-        out[start:start + SOLVER_SITE_BLOCK] = np.sum(weights * hits,
-                                                      axis=1)
+        np.exp(np.multiply(weights, -x[:, None], out=decay), out=decay)
+        hits = np.subtract(1.0, decay, out=decay)
+        out[start:start + SOLVER_SITE_BLOCK] = np.sum(
+            np.multiply(weights, hits, out=scratch), axis=1)
     return out
 
 

@@ -66,16 +66,40 @@ class HoltWinters:
         return self
 
     def _grid_search(self, series: np.ndarray) -> tuple[float, float, float]:
-        grid_alpha = (0.1, 0.3, 0.5, 0.8)
-        grid_beta = (0.0, 0.05, 0.1)
-        grid_gamma = (0.05, 0.2, 0.4)
+        """The grid's (alpha, beta, gamma) with the least training SSE.
+
+        All 36 combinations are smoothed in one pass over the series, the
+        state held as length-36 arrays; each lane performs the same
+        operations in the same order as :meth:`_run`, so its SSE is
+        bit-equal to a scalar pass.  The first strict minimum in
+        (alpha, beta, gamma) order wins; NaN never does, and when no SSE
+        is finite the default (0.3, 0.05, 0.2) stands.
+        """
+        grid = np.array([(a, b, g) for a in (0.1, 0.3, 0.5, 0.8)
+                         for b in (0.0, 0.05, 0.1)
+                         for g in (0.05, 0.2, 0.4)])
+        alpha, beta, gamma = grid.T
+        keep_alpha, keep_beta, keep_gamma = 1 - alpha, 1 - beta, 1 - gamma
+        init = self._initial_state(series)
+        m = self.season_length
+        level = np.full(len(grid), init.level)
+        trend = np.full(len(grid), init.trend)
+        # (phase, combination): one phase's lanes are a contiguous row.
+        season = np.repeat(init.season[:, None], len(grid), axis=1)
+        sse = np.zeros(len(grid))
+        for index, value in enumerate(series.tolist()):
+            seasonal = season[index % m]
+            smoothed = level + trend
+            error = value - (smoothed + seasonal)
+            sse += error * error
+            new_level = alpha * (value - seasonal) + keep_alpha * smoothed
+            trend = beta * (new_level - level) + keep_beta * trend
+            seasonal[:] = gamma * (value - new_level) + keep_gamma * seasonal
+            level = new_level
         best = (float("inf"), 0.3, 0.05, 0.2)
-        for a in grid_alpha:
-            for b in grid_beta:
-                for g in grid_gamma:
-                    sse, _ = self._run(series, a, b, g)
-                    if sse < best[0]:
-                        best = (sse, a, b, g)
+        for error_sum, (a, b, g) in zip(sse.tolist(), grid.tolist()):
+            if error_sum < best[0]:
+                best = (error_sum, a, b, g)
         return best[1], best[2], best[3]
 
     def _initial_state(self, series: np.ndarray) -> _HWState:

@@ -179,6 +179,32 @@ class LSTMForecaster:
             self._adam_step(grads)
         return self
 
+    def _predict(self, windows: np.ndarray) -> np.ndarray:
+        """Forecasts for a (B, T) batch of raw-scale input windows.
+
+        Every row goes through its own ``(1, 1+H) @ W`` product (the
+        stacked ``(B, 1, 1+H) @ W`` form), so a row's forecast does not
+        depend on the other rows in the batch: one ``(B, 1+H) @ W`` GEMM
+        would round differently in the last bit.
+        """
+        batch = (windows - self._mean) / self._scale
+        B, T = batch.shape
+        h_units = self.hidden
+        W, b = self.params["W"], self.params["b"]
+        z = np.zeros((B, 1, 1 + h_units))
+        c = np.zeros((B, 1, h_units))
+        for t in range(T):
+            z[:, 0, 0] = batch[:, t]
+            gates = z @ W + b
+            i = _sigmoid(gates[..., :h_units])
+            f = _sigmoid(gates[..., h_units:2 * h_units])
+            g = np.tanh(gates[..., 2 * h_units:3 * h_units])
+            o = _sigmoid(gates[..., 3 * h_units:])
+            c = f * c + i * g
+            z[..., 1:] = o * np.tanh(c)
+        y = z[..., 1:] @ self.params["Wy"] + self.params["by"]
+        return y[:, 0, 0] * self._scale + self._mean
+
     def predict_next(self, history: np.ndarray) -> float:
         """Forecast the value following ``history`` (>= window points)."""
         history = np.asarray(history, dtype=float)
@@ -187,16 +213,30 @@ class LSTMForecaster:
                 f"history of {history.size} points shorter than window "
                 f"{self.window}"
             )
-        window = (history[-self.window:] - self._mean) / self._scale
-        y_pred, _, _ = self._forward(window[None, :])
-        return float(y_pred[0] * self._scale + self._mean)
+        return float(self._predict(history[None, -self.window:])[0])
 
     def walk_forward(self, train: np.ndarray, test: np.ndarray) -> np.ndarray:
-        """One-step-ahead forecasts across ``test`` given ``train`` history."""
-        history = np.concatenate([np.asarray(train, dtype=float),
-                                  np.asarray(test, dtype=float)])
-        start = np.asarray(train, dtype=float).size
-        preds = np.empty(np.asarray(test).size)
-        for i in range(preds.size):
-            preds[i] = self.predict_next(history[:start + i])
-        return preds
+        """One-step-ahead forecasts across ``test`` given ``train`` history.
+
+        Forecast ``i`` sees ``train`` plus the first ``i`` test values,
+        exactly as ``predict_next`` on that history would; all windows
+        run through the LSTM as one batch.
+
+        Raises:
+            PredictionError: if ``test`` is not empty and ``train`` is
+                shorter than the window.
+        """
+        train = np.asarray(train, dtype=float)
+        test = np.asarray(test, dtype=float)
+        if test.size == 0:
+            return np.empty(0)
+        if train.size < self.window:
+            raise PredictionError(
+                f"history of {train.size} points shorter than window "
+                f"{self.window}"
+            )
+        history = np.concatenate([train, test])
+        first = train.size - self.window
+        idx = (np.arange(self.window)[None, :]
+               + np.arange(first, first + test.size)[:, None])
+        return self._predict(history[idx])

@@ -194,7 +194,8 @@ def fig11(study: EdgeStudy) -> str:
     for vm in dataset.vms.values():
         by_province.setdefault(vm.province, set()).add(vm.site_id)
     province = max(by_province, key=lambda p: len(by_province[p]))
-    site_id = max(by_province[province],
+    # Sorted, so ties go to the lowest site id, not to set hash order.
+    site_id = max(sorted(by_province[province]),
                   key=lambda s: len(dataset.vms_on_site(s)))
     rng = study.scenario.random.stream("report-fig11")
     rows = []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PredictionError
 from repro.prediction.holtwinters import HoltWinters
@@ -77,3 +79,67 @@ class TestForecasting:
         before = model._state.index
         model.update(0.5)
         assert model._state.index == before + 1
+
+
+def _scalar_grid_search(model, series):
+    """The grid search as 36 scalar smoothing passes, in grid order."""
+    best = (float("inf"), 0.3, 0.05, 0.2)
+    for a in (0.1, 0.3, 0.5, 0.8):
+        for b in (0.0, 0.05, 0.1):
+            for g in (0.05, 0.2, 0.4):
+                sse, _ = model._run(series, a, b, g)
+                if sse < best[0]:
+                    best = (sse, a, b, g)
+    return best[1], best[2], best[3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestVectorisedGridSearch:
+    """One vectorised pass picks what 36 scalar passes pick."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(season=st.integers(2, 30), cycles=st.integers(2, 5),
+           tail=st.integers(0, 29), seed=st.integers(0, 2**16),
+           level=st.sampled_from([1e-6, 1.0, 1e3]))
+    def test_matches_scalar_passes(self, season, cycles, tail, seed, level):
+        rng = np.random.default_rng(seed)
+        series = level * rng.random(season * cycles + tail % season)
+        model = HoltWinters(season_length=season)
+        assert model._grid_search(series) == _scalar_grid_search(model,
+                                                                 series)
+
+    @settings(max_examples=30, deadline=None)
+    @given(season=st.integers(2, 12), cycles=st.integers(2, 4),
+           value=st.sampled_from([0.0, 0.25, 0.4, 1.0]))
+    def test_constant_series_ties(self, season, cycles, value):
+        # Many combinations share an SSE here: the first in grid order wins.
+        series = np.full(season * cycles, value)
+        model = HoltWinters(season_length=season)
+        assert model._grid_search(series) == _scalar_grid_search(model,
+                                                                 series)
+
+    @settings(max_examples=20, deadline=None)
+    @given(season=st.integers(2, 12), seed=st.integers(0, 2**16))
+    def test_quantised_series_ties(self, season, seed):
+        rng = np.random.default_rng(seed)
+        series = np.round(rng.random(3 * season) * 2) / 2
+        model = HoltWinters(season_length=season)
+        assert model._grid_search(series) == _scalar_grid_search(model,
+                                                                 series)
+
+    @settings(max_examples=40, deadline=None)
+    @given(season=st.integers(2, 12), seed=st.integers(0, 2**16),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e300]),
+           spots=st.integers(1, 3))
+    def test_non_finite_inputs(self, season, seed, bad, spots):
+        rng = np.random.default_rng(seed)
+        series = rng.random(3 * season)
+        series[rng.integers(0, series.size, spots)] = bad
+        model = HoltWinters(season_length=season)
+        assert model._grid_search(series) == _scalar_grid_search(model,
+                                                                 series)
+
+    def test_no_finite_sse_keeps_default(self):
+        series = np.full(8, np.nan)
+        assert HoltWinters(season_length=4)._grid_search(series) == (
+            0.3, 0.05, 0.2)

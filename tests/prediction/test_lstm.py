@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PredictionError
 from repro.prediction.lstm import LSTMForecaster
@@ -77,3 +79,50 @@ class TestPrediction:
         model = LSTMForecaster(window=12, epochs=3).fit(series[:250])
         preds = model.walk_forward(series[:250], series[250:])
         assert preds.shape == (50,)
+
+
+def _reference_predict(model, history):
+    """A single-window forecast through the training-time forward pass."""
+    window = (history[-model.window:] - model._mean) / model._scale
+    y_pred, _, _ = model._forward(window[None, :])
+    return float(y_pred[0] * model._scale + model._mean)
+
+
+class TestBatchedWalkForward:
+    """The batched walk-forward equals one-window forecasts bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.integers(2, 30), hidden=st.integers(1, 30),
+           epochs=st.integers(1, 3), seed=st.integers(0, 2**16),
+           extra_train=st.integers(0, 60), test_len=st.integers(0, 40),
+           level=st.sampled_from([1e-3, 1.0, 250.0]))
+    def test_matches_predict_next_loop(self, window, hidden, epochs, seed,
+                                       extra_train, test_len, level):
+        rng = np.random.default_rng(seed)
+        series = level * rng.random(window + 1 + extra_train + test_len)
+        train = series[:window + 1 + extra_train]
+        test = series[train.size:]
+        model = LSTMForecaster(window=window, hidden=hidden, epochs=epochs,
+                               seed=seed).fit(train)
+        preds = model.walk_forward(train, test)
+        assert preds.shape == (test_len,)
+        loop = [model.predict_next(series[:train.size + i])
+                for i in range(test_len)]
+        reference = [_reference_predict(model, series[:train.size + i])
+                     for i in range(test_len)]
+        assert preds.tolist() == loop == reference
+
+    @settings(max_examples=20, deadline=None)
+    @given(window=st.integers(2, 30), short=st.integers(0, 29),
+           test_len=st.integers(0, 5))
+    def test_train_shorter_than_window(self, window, short, test_len):
+        model = LSTMForecaster(window=window, epochs=1).fit(
+            _sine(points=window + 20))
+        train = _sine(points=min(short, window - 1))
+        test = _sine(points=test_len)
+        if test_len == 0:
+            # Nothing to forecast, as with an empty predict_next loop.
+            assert model.walk_forward(train, test).shape == (0,)
+        else:
+            with pytest.raises(PredictionError):
+                model.walk_forward(train, test)
