@@ -25,10 +25,9 @@ the cache (generation skipped entirely).
 
 The out-of-core tier has its own knobs: ``--scale city`` selects the
 ~1M-VM scenario, ``--vms``/``--sites`` shrink it to a CI-sized probe,
-``--streaming`` forces the sharded sink on or off, and
-``--assert-peak-rss-mb`` gates the parent process's peak RSS (VmHWM, as
-sampled by the run journal) — the memory contract of the streaming
-path.
+and ``--assert-peak-rss-mb`` gates the parent process's peak RSS
+(VmHWM, as sampled by the run journal) — the memory contract of the
+sharded series path.
 
 ``--sweep-bench CONFIG`` times the sweep orchestrator against a serial
 per-cell baseline: every cell of the grid re-run alone with its own
@@ -83,7 +82,7 @@ def build_scenario(scale: str, seed: int | None,
 
 def run_once(scale: str, seed: int | None, jobs: int = 1,
              cache=None, overrides: dict[str, int] | None = None,
-             streaming: str = "auto") -> dict[str, object]:
+             ) -> dict[str, object]:
     """One study run; returns its perf registry as a dict.
 
     The run carries an in-memory :class:`repro.obs.RunJournal`, so the
@@ -98,7 +97,7 @@ def run_once(scale: str, seed: int | None, jobs: int = 1,
 
     with RunJournal(None) as journal:
         study = EdgeStudy(build_scenario(scale, seed, overrides), jobs=jobs,
-                          cache=cache, journal=journal, streaming=streaming)
+                          cache=cache, journal=journal)
         study.nep
         study.azure
         study.latency_results
@@ -111,13 +110,11 @@ def run_once(scale: str, seed: int | None, jobs: int = 1,
 
 
 def bench(scale: str, seed: int | None, repeats: int, jobs: int,
-          overrides: dict[str, int] | None = None,
-          streaming: str = "auto") -> dict[str, object]:
+          overrides: dict[str, int] | None = None) -> dict[str, object]:
     """Best-of-``repeats`` phase timings (min is robust to CI noise)."""
     from repro.parallel import resolve_jobs
 
-    runs = [run_once(scale, seed, jobs, overrides=overrides,
-                     streaming=streaming)
+    runs = [run_once(scale, seed, jobs, overrides=overrides)
             for _ in range(repeats)]
     phases: dict[str, dict[str, float]] = {}
     for phase in PHASES:
@@ -148,8 +145,6 @@ def bench(scale: str, seed: int | None, repeats: int, jobs: int,
     }
     if overrides:
         row["overrides"] = dict(sorted(overrides.items()))
-    if streaming != "auto":
-        row["streaming"] = streaming
     return row
 
 
@@ -162,8 +157,7 @@ def peak_rss_mb(fresh: dict[str, object]) -> float:
 
 def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
               sessions: int | None = None,
-              reference_sessions: int = 300,
-              streaming: str = "auto") -> dict[str, object]:
+              reference_sessions: int = 300) -> dict[str, object]:
     """Benchmark the vectorized session engine against its reference.
 
     Runs the full ``qoe_sessions`` study phase (both arms, chunked,
@@ -186,8 +180,7 @@ def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
                  if sessions is not None else None)
     scenario = build_scenario(scale, seed, overrides)
     with RunJournal(None) as journal:
-        study = EdgeStudy(scenario, jobs=jobs, journal=journal,
-                          streaming=streaming)
+        study = EdgeStudy(scenario, jobs=jobs, journal=journal)
         start = time.perf_counter()
         result = study.qoe_sessions
         phase_wall = time.perf_counter() - start
@@ -394,7 +387,7 @@ def bench_sweep(config: Path, jobs: int,
 def bench_cache(scale: str, seed: int | None, jobs: int,
                 cache_dir: Path,
                 overrides: dict[str, int] | None = None,
-                streaming: str = "auto") -> dict[str, object]:
+                ) -> dict[str, object]:
     """One cold run populating ``cache_dir``, one warm run served from it.
 
     Both runs record *per-phase* timings, with an explicit ``cached``
@@ -409,8 +402,7 @@ def bench_cache(scale: str, seed: int | None, jobs: int,
     phase_rows: dict[str, dict[str, dict]] = {}
     for label in ("cold", "warm"):
         start = time.perf_counter()
-        run = run_once(scale, seed, jobs, cache, overrides=overrides,
-                       streaming=streaming)
+        run = run_once(scale, seed, jobs, cache, overrides=overrides)
         timings[label] = {
             "wall_s": round(time.perf_counter() - start, 6),
             "run": run,
@@ -503,9 +495,6 @@ def main(argv: list[str] | None = None) -> int:
                              "probes of the city tier)")
     parser.add_argument("--sites", type=int, default=None, metavar="N",
                         help="override the NEP site count")
-    parser.add_argument("--streaming", choices=("auto", "on", "off"),
-                        default="auto",
-                        help="workload streaming mode (default: auto)")
     parser.add_argument("--assert-peak-rss-mb", type=float, default=None,
                         metavar="MB",
                         help="exit non-zero if the parent's peak RSS over "
@@ -583,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides["nep_site_count"] = args.sites
 
     fresh = bench(args.scale, args.seed, args.repeat, args.jobs,
-                  overrides=overrides or None, streaming=args.streaming)
+                  overrides=overrides or None)
     print(f"scale={args.scale} jobs={args.jobs} "
           f"(host: {fresh['cpu_count']} cores):")
     for phase, stats in fresh["phases"].items():
@@ -604,8 +593,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.qoe_bench:
         qoe_stats = bench_qoe(args.scale, args.seed, jobs=args.jobs,
-                              sessions=args.qoe_sessions,
-                              streaming=args.streaming)
+                              sessions=args.qoe_sessions)
         fresh["qoe_sessions"] = qoe_stats
         print(f"  qoe: {qoe_stats['sessions']} sessions x "
               f"{qoe_stats['arms']} arms in {qoe_stats['wall_s']:.3f}s "
@@ -685,8 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cache_dir is not None:
         cache_stats = bench_cache(args.scale, args.seed, args.jobs,
                                   args.cache_dir,
-                                  overrides=overrides or None,
-                                  streaming=args.streaming)
+                                  overrides=overrides or None)
         fresh["cache"] = cache_stats
         print(f"  cache: cold {cache_stats['cold_wall_s']:.3f}s, warm "
               f"{cache_stats['warm_wall_s']:.3f}s "

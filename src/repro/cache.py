@@ -44,12 +44,11 @@ payloads, unpicklable bytes) are treated as misses and removed.
 Workload entries
 ----------------
 
-A workload has one on-disk layout whatever produced it.  A streamed
-run writes shards into the staging directory as blocks are rendered
-(:meth:`ArtifactCache.workload_writer`); an in-memory run writes its
-dataset's series through the same :class:`~repro.shards.ShardWriter`
-at store time (:meth:`ArtifactCache.put_workload`).  Both produce
-byte-identical shards.  ``get_workload`` returns lazy windowed
+A workload has one on-disk layout and one writer: the generating
+run's :class:`~repro.workload.streaming.WorkloadSink` streams shards
+into the staging directory as blocks are rendered
+(:meth:`ArtifactCache.workload_writer`) and seals the entry when the
+last block lands.  ``get_workload`` returns lazy windowed
 :class:`~repro.shards.ShardedSeriesMap` views over memory-mapped
 shards, so a warm hit on a paper-scale trace returns in milliseconds
 and pages series in on demand; any shard whose header or size fails
@@ -71,17 +70,18 @@ from functools import lru_cache
 from pathlib import Path
 
 from .config import Scenario
-from .core.chunks import iter_series_chunks
+# Unused here.  Importing the analysis package ahead of the workload
+# stack spares scipy's import about 100 MB of fresh page faults (some
+# 0.2 s of start-up on a 2-core x86 host), so it stays first.
+from .core import chunks as _chunks  # noqa: F401
 from .errors import ConfigurationError, InjectedFault, TraceError
 from .resilience import RetryPolicy, failpoint
 from .resilience.retry import call_with_retry
 from .shards import (
     SHARD_INDEX_NAME,
-    ShardWriter,
     load_sharded_series,
     read_shard_index,
     verify_layout,
-    write_shard_index,
 )
 from .trace.dataset import TraceDataset
 from .workload.generator import GeneratedWorkload
@@ -189,8 +189,13 @@ class CacheEntry:
     shards: int = 0
 
 
-def workload_tables(dataset: TraceDataset) -> dict[str, object]:
-    """The picklable table payload of a workload entry (series excluded)."""
+def workload_tables(dataset: TraceDataset,
+                    private_ids: list[str]) -> dict[str, object]:
+    """The picklable table payload of a workload entry (series excluded).
+
+    ``private_ids`` is the row order of the private-traffic shards
+    (empty when the workload logs none).
+    """
     return {
         "platform_name": dataset.platform_name,
         "trace_days": dataset.trace_days,
@@ -201,7 +206,7 @@ def workload_tables(dataset: TraceDataset) -> dict[str, object]:
         "sites": dataset.sites,
         "servers": dataset.servers,
         "order": list(dataset.vms),
-        "private_ids": list(dataset.bw_private_series),
+        "private_ids": private_ids,
     }
 
 
@@ -282,8 +287,27 @@ class ArtifactCache:
 
     def put_object(self, artifact: str, scenario: Scenario,
                    value: object) -> None:
-        """Store a pickled artifact (no-op if already present)."""
-        self._store(artifact, scenario, "object", {"object.pkl": value})
+        """Store a pickled artifact (no-op if already present).
+
+        A store that cannot commit (disk full, persistent fault)
+        degrades to a ``cache_write_error`` event: it costs recompute
+        time on the next run, never correctness of this one.  The
+        staging directory is removed either way, so the cache stays
+        readable.
+        """
+        key = self.key(artifact, scenario)
+        if (self._entry_dir(key) / "meta.json").exists():
+            return
+        try:
+            writer = StreamedEntryWriter(self, artifact, scenario, "object")
+            try:
+                writer.commit({"object.pkl": value})
+            except BaseException:
+                writer.abort()
+                raise
+        except (InjectedFault, OSError) as exc:
+            self._emit("cache_write_error", artifact=artifact, key=key,
+                       error=f"{type(exc).__name__}: {exc}")
 
     # ---- workload artifacts (sharded, mmap-backed series) ----------------
 
@@ -293,39 +317,21 @@ class ArtifactCache:
         return self._get(artifact, scenario, WORKLOAD_KIND,
                          self._load_workload)
 
-    def put_workload(self, artifact: str, scenario: Scenario,
-                     workload: GeneratedWorkload) -> None:
-        """Store an in-memory workload (no-op if already present).
+    def put_workload(self, *_args, **_kwargs) -> None:
+        """Removed: a workload is stored only by the sink that renders it.
 
-        The series are written as shards — the layout a streamed run
-        commits — in :func:`~repro.core.chunks.iter_series_chunks`
-        windows, so the store holds at most one window and one shard
-        buffer beyond the dataset itself.
+        Generate with a :meth:`WorkloadSink.for_cache
+        <repro.workload.streaming.WorkloadSink.for_cache>` sink instead.
+        The name stays because the benchmark's span table
+        (``bench/spans.py``) still resolves it; it goes at the next
+        benchmark change.
+
+        Raises:
+            ConfigurationError: always.
         """
-        ds = workload.dataset
-        tables = workload_tables(ds)
-        kinds = {"cpu": (ds.cpu_series, tables["order"], ds.cpu_points),
-                 "bw": (ds.bw_series, tables["order"], ds.bw_points)}
-        if tables["private_ids"]:
-            kinds["private"] = (ds.bw_private_series, tables["private_ids"],
-                                ds.bw_points)
-
-        def write_shards(staging: Path) -> int:
-            layouts = []
-            for kind, (series, order, points) in kinds.items():
-                if list(series) != order:
-                    raise TraceError(
-                        f"{kind} series order does not match the VM table")
-                writer = ShardWriter(staging, kind, points)
-                for _, window in iter_series_chunks(series):
-                    writer.append(window)
-                layouts.append(writer.finalize())
-            write_shard_index(staging, layouts)
-            return sum(layout.n_shards for layout in layouts)
-
-        self._store(artifact, scenario, WORKLOAD_KIND,
-                    {"platform.pkl": workload.platform,
-                     "tables.pkl": tables}, write_shards)
+        raise ConfigurationError(
+            "ArtifactCache.put_workload was removed; generate the "
+            "workload through WorkloadSink.for_cache")
 
     def workload_writer(self, artifact: str,
                         scenario: Scenario) -> "StreamedEntryWriter":
@@ -380,32 +386,6 @@ class ArtifactCache:
             return None
         self._emit("cache_hit", artifact=artifact, kind=kind, key=key)
         return value
-
-    def _store(self, artifact: str, scenario: Scenario, kind: str,
-               payload: dict[str, object], write_shards=None) -> None:
-        """Commit one entry unless it is already present.
-
-        ``write_shards(staging)`` fills the staging directory before the
-        seal and returns the shard count.  A store that cannot commit
-        (disk full, persistent fault) degrades to a ``cache_write_error``
-        event: it costs recompute time on the next run, never
-        correctness of this one.  The staging directory is removed
-        either way, so the cache stays readable.
-        """
-        key = self.key(artifact, scenario)
-        if (self._entry_dir(key) / "meta.json").exists():
-            return
-        try:
-            writer = StreamedEntryWriter(self, artifact, scenario, kind)
-            try:
-                shards = write_shards(writer.staging) if write_shards else 0
-                writer.commit(payload, shards=shards)
-            except BaseException:
-                writer.abort()
-                raise
-        except (InjectedFault, OSError) as exc:
-            self._emit("cache_write_error", artifact=artifact, key=key,
-                       error=f"{type(exc).__name__}: {exc}")
 
     @staticmethod
     def _discard(entry: Path) -> None:
@@ -615,10 +595,11 @@ class StreamedEntryWriter:
     """A live staging directory for one cache entry: the only commit path.
 
     Created by :meth:`ArtifactCache.workload_writer` (shards streamed in
-    while generation runs) and by every ``put_*`` store; payload files
-    are written into :attr:`staging`, and :meth:`commit` seals the entry
-    (pickled objects + ``meta.json`` last, then one atomic rename).
-    :meth:`abort` discards everything.
+    while generation runs) and by :meth:`ArtifactCache.put_object`;
+    payload files are written into :attr:`staging`, and :meth:`commit`
+    seals the entry (pickled objects + ``meta.json`` last, then one
+    atomic rename).  :meth:`abort` discards everything; :meth:`detach`
+    keeps the staged files for the caller after a failed commit.
     """
 
     def __init__(self, cache: ArtifactCache, artifact: str,
@@ -641,11 +622,11 @@ class StreamedEntryWriter:
         entries are pure functions of their key, so the winner holds the
         same bytes.
 
-        A commit that keeps failing *raises* after its retry budget,
-        cleaning the staging dir first; :meth:`ArtifactCache.put_object`
-        and :meth:`ArtifactCache.put_workload` degrade that to a
-        ``cache_write_error``, while a streamed workload, whose dataset
-        needs these shards, propagates it.  Only the seal (pickles +
+        A commit that keeps failing *raises* after its retry budget and
+        leaves the staging dir to the caller:
+        :meth:`ArtifactCache.put_object` aborts it, and a workload sink,
+        whose dataset needs these shards, keeps it with :meth:`detach`.
+        Both degrade to a ``cache_write_error``.  Only the seal (pickles +
         meta + rename) retries — the shard payload is already on disk
         and is not rewritten.
         """
@@ -688,13 +669,9 @@ class StreamedEntryWriter:
                              delay_s=round(delay_s, 6),
                              error=f"{type(exc).__name__}: {exc}")
 
-        try:
-            call_with_retry(seal, policy=COMMIT_RETRY,
-                            token=f"{self.artifact}|{self.key}",
-                            on_retry=retried)
-        except BaseException:
-            self.abort()
-            raise
+        call_with_retry(seal, policy=COMMIT_RETRY,
+                        token=f"{self.artifact}|{self.key}",
+                        on_retry=retried)
         self.cache._emit(
             "cache_store", artifact=self.artifact, kind=self.kind,
             key=self.key, shards=int(shards),
@@ -704,3 +681,17 @@ class StreamedEntryWriter:
     def abort(self) -> None:
         """Discard the staged entry without publishing anything."""
         shutil.rmtree(self.staging, ignore_errors=True)
+
+    def detach(self, exc: BaseException) -> Path:
+        """Give up publishing after ``exc`` failed the commit; keep the files.
+
+        Emits ``cache_write_error`` and renames the staging directory to
+        a ``repro-spill-*`` directory beside the entries, out of the
+        ``.tmp-*`` namespace that ``clear`` and ``verify --repair``
+        sweep.  Returns it; the caller owns its removal.
+        """
+        self.cache._emit("cache_write_error", artifact=self.artifact,
+                         key=self.key, error=f"{type(exc).__name__}: {exc}")
+        spill = self.cache.root / f"repro-spill-{self.staging.name[5:]}"
+        os.rename(self.staging, spill)
+        return spill

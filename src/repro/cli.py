@@ -28,7 +28,6 @@ from .obs import RunJournal, canonical_events, diff_journals, \
 from .reports import REPORTS
 from .resilience import CHAOS_PROFILES, chaos_spec, install
 from .study import SCALES, EdgeStudy, scenario_for, study_for
-from .workload.streaming import STREAMING_MODES
 
 #: Human-readable one-liners for `repro list`.
 DESCRIPTIONS = {
@@ -144,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="concurrent cells (default: 1; 0 = all "
                                 "CPU cores)")
-    sweep_run.add_argument("--streaming", choices=STREAMING_MODES,
-                           default="auto",
-                           help="per-cell workload streaming mode "
-                                "(default: auto)")
     sweep_run.add_argument("--cache-dir", type=Path, default=None,
                            help="shared artifact cache enabling "
                                 "cross-cell dedup (default: "
@@ -208,11 +203,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for workload generation "
                              "(default: 1; 0 = all CPU cores)")
-    parser.add_argument("--streaming", choices=STREAMING_MODES,
-                        default="auto",
-                        help="stream workload series to sharded on-disk "
-                             "storage (default: auto = on at city-tier VM "
-                             "counts); results are bit-identical either way")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="artifact cache root (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -310,8 +300,7 @@ def _study(args: argparse.Namespace,
     if journal is None and not resume and not overrides:
         return study_for(args.scale, args.seed, getattr(args, "faults", None),
                          jobs=getattr(args, "jobs", 1),
-                         cache_dir=_cache_dir_for(args),
-                         streaming=getattr(args, "streaming", "auto"))
+                         cache_dir=_cache_dir_for(args))
     scenario = scenario_for(args.scale, args.seed, getattr(args, "faults",
                                                            None),
                             overrides=overrides or None)
@@ -319,9 +308,7 @@ def _study(args: argparse.Namespace,
     cache = (ArtifactCache(cache_dir, journal=journal)
              if cache_dir is not None else None)
     return EdgeStudy(scenario, jobs=getattr(args, "jobs", 1), cache=cache,
-                     journal=journal,
-                     streaming=getattr(args, "streaming", "auto"),
-                     resume=resume)
+                     journal=journal, resume=resume)
 
 
 def _maybe_report_perf(args: argparse.Namespace, study: EdgeStudy) -> None:
@@ -495,7 +482,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else Path(f"sweep-{spec.name}")
     result = run_sweep(
         spec, out, cache_dir=_cache_dir_for(args), jobs=args.jobs,
-        streaming=args.streaming,
         echo=_echo_event if args.verbose else None)
     print(f"sweep {result.name!r}: {len(result.cells)} cells in "
           f"{result.wall_s:.2f}s"

@@ -276,8 +276,8 @@ class Scenario:
 
         One series kind at this scale is ~0.5 TB of float32 rows
         (1M VMs x 92 d of 1-minute readings), which no single process
-        can hold — runs at this tier force the streaming workload path
-        (sharded on-disk series, chunked analyses; see
+        can hold — which is why every tier streams its series to
+        sharded on-disk storage and analyses them in chunks (see
         ``docs/performance.md``).  The topology grows to 4000 sites
         with deeper racks, matching the "tens or hundreds of servers"
         envelope at metro density.

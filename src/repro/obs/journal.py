@@ -56,7 +56,7 @@ VOLATILE_FIELDS = frozenset({
 })
 
 #: Event *types* that exist only because of execution knobs — shard
-#: spills (``--streaming``) and per-tick live-engine telemetry
+#: spills (``chunk_spill``) and per-tick live-engine telemetry
 #: (``live_tick``, one per simulated tick) — or because of *recovery*:
 #: retries,
 #: worker restarts, quarantines, and resume headers exist only when a

@@ -238,10 +238,11 @@ class ShardWriter:
         self._fill = 0
 
     def finalize(self) -> ShardLayout:
-        """Flush the partial tail shard and seal the writer."""
+        """Flush the partial tail shard, seal the writer, free its buffer."""
         if not self._finalized:
             self._flush()
             self._finalized = True
+            self._buffer = None
         return ShardLayout(kind=self.kind, rows=self._rows,
                            points=self.points, shard_rows=self.shard_rows,
                            checksums=tuple(self._checksums))
@@ -334,10 +335,13 @@ class ShardedSeriesMap(Mapping):
 
     def __init__(self, root: Path, layout: ShardLayout,
                  order: list[str], index: dict[str, int] | None = None,
-                 verify: bool = True) -> None:
+                 verify: bool = True, owner: object = None) -> None:
         self.root = Path(root)
         self.layout = layout
         self._order = order
+        #: Kept alive as long as this map: the lifetime token of a spill
+        #: directory (:class:`repro.workload.streaming.SpillLifetime`).
+        self._owner = owner
         if len(order) != layout.rows:
             raise TraceError(
                 f"{layout.kind} store holds {layout.rows} rows for "
@@ -409,11 +413,13 @@ class ShardedSeriesMap(Mapping):
 
 
 def load_sharded_series(root: Path, orders: dict[str, list[str]],
+                        owner: object = None,
                         ) -> dict[str, ShardedSeriesMap]:
     """Open every kind in a store dir, sharing per-order row indexes.
 
     ``orders`` maps kind -> VM-id order; kinds present in the index but
-    absent from ``orders`` are an inconsistency and raise.
+    absent from ``orders`` are an inconsistency and raise.  ``owner`` is
+    kept alive by every map (see :class:`ShardedSeriesMap`).
     """
     layouts = read_shard_index(root)
     if set(layouts) != set(orders):
@@ -428,5 +434,6 @@ def load_sharded_series(root: Path, orders: dict[str, list[str]],
         if index is None:
             index = {vm_id: i for i, vm_id in enumerate(order)}
             shared[id(order)] = index
-        maps[kind] = ShardedSeriesMap(root, layout, order, index=index)
+        maps[kind] = ShardedSeriesMap(root, layout, order, index=index,
+                                      owner=owner)
     return maps

@@ -43,7 +43,7 @@ from .platform.cluster import Platform
 from .qoe import QoeSessionsResult, run_qoe_sessions
 from .workload.azure import generate_azure_workload
 from .workload.generator import GeneratedWorkload, generate_nep_workload
-from .workload.streaming import WorkloadSink, resolve_streaming
+from .workload.streaming import WorkloadSink
 
 
 #: Phases whose results land in the artifact cache and can therefore be
@@ -69,12 +69,18 @@ class EdgeStudy:
     run.  Resume never changes results; cached phases are bit-identical
     to regenerated ones, so a resumed journal canonicalizes equal to a
     clean one.
+
+    ``streaming`` is accepted and ignored: every workload streams to
+    shards (a cache entry, or a spill directory without a cache).  The
+    keyword stays only because the benchmark's workloads
+    (``bench/workloads.py``) still pass it; it goes at the next
+    benchmark change.
     """
 
     def __init__(self, scenario: Scenario = DEFAULT_SCENARIO,
                  jobs: int = 1, cache: ArtifactCache | None = None,
                  journal: RunJournal | None = None,
-                 streaming: str = "auto", resume: bool = False) -> None:
+                 streaming: str | None = None, resume: bool = False) -> None:
         self.scenario = scenario
         #: Worker processes for workload generation (0 was "all cores").
         self.jobs = resolve_jobs(jobs)
@@ -82,10 +88,6 @@ class EdgeStudy:
         self.cache = cache
         #: Optional run journal; every layer below reports through it.
         self.journal = journal
-        #: Whether workload series stream to sharded disk storage instead
-        #: of living in-process.  ``"auto"`` switches on at city-tier VM
-        #: counts; an execution knob only — results are bit-identical.
-        self.streaming = resolve_streaming(streaming, scenario)
         #: Whether this run continues an interrupted one via the cache.
         self.resume = resume
         if resume and cache is None:
@@ -130,43 +132,33 @@ class EdgeStudy:
         A hit bumps the ``cache_hit:<name>`` counter and skips
         generation entirely (the returned series are memory-mapped from
         the cache entry); a miss builds with this study's ``jobs``
-        setting and stores the result for the next invocation.
-
-        With :attr:`streaming` on, rendered series rows flow through a
+        setting.  Rendered series rows flow through a
         :class:`~repro.workload.streaming.WorkloadSink` into sharded
         on-disk storage as they are produced — directly into the cache
         entry when a cache is configured (no separate store step), or
-        into a self-cleaning spill directory otherwise.  Either way the
-        returned dataset serves its series from memory maps and the
-        parent's working set stays bounded.
+        into a spill directory that lives as long as the series
+        otherwise.  Either way the returned dataset serves its series
+        from memory maps and the working set stays bounded.
         """
         if self.cache is not None:
             cached = self.cache.get_workload(name, self.scenario)
             if cached is not None:
                 self.perf.count(f"cache_hit:{name}")
                 return cached
-        sink = None
-        if self.streaming:
-            if self.cache is not None:
-                sink = WorkloadSink.for_cache(self.cache, name,
-                                              self.scenario)
-            else:
-                sink = WorkloadSink.spill(journal=self.journal)
+            sink = WorkloadSink.for_cache(self.cache, name, self.scenario)
+        else:
+            sink = WorkloadSink.spill(journal=self.journal)
         try:
-            workload = builder(self.scenario, jobs=self.jobs,
-                               perf=self.perf, sink=sink)
+            return builder(self.scenario, jobs=self.jobs, perf=self.perf,
+                           sink=sink)
         except BaseException:
             # The generators abort the sink on mid-stream failures, but
             # an exception *before* the series stage (platform build,
-            # placement) would otherwise leave the spill/staging dir
-            # behind until interpreter exit.  abort() is idempotent.
-            if sink is not None:
-                sink.abort()
+            # placement) would otherwise leave the staging dir behind
+            # until the next `cache clear`, or the spill until the sink
+            # is collected.  abort() is idempotent.
+            sink.abort()
             raise
-        if self.cache is not None and sink is None:
-            with self.perf.span(f"cache_store:{name}"):
-                self.cache.put_workload(name, self.scenario, workload)
-        return workload
 
     def _campaign_cache_peek(self, name: str):
         """A cached phase object (campaign results, session QoE), or ``None``.
@@ -439,23 +431,21 @@ def scenario_for(scale: str, seed: int | None = None,
 
 @lru_cache(maxsize=8)
 def _study_for(scale: str, seed: int, faults: str, jobs: int,
-               cache_dir: str | None, streaming: str) -> EdgeStudy:
+               cache_dir: str | None) -> EdgeStudy:
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
     return EdgeStudy(scenario_for(scale, seed, faults), jobs=jobs,
-                     cache=cache, streaming=streaming)
+                     cache=cache)
 
 
 def study_for(scale: str, seed: int | None = None,
               faults: str | None = None, jobs: int = 1,
-              cache_dir: str | None = None,
-              streaming: str = "auto") -> EdgeStudy:
+              cache_dir: str | None = None) -> EdgeStudy:
     """The shared study for a named scale, cached per argument tuple.
 
-    ``jobs`` is the worker-process count for workload generation,
+    ``jobs`` is the worker-process count for workload generation and
     ``cache_dir`` the root of the persistent artifact cache (``None``
-    disables caching), and ``streaming`` the out-of-core workload mode
-    (``"auto"``/``"on"``/``"off"``) — all execution knobs, so two calls
-    differing only there still share scenario *results* bit-for-bit.
+    disables caching) — both execution knobs, so two calls differing
+    only there still share scenario *results* bit-for-bit.
     """
     if scale not in SCALES:
         raise ConfigurationError(
@@ -467,8 +457,7 @@ def study_for(scale: str, seed: int | None = None,
             f"{FAULT_PROFILES}")
     return _study_for(scale,
                       seed if seed is not None else DEFAULT_SCENARIO.seed,
-                      resolved_faults, resolve_jobs(jobs), cache_dir,
-                      streaming)
+                      resolved_faults, resolve_jobs(jobs), cache_dir)
 
 
 def default_study(seed: int | None = None) -> EdgeStudy:

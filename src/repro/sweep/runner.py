@@ -141,7 +141,7 @@ def _execute_cell(task: dict) -> dict:
         cache = (ArtifactCache(task["cache_dir"], journal=journal)
                  if task["cache_dir"] is not None else None)
         study = EdgeStudy(scenario, jobs=cell.jobs, cache=cache,
-                          journal=journal, streaming=task["streaming"])
+                          journal=journal)
         for name in cell.analyses:
             # One failing analysis fails the cell but not its siblings.
             try:
@@ -191,7 +191,6 @@ def _load_completed(cell_dir: Path) -> dict | None:
 
 def run_sweep(spec: SweepSpec, out_dir: str | Path,
               cache_dir: str | None = None, jobs: int = 1,
-              streaming: str = "auto",
               echo=None) -> SweepResult:
     """Run (or resume) a sweep into ``out_dir``.
 
@@ -254,8 +253,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path,
     for cell in pending:
         queue.setdefault(groups[cell.name], []).append(cell)
 
-    task_base = {"cells_dir": str(cells_dir), "cache_dir": cache_dir,
-                 "streaming": streaming}
+    task_base = {"cells_dir": str(cells_dir), "cache_dir": cache_dir}
 
     def submit(farm: TaskFarm, cell: SweepCell, role: str) -> None:
         journal.emit("cell_scheduled", cell=cell.name,

@@ -32,9 +32,10 @@ class TraceDataset:
     apps: dict[str, AppRecord] = field(default_factory=dict)
     sites: dict[str, SiteRecord] = field(default_factory=dict)
     servers: dict[str, ServerRecord] = field(default_factory=dict)
-    #: Series are ``Mapping[vm_id, row]``: plain dicts on the in-core
-    #: path, lazy :class:`repro.shards.ShardedSeriesMap` views when the
-    #: workload was streamed to disk (see :meth:`attach_series`).
+    #: Series are ``Mapping[vm_id, row]``: plain dicts for traces
+    #: loaded from outside (:meth:`add_vm`), lazy
+    #: :class:`repro.shards.ShardedSeriesMap` views for generated or
+    #: cached workloads (see :meth:`attach_series`).
     cpu_series: Mapping[str, np.ndarray] = field(default_factory=dict)
     bw_series: Mapping[str, np.ndarray] = field(default_factory=dict)
     #: Intra-site ("private") traffic, also reported by NEP's collector.
@@ -106,7 +107,7 @@ class TraceDataset:
             self.bw_private_series[record.vm_id] = bw_private.astype(np.float32)
 
     def add_vm_record(self, record: VMRecord) -> None:
-        """Register a VM row *without* series (the streaming path).
+        """Register a VM row *without* series (the generated path).
 
         The rendered rows travel through a
         :class:`~repro.workload.streaming.WorkloadSink` instead and are

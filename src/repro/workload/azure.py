@@ -25,6 +25,7 @@ from ..trace.schema import AppRecord, VMRecord
 from .apps import AZURE_PROFILES, sample_profile
 from .generator import GeneratedWorkload, register_inventory
 from .series import AZURE_RECIPE, SeriesJob
+from .streaming import WorkloadSink
 from .subscription import sample_azure_spec
 
 #: Azure serves individuals too (researchers, educators — §4.1); they run
@@ -35,7 +36,8 @@ INDIVIDUAL_FRACTION = 0.35
 def generate_azure_workload(scenario: Scenario, name: str = "Azure",
                             jobs: int = 1,
                             perf: PerfRegistry | None = None,
-                            sink=None) -> GeneratedWorkload:
+                            sink: WorkloadSink | None = None,
+                            ) -> GeneratedWorkload:
     """Generate the Azure-like comparison dataset for a scenario.
 
     ``jobs``/``perf``/``sink`` behave as in
@@ -107,15 +109,14 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
     # ---- series stage (parallel across apps) -------------------------
     blocks = run_series_jobs([job for job, _, _ in pending], scenario,
                              AZURE_RECIPE, n_jobs=jobs, perf=perf)
-    if sink is not None:
-        sink.begin(dataset.cpu_points, dataset.bw_points,
-                   AZURE_RECIPE.private)
+    if sink is None:
+        sink = WorkloadSink.spill()
+    sink.begin(dataset.cpu_points, dataset.bw_points, AZURE_RECIPE.private)
     try:
         for (job, placed_vms, spec), block in zip(pending, blocks):
-            vm_ids = []
             for offset, vm in enumerate(placed_vms):
                 site = platform.site(vm.site_id)
-                record = VMRecord(
+                dataset.add_vm_record(VMRecord(
                     vm_id=vm.vm_id, app_id=job.app_id,
                     customer_id=vm.customer_id,
                     site_id=vm.site_id, server_id=vm.server_id,
@@ -126,20 +127,11 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
                     disk_gb=spec.disk_gb,
                     bandwidth_mbps=float(
                         np.ceil(block.mean_bws[offset] * 3.0)),
-                )
-                if sink is None:
-                    dataset.add_vm(record, block.cpu_rows[offset],
-                                   block.bw_rows[offset])
-                else:
-                    dataset.add_vm_record(record)
-                    vm_ids.append(vm.vm_id)
-            if sink is not None:
-                sink.consume(vm_ids, block)
-        if sink is not None:
-            sink.finalize(platform, dataset)
+                ))
+            sink.consume([vm.vm_id for vm in placed_vms], block)
+        sink.finalize(platform, dataset)
     except BaseException:
-        if sink is not None:
-            sink.abort()
+        sink.abort()
         raise
 
     dataset.validate()

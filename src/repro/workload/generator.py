@@ -39,6 +39,7 @@ from .series import (  # noqa: F401  (re-exported: historical home)
     SeasonCache,
     SeriesJob,
 )
+from .streaming import WorkloadSink
 from .subscription import sample_nep_disk_gb, sample_nep_spec
 
 
@@ -109,16 +110,17 @@ def register_inventory(platform: Platform, dataset: TraceDataset) -> None:
 
 def generate_nep_workload(scenario: Scenario, jobs: int = 1,
                           perf: PerfRegistry | None = None,
-                          sink=None) -> GeneratedWorkload:
+                          sink: WorkloadSink | None = None,
+                          ) -> GeneratedWorkload:
     """Generate the full NEP platform + 3-month-style trace for a scenario.
 
     ``jobs`` is the worker-process count for the series stage (``1`` =
     in-process, ``0`` = all CPU cores); output is bit-identical for any
     value.  ``perf`` receives the series-stage spans (including, merged,
-    those recorded inside worker processes).  ``sink`` (a
-    :class:`~repro.workload.streaming.WorkloadSink`) streams the rendered
-    rows to sharded disk storage instead of holding them in memory —
-    same bytes, bounded RSS.
+    those recorded inside worker processes).  The rendered rows stream
+    through ``sink`` into sharded disk storage; without one they go to a
+    :meth:`~repro.workload.streaming.WorkloadSink.spill` directory that
+    lives as long as the returned series.
     """
     from ..parallel import run_series_jobs
 
@@ -198,14 +200,14 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
     # ---- series stage (parallel across apps) -------------------------
     blocks = run_series_jobs([job for job, _ in pending], scenario,
                              NEP_RECIPE, n_jobs=jobs, perf=perf)
-    if sink is not None:
-        sink.begin(dataset.cpu_points, dataset.bw_points, NEP_RECIPE.private)
+    if sink is None:
+        sink = WorkloadSink.spill()
+    sink.begin(dataset.cpu_points, dataset.bw_points, NEP_RECIPE.private)
     try:
         for (job, placed_vms), block in zip(pending, blocks):
-            vm_ids = []
             for offset, vm in enumerate(placed_vms):
                 site = platform.site(vm.site_id)
-                record = VMRecord(
+                dataset.add_vm_record(VMRecord(
                     vm_id=vm.vm_id, app_id=job.app_id,
                     customer_id=vm.customer_id,
                     site_id=vm.site_id, server_id=vm.server_id,
@@ -216,21 +218,11 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
                     disk_gb=vm.spec.disk_gb,
                     bandwidth_mbps=float(
                         np.ceil(block.mean_bws[offset] * 3.0)),
-                )
-                if sink is None:
-                    dataset.add_vm(record, block.cpu_rows[offset],
-                                   block.bw_rows[offset],
-                                   block.private_rows[offset])
-                else:
-                    dataset.add_vm_record(record)
-                    vm_ids.append(vm.vm_id)
-            if sink is not None:
-                sink.consume(vm_ids, block)
-        if sink is not None:
-            sink.finalize(platform, dataset)
+                ))
+            sink.consume([vm.vm_id for vm in placed_vms], block)
+        sink.finalize(platform, dataset)
     except BaseException:
-        if sink is not None:
-            sink.abort()
+        sink.abort()
         raise
 
     dataset.validate()

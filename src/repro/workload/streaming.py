@@ -1,43 +1,39 @@
-"""Streaming workload sinks: series blocks to sharded storage, not RAM.
+"""Workload sinks: the one way generated series reach storage.
 
-The in-core generation path accumulates every rendered row in
-:class:`~repro.trace.dataset.TraceDataset` dictionaries — fine up to
-paper scale, impossible at the city tier (~1M VMs would be hundreds of
-gigabytes).  A :class:`WorkloadSink` gives the generators a third
-destination: each :class:`~repro.workload.series.SeriesBlock` is
-validated and appended to per-kind :class:`~repro.shards.ShardWriter`
-streams, so the parent process only ever holds one shard buffer per
-kind plus the block in flight.
+Every generator streams its rendered rows through a
+:class:`WorkloadSink`: each :class:`~repro.workload.series.SeriesBlock`
+is validated and appended to per-kind :class:`~repro.shards.ShardWriter`
+streams, so the process only ever holds one shard buffer per kind plus
+the block in flight, whatever the VM count.
 
 Two backings share one class:
 
 * ``WorkloadSink.for_cache(...)`` writes shards directly into an
   :class:`~repro.cache.ArtifactCache` staging directory; ``finalize``
   seals the entry with the usual meta-last + atomic-rename protocol, so
-  a streamed run *is* its own cache population pass.
+  a generating run *is* its own cache population pass.  A seal that
+  keeps failing degrades the run to uncached: a ``cache_write_error``
+  event, no entry, and the staged shards move out of the cache's
+  staging namespace to serve this run as a spill.
 * ``WorkloadSink.spill(...)`` targets a temporary spill directory for
-  cache-less runs (cleaned up at process exit).
+  cache-less runs; it is what a generator uses when given no sink.
 
 ``finalize`` then attaches lazy :class:`~repro.shards.ShardedSeriesMap`
 views to the dataset, so every downstream analysis sees the familiar
 ``Mapping[vm_id, row]`` interface over the on-disk shards.
-
-Streaming is an *execution* knob, like ``--jobs``: it changes where
-bytes live, never what they are.  The golden-digest equivalence tests
-pin that streamed output is bit-identical to the in-core path.
 """
 
 from __future__ import annotations
 
-import atexit
 import shutil
 import tempfile
+from multiprocessing.util import Finalize
 from pathlib import Path
 
 import numpy as np
 
 from ..config import Scenario
-from ..errors import ConfigurationError, TraceError
+from ..errors import InjectedFault, TraceError
 from ..shards import (
     DEFAULT_SHARD_ROWS,
     ShardWriter,
@@ -46,35 +42,22 @@ from ..shards import (
 )
 from .series import SeriesBlock
 
-#: ``--streaming auto`` switches the sink on at or above this VM count.
-STREAMING_THRESHOLD_VMS = 100_000
 
-#: Accepted ``--streaming`` modes.
-STREAMING_MODES = ("auto", "on", "off")
+class SpillLifetime:
+    """Owns one spill directory: removes it once nothing holds this token.
 
-
-def resolve_streaming(mode: str, scenario: Scenario) -> bool:
-    """Whether a study at ``scenario`` should stream its workloads.
-
-    ``"on"``/``"off"`` force the path; ``"auto"`` enables it when either
-    platform's VM count reaches :data:`STREAMING_THRESHOLD_VMS` (the
-    point where in-core matrices stop fitting in commodity RAM).
-
-    Raises:
-        ConfigurationError: on an unknown mode.
+    A sink holds the token until :meth:`WorkloadSink.finalize` hands it
+    to the series maps it attaches, so the directory goes when the last
+    map is released, or at process exit.  ``multiprocessing``'s
+    finalizer also runs when a worker process leaves (through
+    ``os._exit``, skipping ``atexit``), and never in a forked child for
+    its parent's directory.
     """
-    if mode not in STREAMING_MODES:
-        raise ConfigurationError(
-            f"unknown streaming mode {mode!r}, expected one of "
-            f"{STREAMING_MODES}")
-    if mode != "auto":
-        return mode == "on"
-    return max(scenario.nep_vm_count,
-               scenario.azure_vm_count) >= STREAMING_THRESHOLD_VMS
 
-
-def _cleanup_spill(path: Path) -> None:
-    shutil.rmtree(path, ignore_errors=True)
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        Finalize(self, shutil.rmtree, args=(str(self.path),),
+                 kwargs={"ignore_errors": True}, exitpriority=0)
 
 
 class WorkloadSink:
@@ -86,13 +69,17 @@ class WorkloadSink:
     """
 
     def __init__(self, root: Path, *, entry_writer=None, journal=None,
-                 shard_rows: int = DEFAULT_SHARD_ROWS) -> None:
+                 shard_rows: int = DEFAULT_SHARD_ROWS,
+                 lifetime: SpillLifetime | None = None) -> None:
         self.root = Path(root)
         #: Cache staging handle (``ArtifactCache.workload_writer``), or
         #: ``None`` for a plain spill directory.
         self._entry_writer = entry_writer
         self.journal = journal
         self.shard_rows = shard_rows
+        #: Removal token of a temporary spill directory, handed to the
+        #: attached series maps at :meth:`finalize`.
+        self._lifetime = lifetime
         self._writers: dict[str, ShardWriter] = {}
         self._order: list[str] = []
         self._seen: set[str] = set()
@@ -117,13 +104,16 @@ class WorkloadSink:
               shard_rows: int = DEFAULT_SHARD_ROWS) -> "WorkloadSink":
         """A sink backed by a temporary spill directory (no cache).
 
-        A created temp dir is removed at interpreter exit; an explicit
-        ``directory`` is the caller's to manage.
+        A created temp dir lives as long as the series read from it
+        (:class:`SpillLifetime`); an explicit ``directory`` is the
+        caller's to manage.
         """
+        lifetime = None
         if directory is None:
-            directory = Path(tempfile.mkdtemp(prefix="repro-spill-"))
-            atexit.register(_cleanup_spill, directory)
-        return cls(Path(directory), journal=journal, shard_rows=shard_rows)
+            directory = tempfile.mkdtemp(prefix="repro-spill-")
+            lifetime = SpillLifetime(directory)
+        return cls(Path(directory), journal=journal, shard_rows=shard_rows,
+                   lifetime=lifetime)
 
     # ---- streaming protocol ----------------------------------------------
 
@@ -206,23 +196,34 @@ class WorkloadSink:
                 "sink row order does not match the dataset VM table")
         layouts = [writer.finalize() for writer in self._writers.values()]
         write_shard_index(self.root, layouts)
-        shard_count = sum(layout.n_shards for layout in layouts)
         if self._entry_writer is not None:
-            from ..cache import workload_tables
+            self._commit(platform, dataset,
+                         sum(layout.n_shards for layout in layouts))
+        orders = {kind: self._order for kind in self._writers}
+        maps = load_sharded_series(self.root, orders, owner=self._lifetime)
+        dataset.attach_series(maps["cpu"], maps["bw"], maps.get("private"))
+        self._lifetime = None
 
-            tables = workload_tables(dataset)
-            # Private rows are not attached to the dataset yet; their
-            # order is the sink's row order whenever the kind exists.
-            tables["private_ids"] = (list(self._order)
-                                     if "private" in self._writers else [])
-            final_root = self._entry_writer.commit(
+    def _commit(self, platform, dataset, shard_count: int) -> None:
+        """Seal the cache entry, or degrade to serving this run uncached.
+
+        A seal that still fails after its retry budget (disk full, a
+        persistent fault) costs the next run a render, never this run
+        its result: the staged shards become this run's spill.
+        """
+        from ..cache import workload_tables
+
+        # Private rows are not attached to the dataset yet; their
+        # order is the sink's row order whenever the kind exists.
+        tables = workload_tables(dataset, list(self._order)
+                                 if "private" in self._writers else [])
+        try:
+            self.root = self._entry_writer.commit(
                 {"platform.pkl": platform, "tables.pkl": tables},
                 shards=shard_count)
-        else:
-            final_root = self.root
-        orders = {kind: self._order for kind in self._writers}
-        maps = load_sharded_series(final_root, orders)
-        dataset.attach_series(maps["cpu"], maps["bw"], maps.get("private"))
+        except (InjectedFault, OSError) as exc:
+            self.root = self._entry_writer.detach(exc)
+            self._lifetime = SpillLifetime(self.root)
 
     def abort(self) -> None:
         """Discard all partial output (failed generation).
@@ -232,12 +233,16 @@ class WorkloadSink:
         failures *before* the generator's own try block, e.g. during
         placement) — the second call must not touch the already-removed
         directory.  Same ENOSPC hygiene as the cache's staging dirs: a
-        failed spill never waits for interpreter exit to free its disk.
+        failed spill never waits for its lifetime to end to free its
+        disk.
         """
         if self._aborted:
             return
         self._aborted = True
         self._done = True
+        # The writers' hooks close a cycle back to this sink; dropping
+        # them frees their shard buffers without waiting for the GC.
+        self._writers.clear()
         if self._entry_writer is not None:
             self._entry_writer.abort()
         else:

@@ -72,7 +72,12 @@ class TestCorruptedPlatformState:
 
         dataset = generate_nep_workload(scenario).dataset
         victim = dataset.vm_ids()[0]
-        del dataset.cpu_series[victim]
+        # Generated series are read-only shard views: drop one row from
+        # a dict copy instead.
+        cpu = dict(dataset.cpu_series)
+        del cpu[victim]
+        dataset.attach_series(cpu, dataset.bw_series,
+                              dataset.bw_private_series)
         with pytest.raises(TraceError):
             dataset.validate()
 

@@ -176,7 +176,8 @@ class TestMisc:
         assert [e["seq"] for e in canonical] == [0, 1]
 
     def test_canonical_equality_across_streaming(self):
-        """A streamed run and an in-core run canonicalise identically."""
+        """A run whose sink journals its shard spills and one whose
+        default spill sink journals nothing canonicalise identically."""
         from repro.workload.generator import generate_nep_workload
         from repro.workload.streaming import WorkloadSink
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestRunSweep:
         events, _ = read_journal(
             tmp_path / "out" / "cells" / "b" / "journal.jsonl")
         assert not phase_breakdown(events)["workload_nep"]["cached"]
+
+    def test_pooled_uncached_sweep_leaves_no_spill(self, tmp_path,
+                                                   monkeypatch):
+        # Every uncached cell spills its workloads; a worker process
+        # leaves through os._exit, so only the spill's own finalizer
+        # can remove what its last cells rendered.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        spec = parse_sweep_spec({"name": "spill", "cells": [
+            {"name": name, "analyses": ["fig8", "fig10"]}
+            for name in ("a", "b", "c")]})
+        result = run_sweep(spec, tmp_path / "out", cache_dir=None, jobs=2)
+        assert result.ok
+        assert not list(scratch.glob("repro-spill-*"))
 
 
 class TestFailure:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -14,8 +15,40 @@ import pytest
 from repro.cache import ArtifactCache, code_version, default_cache_dir
 from repro.config import Scenario
 from repro.errors import ConfigurationError
+from repro.workload.generator import GeneratedWorkload
+from repro.workload.series import SeriesBlock
+from repro.workload.streaming import WorkloadSink
 
 SCENARIO = Scenario.smoke_scale()
+
+
+def store_workload(cache: ArtifactCache, artifact: str,
+                   workload: GeneratedWorkload,
+                   scenario: Scenario = SCENARIO) -> GeneratedWorkload:
+    """Replay ``workload``'s rows through a cache sink, one VM per block.
+
+    The sink is the only way a workload reaches the cache; the returned
+    workload serves its series from wherever the sink left them.
+    """
+    ds = workload.dataset
+    sink = WorkloadSink.for_cache(cache, artifact, scenario)
+    copy = dataclasses.replace(ds)
+    try:
+        sink.begin(ds.cpu_points, ds.bw_points,
+                   private=bool(ds.bw_private_series))
+        for vm_id in ds.vms:
+            private = ds.bw_private_series.get(vm_id)
+            sink.consume([vm_id], SeriesBlock(
+                app_id=vm_id, mean_bws=None,
+                cpu_rows=np.asarray(ds.cpu_series[vm_id])[None],
+                bw_rows=np.asarray(ds.bw_series[vm_id])[None],
+                private_rows=(None if private is None
+                              else np.asarray(private)[None])))
+        sink.finalize(workload.platform, copy)
+    except BaseException:
+        sink.abort()
+        raise
+    return GeneratedWorkload(platform=workload.platform, dataset=copy)
 
 
 @pytest.fixture()
@@ -78,7 +111,7 @@ class TestObjectRoundTrip:
 
 class TestWorkloadRoundTrip:
     def test_round_trip_byte_identical(self, cache, nep_workload):
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        store_workload(cache, "workload_nep", nep_workload)
         loaded = cache.get_workload("workload_nep", SCENARIO)
         assert loaded is not None
         src, dst = nep_workload.dataset, loaded.dataset
@@ -96,30 +129,31 @@ class TestWorkloadRoundTrip:
         assert repr(nep_workload.platform.sites) == repr(loaded.platform.sites)
 
     def test_loaded_series_are_memory_mapped(self, cache, nep_workload):
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        store_workload(cache, "workload_nep", nep_workload)
         loaded = cache.get_workload("workload_nep", SCENARIO)
         first = next(iter(loaded.dataset.cpu_series.values()))
         assert isinstance(np.asarray(first).base, np.memmap) or isinstance(
             first, np.memmap) or first.base is not None
 
     def test_truncated_series_is_a_miss(self, cache, nep_workload):
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        store_workload(cache, "workload_nep", nep_workload)
         entry = cache._entry_dir(cache.key("workload_nep", SCENARIO))
         shard = entry / "cpu" / "shard-00000.npy"
         shard.write_bytes(shard.read_bytes()[:shard.stat().st_size // 2])
         assert cache.get_workload("workload_nep", SCENARIO) is None
         assert not entry.exists()
 
-    def test_one_kind_everywhere_and_no_second_store(self, tmp_path,
-                                                      nep_workload):
+    def test_one_kind_everywhere_and_no_second_store(self, tmp_path):
         from repro.obs import RunJournal
+        from repro.study import EdgeStudy
 
         journal = RunJournal(None)
         cache = ArtifactCache(tmp_path, journal=journal)
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        # A study renders (and stores) only on a miss: the second study
+        # loads the entry the first one's sink committed.
+        EdgeStudy(SCENARIO, cache=cache).nep
+        EdgeStudy(SCENARIO, cache=cache).nep
         assert not list(cache.root.glob(".tmp-*"))
-        assert cache.get_workload("workload_nep", SCENARIO) is not None
         stores = [e for e in journal.events if e["type"] == "cache_store"]
         hits = [e for e in journal.events if e["type"] == "cache_hit"]
         assert len(stores) == 1 and len(hits) == 1
@@ -197,7 +231,7 @@ class TestWriteAtomicity:
 class TestMaintenance:
     def test_entries_and_info(self, cache, nep_workload):
         cache.put_object("campaign_latency", SCENARIO, [1, 2])
-        cache.put_workload("workload_nep", SCENARIO, nep_workload)
+        store_workload(cache, "workload_nep", nep_workload)
         entries = cache.entries()
         assert {e.artifact for e in entries} == {"campaign_latency",
                                                 "workload_nep"}

@@ -6,7 +6,11 @@ model of what was committed.  The invariants:
 
 * a get returns ``None`` or exactly the committed value (series bytes
   equal) and never raises;
-* no ``.tmp-*`` staging directory outlives a store, failed or not;
+* a workload store whose shard writes fail raises (the generating run
+  cannot serve series it never wrote); one whose commit fails serves
+  its series uncached and raises nothing;
+* no ``.tmp-*`` staging directory, and no detached spill once its
+  series are released, outlives a store, failed or not;
 * ``verify`` reports problems only for entries a rule damaged.
 """
 
@@ -29,8 +33,11 @@ from hypothesis.stateful import (
 from repro.cache import ArtifactCache
 from repro.config import Scenario
 from repro.core.chunks import iter_series_chunks
+from repro.errors import InjectedFault
 from repro.resilience import RetryPolicy, install, reset
 from repro.study import smoke_study
+
+from .test_cache import store_workload
 
 SCENARIO = Scenario.smoke_scale()
 OBJECT_NAMES = ("obj-a", "obj-b")
@@ -89,9 +96,18 @@ class CacheModel(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(WORKLOAD_NAMES))
     def put_workload(self, name):
-        self.cache.put_workload(name, SCENARIO, self.workload)
-        if (name not in self.committed
-                and not self.armed & {"cache.commit", "shard.write"}):
+        # A workload reaches the cache only through the sink of a run
+        # that missed (EdgeStudy's load-or-render).
+        if self._load_workload(name) is not None:
+            return
+        try:
+            stored = store_workload(self.cache, name, self.workload)
+        except InjectedFault:
+            assert "shard.write" in self.armed
+            return
+        assert "shard.write" not in self.armed
+        assert series_digest(stored) == self.workload_digest
+        if "cache.commit" not in self.armed:
             self.committed[name] = None
 
     # ---- loads ---------------------------------------------------------
@@ -109,6 +125,9 @@ class CacheModel(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(WORKLOAD_NAMES))
     def get_workload(self, name):
+        self._load_workload(name)
+
+    def _load_workload(self, name):
         loaded = self.cache.get_workload(name, SCENARIO)
         if loaded is None:
             assert (name not in self.committed or name in self.damaged
@@ -118,6 +137,7 @@ class CacheModel(RuleBasedStateMachine):
             assert name in self.committed
             assert series_digest(loaded) == self.workload_digest
             assert list(loaded.dataset.vms) == list(self.workload.dataset.vms)
+        return loaded
 
     # ---- maintenance and damage ----------------------------------------
 
@@ -159,6 +179,7 @@ class CacheModel(RuleBasedStateMachine):
     @invariant()
     def no_staging_left_behind(self):
         assert not list(self.cache.root.glob(".tmp-*"))
+        assert not list(self.cache.root.glob("repro-spill-*"))
 
     @invariant()
     def undamaged_entries_verify_clean(self):

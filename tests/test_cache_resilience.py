@@ -8,6 +8,7 @@ faults, read-path self-healing, and ``cache verify --repair``.
 from __future__ import annotations
 
 import errno
+import gc
 import multiprocessing
 import os
 import pickle
@@ -68,6 +69,37 @@ class TestCommitRetry:
         reset()
         cache.put_object("campaign_latency", SCENARIO, {"x": 1})
         assert cache.get_object("campaign_latency", SCENARIO) == {"x": 1}
+
+    def test_persistent_workload_commit_failure_degrades_to_uncached(
+            self, tmp_path):
+        from repro.study import EdgeStudy
+
+        from .workload.test_parallel_equivalence import (
+            GOLDEN,
+            workload_digest,
+        )
+
+        cache, journal = _journaled_cache(tmp_path)
+        install("cache.commit:nth=1,times=99")  # every attempt fails
+        study = EdgeStudy(SCENARIO, cache=cache, journal=journal)
+        # No raise: this run serves the shards it staged, byte-exact.
+        assert workload_digest(study.nep) == GOLDEN[("smoke", "nep")]
+        errors = _events(journal, "cache_write_error")
+        assert [e["artifact"] for e in errors] == ["workload_nep"]
+        assert not _events(journal, "cache_store")
+        assert cache.entries() == []
+        assert not list(cache.root.glob(".tmp-*"))
+        spills = list(cache.root.glob("repro-spill-*"))
+        assert len(spills) == 1
+        # The detached shards go with the series that read them.
+        del study
+        gc.collect()
+        assert not spills[0].exists()
+        # The store stays writable once the fault clears.
+        reset()
+        assert workload_digest(EdgeStudy(SCENARIO, cache=cache).nep) \
+            == GOLDEN[("smoke", "nep")]
+        assert [e.artifact for e in cache.entries()] == ["workload_nep"]
 
 
 class TestReadSelfHealing:

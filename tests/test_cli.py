@@ -64,18 +64,6 @@ class TestParser:
         assert str(args.cache_dir) == "/tmp/c"
         assert args.no_cache is True
 
-    def test_streaming_defaults_to_auto(self):
-        args = build_parser().parse_args(["run", "fig3"])
-        assert args.streaming == "auto"
-
-    def test_streaming_modes_accepted(self):
-        for mode in ("auto", "on", "off"):
-            args = build_parser().parse_args(
-                ["run", "fig3", "--streaming", mode])
-            assert args.streaming == mode
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig3", "--streaming", "half"])
-
     def test_city_scale_accepted(self):
         args = build_parser().parse_args(["run", "fig3", "--scale", "city"])
         assert args.scale == "city"
@@ -173,8 +161,7 @@ class TestCacheCommand:
         assert "empty" in capsys.readouterr().out
 
     def test_sharded_entries_reported_by_ls_and_info(self, capsys, tmp_path):
-        assert main(["run", "fig8", "--streaming", "on",
-                     "--cache-dir", str(tmp_path)]) == 0
+        assert main(["run", "fig8", "--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -63,22 +63,16 @@ class TestFacade:
 
         cache = ArtifactCache(tmp_path)
         scenario = Scenario.smoke_scale().with_overrides(seed=606)
-        cold = EdgeStudy(scenario, cache=cache, streaming="on")
+        cold = EdgeStudy(scenario, cache=cache)
         cold.nep
         entry = next(e for e in cache.entries()
                      if e.artifact == "workload_nep")
         assert entry.kind == "workload"
         assert entry.shards > 0
-        warm = EdgeStudy(scenario, cache=cache, streaming="on")
+        warm = EdgeStudy(scenario, cache=cache)
         warm.nep
         assert warm.perf.counters["cache_hit:workload_nep"] == 1
         assert "series_render" not in warm.perf.spans
-
-    def test_streaming_is_part_of_study_key(self):
-        assert (study_for("smoke", streaming="on")
-                is not study_for("smoke"))
-        assert (study_for("smoke", streaming="on")
-                is study_for("smoke", streaming="on"))
 
 
 class TestCityTier:
@@ -92,11 +86,14 @@ class TestCityTier:
         assert city.trace_days == 92
 
     def test_city_studies_stream_automatically(self):
+        """Every tier streams: series are shard views, never dicts."""
+        from repro.shards import ShardedSeriesMap
         from repro.study import scenario_for
-        from repro.workload.streaming import resolve_streaming
 
-        assert resolve_streaming("auto", scenario_for("city")) is True
-        assert EdgeStudy(scenario_for("smoke")).streaming is False
+        dataset = EdgeStudy(scenario_for("smoke")).nep.dataset
+        for series in (dataset.cpu_series, dataset.bw_series,
+                       dataset.bw_private_series):
+            assert isinstance(series, ShardedSeriesMap)
 
     def test_unknown_scale_rejected(self):
         from repro.study import scenario_for
