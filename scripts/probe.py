@@ -1,11 +1,14 @@
 #!/usr/bin/env python
-"""Run the CLI in child processes and check its determinism contracts.
+"""Check the CLI's determinism contracts and the CI performance gates.
 
-One harness behind the CI probes (``docs/resilience.md``,
-``docs/live.md``, ``docs/sweep.md``).  Every scenario runs
-``python -m repro`` children against this checkout's ``src``, compares
-stdout and canonical journals, and exits 1 with ``probe: FAILED, ...``
-on the first broken promise.
+One harness behind every CI probe (``docs/resilience.md``,
+``docs/live.md``, ``docs/sweep.md``, ``docs/performance.md``).  Each
+scenario exits 1 with ``probe: FAILED, ...`` on the first broken
+promise, and a missing measurement counts as a broken promise.  The
+determinism scenarios and ``warm-cache`` run ``python -m repro``
+children against this checkout's ``src`` and compare their stdout and
+canonical journals; ``sweep-dedup`` times sweep children.  ``campaign``,
+``city-rss`` and ``engines`` measure studies in this process.
 
 ``chaos``
     ``repro run`` clean and under ``--chaos PROFILE``, each against its
@@ -32,6 +35,28 @@ on the first broken promise.
     workers mid-cell: the sweep still completes every cell and journals
     a ``worker_restart``.
 
+The gate scenarios take no options; their thresholds are the module
+constants below.
+
+``campaign``
+    The best ``campaign_latency`` span of ``CAMPAIGN_REPEATS`` smoke
+    studies is within ``CAMPAIGN_MAX_RATIO`` of ``CAMPAIGN_REFERENCE_S``.
+``warm-cache``
+    ``repro run`` cold, then warm, against one cache: the warm run
+    serves every tracked phase from the cache, and ``repro cache
+    verify`` passes.
+``city-rss``
+    A CI-sized city workload through the tracked phases, then the full
+    city fleet's live phase: peak RSS within ``PEAK_RSS_BUDGET_MB``, live
+    digest equal to the scalar reference's.
+``engines``
+    The QoE and live engines match their scalar references' digests and
+    beat them by ``QOE_MIN_SPEEDUP`` and ``LIVE_MIN_SPEEDUP``; both
+    phases stay within the RSS budget.
+``sweep-dedup``
+    One sweep over ``ci_smoke.toml`` beats its cells run one by one,
+    cold, by ``SWEEP_MIN_SPEEDUP`` (jobs=1, best of ``SWEEP_REPEATS``).
+
 Usage::
 
     PYTHONPATH=src python scripts/probe.py chaos --jobs 2 --max-retries 25
@@ -40,11 +65,13 @@ Usage::
     PYTHONPATH=src python scripts/probe.py study-resume --jobs 2
     PYTHONPATH=src python scripts/probe.py sweep-resume \\
         benchmarks/sweeps/ci_smoke.toml --jobs 2 [--kill worker]
+    PYTHONPATH=src python scripts/probe.py campaign
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -57,11 +84,48 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 #: Volatile event types that tell a chaos run's recovery story.
 RECOVERY_EVENTS = ("job_retry", "worker_restart", "cache_retry",
                    "io_retry", "job_quarantined", "cache_write_error")
+
+#: The study phases the gates track, in execution order, each mapped to
+#: the ``EdgeStudy`` attribute that runs it.
+PHASES = {"workload_nep": "nep", "workload_azure": "azure",
+          "campaign_latency": "latency_results",
+          "campaign_throughput": "throughput_results",
+          "qoe_sessions": "qoe_sessions"}
+
+#: Best smoke ``campaign_latency`` wall seconds in the benchmark ledger
+#: this gate replaced (its smoke row, recorded on 1 core on 2026-08-08).
+CAMPAIGN_REFERENCE_S = 0.031545
+#: Allowed slowdown of the best of ``CAMPAIGN_REPEATS`` in-process runs.
+#: In-process on purpose: a fresh child would time the campaign cold.
+CAMPAIGN_MAX_RATIO = 2.0
+CAMPAIGN_REPEATS = 5
+
+#: Peak parent RSS (VmHWM, as the run journal samples it per phase) for
+#: the city probe and the 50k-session QoE phase.
+PEAK_RSS_BUDGET_MB = 2048
+#: The CI-sized city workload; the live phase keeps the full city fleet.
+CITY_OVERRIDES = {"nep_vm_count": 400, "azure_vm_count": 400,
+                  "nep_site_count": 60}
+CITY_LIVE_TICKS = 120
+
+QOE_SESSIONS = 50_000
+QOE_REFERENCE_SESSIONS = 300
+QOE_MIN_SPEEDUP = 50.0
+LIVE_REFERENCE_TICKS = 60
+LIVE_MIN_SPEEDUP = 10.0
+
+#: Experiments whose warm re-run must touch every tracked phase.
+WARM_EXPERIMENTS = ("fig2a", "fig5", "fig8", "qoe-sessions")
+
+SWEEP_CONFIG = REPO / "benchmarks" / "sweeps" / "ci_smoke.toml"
+SWEEP_MIN_SPEEDUP = 2.0
+SWEEP_REPEATS = 3
 
 
 class ProbeFailure(Exception):
@@ -394,6 +458,239 @@ def probe_sweep_resume(args: argparse.Namespace, root: Path) -> str:
     return "finished sweep re-run is a no-op"
 
 
+# ---- performance gates ---------------------------------------------------
+
+
+def run_study(scenario, phases) -> tuple[object, dict[str, dict]]:
+    """Run ``phases`` of one journaled in-process study at jobs=1; the
+    study and its journal's per-phase breakdown."""
+    from repro.obs import RunJournal, phase_breakdown
+    from repro.study import EdgeStudy
+
+    attrs = {**PHASES, "live": "live"}
+    with RunJournal(None) as journal:
+        study = EdgeStudy(scenario, journal=journal)
+        for phase in phases:
+            getattr(study, attrs[phase])
+        journal.close(counters=study.perf.counters or None)
+    return study, phase_breakdown(journal.events)
+
+
+def within_rss_budget(label: str, breakdown: dict[str, dict],
+                      phases) -> None:
+    """Fail unless every phase has a ``peak_rss_mb`` sample and the
+    peak over them is within ``PEAK_RSS_BUDGET_MB``."""
+    missing = [phase for phase in phases
+               if "peak_rss_mb" not in breakdown.get(phase, {})]
+    if missing:
+        fail(f"no peak_rss_mb sample for {', '.join(missing)}")
+    peak = max(breakdown[phase]["peak_rss_mb"] for phase in phases)
+    if peak > PEAK_RSS_BUDGET_MB:
+        fail(f"{label} peaked at {peak:.1f} MB, over the "
+             f"{PEAK_RSS_BUDGET_MB} MB budget")
+    print(f"probe: {label} peak {peak:.1f} MB within "
+          f"{PEAK_RSS_BUDGET_MB} MB")
+
+
+def at_least(label: str, speedup: float, floor: float) -> None:
+    """Fail unless ``speedup`` reaches ``floor``."""
+    if speedup < floor:
+        fail(f"{label} speedup {speedup:.1f}x is below the {floor:g}x "
+             f"floor")
+    print(f"probe: {label} speedup {speedup:.1f}x >= {floor:g}x")
+
+
+def timed(fn: Callable, *args) -> tuple[object, float]:
+    """``fn(*args)`` and its wall seconds."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, max(time.perf_counter() - start, 1e-9)
+
+
+def qoe_engine(scenario) -> float:
+    """The vectorized QoE engine's speedup over the scalar reference.
+
+    Runs the ``qoe_sessions`` phase within the RSS budget, then times
+    both arms of the vectorized engine on a prebuilt workload (the CDN
+    solve stays out of the ratio) against the scalar reference on a
+    ``QOE_REFERENCE_SESSIONS`` slice, whose digests must match.
+    """
+    from repro.cdn import CdnModel
+    from repro.qoe import (ARMS, SessionDigest, build_session_workload,
+                           run_sessions, simulate_reference)
+
+    _, breakdown = run_study(scenario, ("qoe_sessions",))
+    within_rss_budget("qoe_sessions phase", breakdown, ("qoe_sessions",))
+    workload = build_session_workload(scenario, model=CdnModel(scenario))
+    _, engine_s = timed(lambda: [run_sessions(workload, arm)
+                                 for arm in ARMS])
+    count = QOE_REFERENCE_SESSIONS
+    sliced = dataclasses.replace(workload, n_sessions=count)
+    reference, reference_s = timed(simulate_reference, sliced, "edge")
+    digest = SessionDigest()
+    digest.update(reference)
+    if run_sessions(sliced, "edge").digest != digest.hexdigest():
+        fail(f"qoe engine diverges from the scalar reference on "
+             f"{count} sessions")
+    print(f"probe: qoe {workload.n_sessions} sessions x {len(ARMS)} arms "
+          f"in {engine_s:.3f}s, digest equal to the scalar reference on "
+          f"{count} sessions")
+    sessions = workload.n_sessions * len(ARMS)
+    return (sessions / engine_s) / (count / reference_s)
+
+
+def live_engine(scenario) -> float:
+    """The vectorized live stepper's speedup over the scalar reference.
+
+    Runs the ``live`` phase within the RSS budget, then times the
+    vectorized stepper on the full inputs against the scalar reference
+    on a ``LIVE_REFERENCE_TICKS`` prefix, whose digests must match.
+    """
+    from repro.live import (build_live_inputs, run_live_engine,
+                            run_reference_engine)
+    from repro.platform.nep import build_nep_platform
+
+    _, breakdown = run_study(scenario, ("live",))
+    within_rss_budget("live phase", breakdown, ("live",))
+    inputs = build_live_inputs(scenario, build_nep_platform(scenario))
+    _, engine_s = timed(run_live_engine, inputs)
+    ticks = min(LIVE_REFERENCE_TICKS, inputs.ticks)
+    prefix = dataclasses.replace(
+        inputs, ticks=ticks, arrivals=inputs.arrivals[:ticks],
+        transitions=tuple(tr for tr in inputs.transitions if tr[0] < ticks))
+    reference, reference_s = timed(run_reference_engine, prefix)
+    if run_live_engine(prefix).digest != reference.digest:
+        fail(f"live stepper diverges from the scalar reference on a "
+             f"{ticks}-tick prefix")
+    print(f"probe: live {inputs.ticks} ticks in {engine_s:.3f}s, digest "
+          f"equal to the scalar reference on a {ticks}-tick prefix")
+    return (inputs.ticks / engine_s) / (ticks / reference_s)
+
+
+def probe_campaign(args: argparse.Namespace, root: Path) -> str:
+    """The smoke latency campaign against its reference time."""
+    from repro.study import scenario_for
+
+    scenario = scenario_for("smoke")
+    walls = []
+    for _ in range(CAMPAIGN_REPEATS):
+        study, _ = run_study(scenario, PHASES)
+        span = study.perf.as_dict()["spans"].get("campaign_latency")
+        if span is None:
+            fail("no campaign_latency span recorded")
+        walls.append(span["wall_s"])
+    ratio = min(walls) / CAMPAIGN_REFERENCE_S
+    print(f"probe: campaign_latency best of {len(walls)} {min(walls):.3f}s "
+          f"vs reference {CAMPAIGN_REFERENCE_S}s -> {ratio:.2f}x")
+    if ratio > CAMPAIGN_MAX_RATIO:
+        fail(f"campaign_latency regressed {ratio:.2f}x, over the "
+             f"{CAMPAIGN_MAX_RATIO:g}x budget")
+    return f"campaign_latency within {CAMPAIGN_MAX_RATIO:g}x of reference"
+
+
+def check_warm(events: list[dict]) -> None:
+    """Fail unless the journal served every tracked phase from the cache
+    and stored none of them."""
+    from repro.obs import phase_breakdown
+
+    phases = phase_breakdown(events)
+    stored = {e.get("artifact") for e in events
+              if e.get("type") == "cache_store"}
+    missing = [phase for phase in PHASES if phase not in phases]
+    if missing:
+        fail(f"warm journal lacks phase(s): {', '.join(missing)}")
+    cold = [phase for phase in PHASES
+            if not phases[phase].get("cached") or phase in stored]
+    if cold:
+        fail(f"warm run regenerated: {', '.join(cold)}")
+
+
+def probe_warm_cache(args: argparse.Namespace, root: Path) -> str:
+    """A cold then a warm run against one cache, then cache verify."""
+    cache = root / "cache"
+    argv = repro("run", *WARM_EXPERIMENTS, "--scale", "smoke", "--jobs", 2,
+                 "--cache-dir", cache)
+    run_journaled(argv, root, "cold")
+    _, journal = run_journaled(argv, root, "warm")
+    events, = load(journal)
+    check_warm(events)
+    print(f"probe: warm run served {', '.join(PHASES)} from the cache")
+    verdict = run(repro("cache", "verify", "--cache-dir", cache),
+                  "cache verify")
+    print(verdict.decode().strip())
+    return "warm run hit the cache on every phase and the entries verify"
+
+
+def probe_city_rss(args: argparse.Namespace, root: Path) -> str:
+    """City-tier peak RSS: a CI-sized workload, then the full live fleet."""
+    from repro.study import scenario_for
+
+    _, breakdown = run_study(scenario_for("city", overrides=CITY_OVERRIDES),
+                             PHASES)
+    within_rss_budget("city workload phases", breakdown, PHASES)
+    live_engine(scenario_for("city",
+                             overrides={"live_ticks": CITY_LIVE_TICKS}))
+    return "city probe within its memory budget"
+
+
+def probe_engines(args: argparse.Namespace, root: Path) -> str:
+    """The QoE and live engines against their scalar twins."""
+    from repro.study import scenario_for
+
+    at_least("qoe", qoe_engine(scenario_for(
+        "smoke", overrides={"qoe_session_count": QOE_SESSIONS})),
+        QOE_MIN_SPEEDUP)
+    at_least("live", live_engine(scenario_for("smoke")), LIVE_MIN_SPEEDUP)
+    return "vectorized engines match and outrun their scalar references"
+
+
+#: One sweep-dedup measurement, run in a fresh interpreter so the heap
+#: of earlier runs cannot skew it.  Wall time is taken inside the child,
+#: which keeps interpreter start-up out of both sides of the ratio.
+_SWEEP_BENCH_CHILD = """\
+import json, sys, time
+from pathlib import Path
+
+from repro.sweep import SweepSpec, load_sweep_spec, run_sweep
+
+config, root, mode = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
+spec = load_sweep_spec(Path(config))
+if mode.startswith("cell:"):
+    cell = spec.cell(mode.partition(":")[2])
+    spec = SweepSpec(name=f"{spec.name}-serial-{cell.name}", cells=(cell,))
+start = time.perf_counter()
+result = run_sweep(spec, root / "out", cache_dir=root / "cache", jobs=1)
+total = time.perf_counter() - start
+if not result.ok:
+    sys.exit("sweep cells failed: " + ", ".join(c.name for c in result.failed))
+print(json.dumps({"wall_s": total}))
+"""
+
+
+def sweep_child(workdir: Path, mode: str) -> float:
+    """One isolated sweep measurement; its wall seconds."""
+    out = run([sys.executable, "-c", _SWEEP_BENCH_CHILD, str(SWEEP_CONFIG),
+               str(workdir), mode], f"sweep {mode}")
+    return float(json.loads(out.splitlines()[-1])["wall_s"])
+
+
+def probe_sweep_dedup(args: argparse.Namespace, root: Path) -> str:
+    """One sweep against its cells run one by one, each cold."""
+    from repro.sweep import load_sweep_spec
+
+    cells = load_sweep_spec(SWEEP_CONFIG).cells
+    serial_s = min(
+        sum(sweep_child(root / f"serial-{rep}-{index}", f"cell:{cell.name}")
+            for index, cell in enumerate(cells))
+        for rep in range(SWEEP_REPEATS))
+    sweep_s = min(sweep_child(root / f"sweep-{rep}", "sweep")
+                  for rep in range(SWEEP_REPEATS))
+    print(f"probe: {len(cells)} cells serial {serial_s:.3f}s, sweep "
+          f"{sweep_s:.3f}s (best of {SWEEP_REPEATS}, jobs=1)")
+    at_least("sweep", serial_s / sweep_s, SWEEP_MIN_SPEEDUP)
+    return "sweep dedup pays for itself"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="scenario", required=True)
@@ -453,6 +750,14 @@ def main(argv: list[str] | None = None) -> int:
                             "(resume contract) or one of its farm workers "
                             "(supervision contract)")
     sweep.set_defaults(probe=probe_sweep_resume)
+
+    for name, probe in (("campaign", probe_campaign),
+                        ("warm-cache", probe_warm_cache),
+                        ("city-rss", probe_city_rss),
+                        ("engines", probe_engines),
+                        ("sweep-dedup", probe_sweep_dedup)):
+        sub.add_parser(name, help=probe.__doc__.splitlines()[0]) \
+            .set_defaults(probe=probe)
 
     args = parser.parse_args(argv)
     try:

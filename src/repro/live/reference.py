@@ -7,8 +7,8 @@ arithmetic as :func:`repro.live.engine.run_live_engine`.  Both steppers
 consume the same precomputed :class:`~repro.live.engine.LiveInputs`
 (all randomness is drawn before the loop), so their per-tick series —
 and therefore their digests — must be bit-identical; the test suite
-pins that, and ``scripts/bench_study.py --live-bench`` pins the
-vectorized stepper's speedup over this one.
+pins that, and ``scripts/probe.py engines`` pins the vectorized
+stepper's speedup over this one.
 
 Keep this file boring.  No numpy in the loop, no cleverness: its whole
 value is being an obviously-correct spelling of the contract.

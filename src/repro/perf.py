@@ -4,8 +4,8 @@ The simulator's batch engine exists to make paper-scale runs practical;
 this module is how that speed is *tracked*.  A :class:`PerfRegistry`
 accumulates wall-clock and CPU time per named phase (plus arbitrary
 counters), :class:`~repro.study.EdgeStudy` carries one and wraps each
-expensive phase in a span, and ``scripts/bench_study.py`` serialises the
-result to ``BENCH_study.json`` so regressions show up in CI.
+expensive phase in a span, and ``scripts/probe.py campaign`` reads the
+latency campaign's span so a regression fails CI.
 
 Spans nest and re-enter safely: each ``with`` block adds its own elapsed
 time and bumps the call count, so a phase touched twice reports the sum.
