@@ -89,7 +89,7 @@ SRC = REPO / "src"
 
 #: Volatile event types that tell a chaos run's recovery story.
 RECOVERY_EVENTS = ("job_retry", "worker_restart", "cache_retry",
-                   "io_retry", "job_quarantined", "cache_write_error")
+                   "job_quarantined", "cache_write_error")
 
 #: The study phases the gates track, in execution order, each mapped to
 #: the ``EdgeStudy`` attribute that runs it.

@@ -58,7 +58,7 @@ class BillingError(ReproError):
 
 
 class ParallelError(ReproError):
-    """A worker, task or spool directory failed in :mod:`repro.parallel`."""
+    """A worker or task failed in :mod:`repro.parallel`."""
 
 
 class InjectedFault(ReproError):

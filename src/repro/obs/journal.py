@@ -68,7 +68,7 @@ VOLATILE_EVENT_TYPES = frozenset({
     "chunk_spill", "session_chunk",
     "live_tick", "live_retry",
     "job_retry", "worker_restart", "job_quarantined",
-    "cache_retry", "cache_write_error", "io_retry",
+    "cache_retry", "cache_write_error",
     "resume",
 })
 

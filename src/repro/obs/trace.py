@@ -272,7 +272,6 @@ def render_summary(events: list[dict],
         ("job retries", "job_retry"),
         ("worker restarts", "worker_restart"),
         ("cache retries", "cache_retry"),
-        ("io retries", "io_retry"),
         ("quarantined", "job_quarantined"),
         ("cache write errors", "cache_write_error"),
     ) if seen.get(etype, 0)}

@@ -7,9 +7,9 @@ independent ``(task_id, fn, arg)`` tasks and collect
 * :func:`run_series_jobs` renders per-app workload series.  Every app's
   block draws from its own named RNG substream (see
   :mod:`repro.workload.series`), so blocks are mutually independent;
-  the generator keeps at most ``workers + 2`` jobs in flight and yields
-  blocks **in submission order**, so the parent inserts them
-  deterministically whatever the worker count or completion order.
+  every job is submitted at once and the generator yields blocks **in
+  submission order**, so the parent takes them deterministically
+  whatever the worker count or completion order.
 * :func:`repro.qoe.sessions.run_sessions` simulates session chunks.
 * :mod:`repro.sweep.runner` runs sweep cells, each a full
   :class:`~repro.study.EdgeStudy`.
@@ -28,18 +28,18 @@ farm.  ``n_jobs == 1``, or a platform without the ``fork`` start method
 through the same retry policy, which is what makes output bit-identical
 across ``--jobs`` by construction.
 
-Series blocks cross the process boundary as spool files, not through
-the pipe: a worker writes the row arrays as consecutive ``.npy``
-records into a temporary directory that :func:`run_series_jobs` owns
-and returns a small :class:`_SpooledBlock`; the parent reads a block
-back when its turn comes and deletes the file, so it holds one block at
-a time.  A file is named after the process that wrote it, so a retried
-job never writes over a file a killed worker left, and the directory
-goes when the generator finishes.  The inline mode returns blocks
-directly and writes no spool.  Each process memoises the time axes and
-season cache of the last scenario it rendered, and worker-side perf
-spans ride back with each block and are merged by the parent (merged
-``cpu_s`` sums across processes and can exceed the parent's wall time).
+Series rows never cross the process boundary.  Before the farm starts,
+the parent knows each job's global row offset (the VM counts of the
+jobs before it), so the task that renders a job also checks its rows
+and writes them with ``pwrite`` straight into the final shard files of
+the workload's sink (:func:`repro.workload.streaming.write_block`).  A
+task returns only the per-VM mean bandwidths and its perf spans; the
+parent seals each shard once all its rows are in.  A retried or killed
+job rewrites the same bytes at the same offsets, and the inline mode
+runs the same task.  Each process memoises the time axes and season
+cache of the last scenario it rendered, and worker-side perf spans ride
+back with each task and are merged by the parent (merged ``cpu_s`` sums
+across processes and can exceed the parent's wall time).
 
 Supervision
 -----------
@@ -71,8 +71,6 @@ import multiprocessing
 import multiprocessing.util
 import os
 import pickle
-import shutil
-import tempfile
 import threading
 import time
 from collections import deque
@@ -95,6 +93,7 @@ from .workload.series import (
     job_rng,
     render_series_job,
 )
+from .workload.streaming import WorkloadSink, write_block
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -488,21 +487,6 @@ class _SeriesSetup:
     bw_interval_minutes: int
 
 
-@dataclass(frozen=True)
-class _SpooledBlock:
-    """A rendered block whose rows wait in a spool file.
-
-    Crosses the worker pipe instead of the row payload: the parent
-    rebuilds the :class:`SeriesBlock` with :func:`_unspool`.
-    """
-
-    path: str
-    app_id: str
-    private: bool
-    mean_bws: np.ndarray
-    perf: PerfRegistry | None
-
-
 #: This process's time axes and season cache, keyed by the axis knobs
 #: of the last setup rendered (see :func:`_axes`).
 _AXES: tuple | None = None
@@ -534,55 +518,42 @@ def _render(setup: _SeriesSetup, job: SeriesJob) -> SeriesBlock:
     return block
 
 
-def _spool(block: SeriesBlock, path: str) -> _SpooledBlock:
-    """Write a block's rows to ``path`` as consecutive ``.npy`` records."""
-    with open(path, "wb") as handle:
-        for rows in (block.cpu_rows, block.bw_rows, block.private_rows):
-            if rows is not None:
-                np.save(handle, rows)
-    return _SpooledBlock(path=path, app_id=block.app_id,
-                         private=block.private_rows is not None,
-                         mean_bws=block.mean_bws, perf=block.perf)
+def _render_task(arg: tuple) -> tuple[np.ndarray, PerfRegistry]:
+    """Farm task: render one job and write its rows in place.
 
-
-def _unspool(ref: _SpooledBlock) -> SeriesBlock:
-    """Read a spooled block's rows back and delete its file."""
-    with open(ref.path, "rb") as handle:
-        cpu_rows = np.load(handle)
-        bw_rows = np.load(handle)
-        private_rows = np.load(handle) if ref.private else None
-    os.unlink(ref.path)
-    return SeriesBlock(app_id=ref.app_id, mean_bws=ref.mean_bws,
-                       cpu_rows=cpu_rows, bw_rows=bw_rows,
-                       private_rows=private_rows, perf=ref.perf)
-
-
-def _render_task(arg: tuple) -> SeriesBlock | _SpooledBlock:
-    """Farm task: render one job, spooled when a spool prefix is given."""
-    setup, job, spool_prefix = arg
+    Returns only what the parent needs besides the rows: the per-VM
+    mean bandwidths and the render's perf spans.
+    """
+    setup, job, row, targets = arg
     block = _render(setup, job)
-    if spool_prefix is None:
-        return block
-    return _spool(block, f"{spool_prefix}-{os.getpid()}.npy")
+    write_block(targets, row, block)
+    return block.mean_bws, block.perf
 
 
 def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
-                    recipe: SeriesRecipe, n_jobs: int = 1,
-                    perf: PerfRegistry | None = None,
+                    recipe: SeriesRecipe, sink: WorkloadSink,
+                    n_jobs: int = 1, perf: PerfRegistry | None = None,
                     supervision: SupervisionConfig | None = None,
                     ) -> Iterator[SeriesBlock]:
-    """Render series jobs on a :class:`TaskFarm`, yielding blocks in
-    submission order.
+    """Render series jobs on a :class:`TaskFarm` into ``sink``'s shard
+    files, yielding blocks in submission order.
+
+    Job ``i`` owns the rows from the sum of the ``vm_count`` of the jobs
+    before it; its task writes them there (see
+    :func:`~repro.workload.streaming.write_block`), so every job is
+    submitted at once.  ``sink`` must have begun, and the caller
+    consumes each yielded block into it in order; closing the generator
+    stops the farm, so no task writes into the sink after that.  A
+    yielded block's rows are read-only views of the rows on disk (see
+    :meth:`~repro.shards.ShardTarget.view`).
 
     The farm gets ``min(n_jobs, len(jobs_list))`` workers (one job, or
-    ``n_jobs == 1``, renders inline) and at most ``workers + 2`` jobs
-    are submitted ahead of the consumer, which bounds the spool on disk.
-    ``supervision`` is passed to the farm.
+    ``n_jobs == 1``, renders inline); ``supervision`` is passed to it.
 
     Raises:
         ConfigurationError: on a bad ``n_jobs`` value.
-        ParallelError: when a worker or the spool directory cannot be
-            created, or a job fails with a genuine error.
+        ParallelError: when a worker cannot be created, or a job fails
+            with a genuine error.
         QuarantineError: when one job exhausts its retry budget.
     """
     journal = perf.journal if perf is not None else None
@@ -592,56 +563,41 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
         cpu_interval_minutes=scenario.cpu_interval_minutes,
         bw_interval_minutes=scenario.bw_interval_minutes,
     )
+    targets = sink.targets
+    rows = np.cumsum([0] + [job.vm_count for job in jobs_list]).tolist()
     workers = max(1, min(resolve_jobs(n_jobs), len(jobs_list)))
     with TaskFarm(workers, journal=journal,
                   supervision=supervision) as farm:
-        spool_dir = None
-        if farm.workers:
-            try:
-                spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-            except OSError as exc:
-                raise ParallelError(f"could not create the series spool "
-                                    f"directory: {exc}") from exc
-        try:
+        if journal is not None:
+            # Dispatch events all come before any render, so the
+            # journal is identical across --jobs.
+            for job in jobs_list:
+                journal.emit("job_dispatch", app_id=job.app_id,
+                             vm_count=job.vm_count)
+        for row, job in zip(rows, jobs_list):
+            farm.submit(job.app_id, _render_task,
+                        (setup, job, row, targets))
+        finished: dict[str, tuple] = {}
+        for row, job in zip(rows, jobs_list):
+            while job.app_id not in finished:
+                outcome = farm.next_outcome()
+                if not outcome.ok:
+                    error = (QuarantineError if outcome.quarantined
+                             else ParallelError)
+                    raise error(f"series job {outcome.task_id!r}: "
+                                f"{outcome.error}")
+                finished[outcome.task_id] = outcome.value
+            mean_bws, block_perf = finished.pop(job.app_id)
+            # Inline and pooled renders both merge a private perf
+            # registry, so their journals cannot tell them apart.
+            if perf is not None:
+                perf.merge(block_perf)
             if journal is not None:
-                # Dispatch events all come before any render, so the
-                # journal is identical across --jobs.
-                for job in jobs_list:
-                    journal.emit("job_dispatch", app_id=job.app_id,
-                                 vm_count=job.vm_count)
-            window = farm.workers + 2
-            submitted = 0
-            finished: dict[str, object] = {}
-            for index, job in enumerate(jobs_list):
-                while submitted < len(jobs_list) \
-                        and submitted - index < window:
-                    ahead = jobs_list[submitted]
-                    prefix = (None if spool_dir is None
-                              else os.path.join(spool_dir, str(submitted)))
-                    farm.submit(ahead.app_id, _render_task,
-                                (setup, ahead, prefix))
-                    submitted += 1
-                while job.app_id not in finished:
-                    outcome = farm.next_outcome()
-                    if not outcome.ok:
-                        error = (QuarantineError if outcome.quarantined
-                                 else ParallelError)
-                        raise error(f"series job {outcome.task_id!r}: "
-                                    f"{outcome.error}")
-                    finished[outcome.task_id] = outcome.value
-                block = finished.pop(job.app_id)
-                if spool_dir is not None:
-                    block = _unspool(block)
-                # Inline and pooled renders both merge a private perf
-                # registry, so their journals cannot tell them apart.
-                if perf is not None:
-                    perf.merge(block.perf)
-                if journal is not None:
-                    journal.emit("job_complete", app_id=job.app_id,
-                                 vms=job.vm_count, wall_s=round(
-                                     block.perf.wall_s("series_render"), 6))
-                block.perf = None
-                yield block
-        finally:
-            if spool_dir is not None:
-                shutil.rmtree(spool_dir, ignore_errors=True)
+                journal.emit("job_complete", app_id=job.app_id,
+                             vms=job.vm_count, wall_s=round(
+                                 block_perf.wall_s("series_render"), 6))
+            views = {kind: target.view(row, job.vm_count)
+                     for kind, target in targets.items()}
+            yield SeriesBlock(app_id=job.app_id, mean_bws=mean_bws,
+                              cpu_rows=views["cpu"], bw_rows=views["bw"],
+                              private_rows=views.get("private"))

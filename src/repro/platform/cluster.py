@@ -16,6 +16,55 @@ from ..geo.coords import GeoPoint, haversine_km_many
 from .entities import App, Customer, PlatformKind, Server, Site, VM
 
 
+class ServerTable:
+    """Free capacity of every server on a platform, as flat arrays.
+
+    Servers are flattened in site order, so one site is a contiguous
+    index range.  :meth:`Server.attach` and :meth:`Server.detach`, the
+    only code that changes an allocation, keep a server's entries
+    current through its back-reference, so placement slices these
+    arrays by scope instead of walking the servers on every call.
+    """
+
+    def __init__(self, sites: list[Site]) -> None:
+        servers = [server for site in sites for server in site.servers]
+        self.servers = servers
+        self.cap_cpu = np.array([s.capacity.cpu_cores for s in servers])
+        self.free_cpu = np.array(
+            [s.capacity.cpu_cores - s.allocated.cpu_cores for s in servers])
+        self.free_mem = np.array(
+            [s.capacity.memory_gb - s.allocated.memory_gb for s in servers])
+        self.free_disk = np.array(
+            [s.capacity.disk_gb - s.allocated.disk_gb for s in servers])
+        self._ranges: dict[str, tuple[int, int]] = {}
+        start = 0
+        for site in sites:
+            self._ranges[site.site_id] = (start, start + len(site.servers))
+            start += len(site.servers)
+        for index, server in enumerate(servers):
+            server._table_slot = (self, index)
+
+    def unhook(self) -> None:
+        """Stop the servers updating this table."""
+        # Delete the attribute rather than set it to None: a server
+        # then pickles exactly as one no table ever saw.
+        for server in self.servers:
+            server.__dict__.pop("_table_slot", None)
+
+    def refresh(self, index: int) -> None:
+        """Re-read server ``index``'s free capacity from its ledger."""
+        server = self.servers[index]
+        capacity, allocated = server.capacity, server.allocated
+        self.free_cpu[index] = capacity.cpu_cores - allocated.cpu_cores
+        self.free_mem[index] = capacity.memory_gb - allocated.memory_gb
+        self.free_disk[index] = capacity.disk_gb - allocated.disk_gb
+
+    def scope(self, sites: list[Site]) -> np.ndarray:
+        """Indices of the servers of ``sites``, in site order."""
+        return np.concatenate([np.arange(*self._ranges[site.site_id])
+                               for site in sites])
+
+
 @dataclass
 class Platform:
     """A named edge or cloud platform with its full inventory."""
@@ -33,6 +82,22 @@ class Platform:
                                                     repr=False, compare=False)
     _site_coords: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # Placement's free-capacity arrays: built lazily, never pickled.
+    _server_table: ServerTable | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The table is a cache: drop it rather than pickle it (or its
+        # servers' references to it); the next placement rebuilds it.
+        self._drop_server_table()
+        state = self.__dict__.copy()
+        state.pop("_server_table", None)
+        return state
+
+    def _drop_server_table(self) -> None:
+        if self._server_table is not None:
+            self._server_table.unhook()
+            self._server_table = None
 
     # ---- registration --------------------------------------------------
 
@@ -43,6 +108,7 @@ class Platform:
         self._site_index = None
         self._server_index = None
         self._site_coords = None
+        self._drop_server_table()
 
     def register_customer(self, customer: Customer) -> None:
         self.customers[customer.customer_id] = customer
@@ -90,6 +156,12 @@ class Platform:
             raise TopologyError(
                 f"unknown server {server_id!r} on {self.name}"
             ) from None
+
+    def server_table(self) -> ServerTable:
+        """The platform's :class:`ServerTable`, built on first use."""
+        if self._server_table is None:
+            self._server_table = ServerTable(self.sites)
+        return self._server_table
 
     def iter_servers(self) -> Iterable[Server]:
         for s in self.sites:

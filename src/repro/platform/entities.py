@@ -124,6 +124,15 @@ class Server:
     capacity: ResourceVector
     vm_ids: list[str] = field(default_factory=list)
     allocated: ResourceVector = field(default_factory=ResourceVector.zero)
+    #: ``(table, index)`` of the platform
+    #: :class:`~repro.platform.cluster.ServerTable` entry mirroring this
+    #: server's free capacity while the table exists.  Not a field.
+    _table_slot = None
+
+    def _sync_table(self) -> None:
+        if self._table_slot is not None:
+            table, index = self._table_slot
+            table.refresh(index)
 
     @property
     def free(self) -> ResourceVector:
@@ -146,6 +155,7 @@ class Server:
             )
         self.vm_ids.append(vm.vm_id)
         self.allocated = self.allocated + vm.spec.resources
+        self._sync_table()
         vm.server_id = self.server_id
         vm.site_id = self.site_id
 
@@ -161,6 +171,7 @@ class Server:
             )
         self.vm_ids.remove(vm.vm_id)
         self.allocated = self.allocated - vm.spec.resources
+        self._sync_table()
         vm.server_id = None
         vm.site_id = None
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import PlacementError
-from .cluster import Platform
+from .cluster import Platform, ServerTable
 from .entities import Server, Site, VM, VMSpec
 
 
@@ -45,24 +45,25 @@ class SubscriptionRequest:
 UsageProvider = Callable[[str], tuple[float, float]]
 
 
-class _ServerTable:
-    """Numeric columns over the scoped servers for vectorised placement.
+class _ScopedTable:
+    """One request's slice of its platform's :class:`ServerTable`.
 
-    Feasibility checks and scoring over hundreds of servers per VM were
-    the placement hot path (each went through `Server.free` /
-    `ResourceVector` object churn); the table keeps free capacity as flat
-    arrays, updated incrementally as VMs commit.
+    Feasibility checks and scoring run over these flat columns instead
+    of `Server.free` / `ResourceVector` object churn.  The columns are
+    copied once per request; :meth:`commit` re-reads an entry after
+    ``Server.attach`` updated the platform table.
     """
 
-    def __init__(self, servers: list[Server]) -> None:
-        self.servers = servers
-        self.cap_cpu = np.array([s.capacity.cpu_cores for s in servers])
-        self.free_cpu = np.array(
-            [s.capacity.cpu_cores - s.allocated.cpu_cores for s in servers])
-        self.free_mem = np.array(
-            [s.capacity.memory_gb - s.allocated.memory_gb for s in servers])
-        self.free_disk = np.array(
-            [s.capacity.disk_gb - s.allocated.disk_gb for s in servers])
+    def __init__(self, table: ServerTable, index: np.ndarray) -> None:
+        self._table = table
+        self._index = index
+        self.cap_cpu = table.cap_cpu[index]
+        self.free_cpu = table.free_cpu[index]
+        self.free_mem = table.free_mem[index]
+        self.free_disk = table.free_disk[index]
+
+    def server(self, i: int) -> Server:
+        return self._table.servers[self._index[i]]
 
     def feasible_indices(self, spec: VMSpec) -> np.ndarray:
         return np.flatnonzero(
@@ -76,10 +77,11 @@ class _ServerTable:
             rates = (self.cap_cpu - self.free_cpu) / self.cap_cpu
         return np.where(self.cap_cpu > 0, rates, 0.0)
 
-    def commit(self, index: int, spec: VMSpec) -> None:
-        self.free_cpu[index] -= spec.cpu_cores
-        self.free_mem[index] -= spec.memory_gb
-        self.free_disk[index] -= spec.disk_gb
+    def commit(self, i: int) -> None:
+        j = self._index[i]
+        self.free_cpu[i] = self._table.free_cpu[j]
+        self.free_mem[i] = self._table.free_mem[j]
+        self.free_disk[i] = self._table.free_disk[j]
 
 
 class PlacementPolicy(abc.ABC):
@@ -95,14 +97,14 @@ class PlacementPolicy(abc.ABC):
         ``candidates`` is non-empty and every entry already fits the spec.
         """
 
-    def _choose_index(self, table: _ServerTable, feasible: np.ndarray,
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         """Vectorised selection hook; built-in policies override this.
 
         The default delegates to :meth:`choose_server` so custom policies
         written against the public interface keep working unchanged.
         """
-        candidates = [table.servers[i] for i in feasible]
+        candidates = [table.server(i) for i in feasible]
         chosen = self.choose_server(candidates, spec)
         for i, candidate in zip(feasible, candidates):
             if candidate is chosen:
@@ -143,9 +145,9 @@ class PlacementPolicy(abc.ABC):
                 f"got {len(per_vm_specs)} specs for "
                 f"{request.vm_count} VMs of request {request.app_id!r}"
             )
-        sites = _scoped_sites(platform, request)
-        servers = [server for site in sites for server in site.servers]
-        table = _ServerTable(servers)
+        platform_table = platform.server_table()
+        table = _ScopedTable(platform_table, platform_table.scope(
+            _scoped_sites(platform, request)))
         placed: list[tuple[Server, VM]] = []
         try:
             for index, spec in enumerate(per_vm_specs):
@@ -159,7 +161,7 @@ class PlacementPolicy(abc.ABC):
                         f"province={request.province!r} city={request.city!r})"
                     )
                 choice = self._choose_index(table, feasible, spec)
-                server = servers[choice]
+                server = table.server(choice)
                 vm = VM(
                     vm_id=f"{request.app_id}-vm{len(platform.vms) + index:05d}",
                     spec=spec,
@@ -168,7 +170,7 @@ class PlacementPolicy(abc.ABC):
                     image_id=request.image_id,
                 )
                 server.attach(vm)
-                table.commit(choice, spec)
+                table.commit(choice)
                 placed.append((server, vm))
         except PlacementError:
             for server, vm in placed:
@@ -217,13 +219,13 @@ class NepPlacementPolicy(PlacementPolicy):
 
         return min(candidates, key=score)
 
-    def _choose_index(self, table: _ServerTable, feasible: np.ndarray,
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         score = table.cpu_sales_rates()[feasible]
         if self._usage is not None:
             extra = np.empty(feasible.size)
             for j, i in enumerate(feasible):
-                mean_u, max_u = self._usage(table.servers[i].server_id)
+                mean_u, max_u = self._usage(table.server(i).server_id)
                 extra[j] = mean_u + max_u
             score = score + extra
         # lexsort: last key is primary — lowest score, then most free cores.
@@ -239,7 +241,7 @@ class FirstFitPolicy(PlacementPolicy):
     def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
         return candidates[0]
 
-    def _choose_index(self, table: _ServerTable, feasible: np.ndarray,
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         return int(feasible[0])
 
@@ -260,7 +262,7 @@ class BestFitPolicy(PlacementPolicy):
                            s.free.memory_gb - spec.memory_gb),
         )
 
-    def _choose_index(self, table: _ServerTable, feasible: np.ndarray,
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         order = np.lexsort((table.free_mem[feasible],
                             table.free_cpu[feasible]))
@@ -278,6 +280,6 @@ class RandomPolicy(PlacementPolicy):
     def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
         return candidates[int(self._rng.integers(0, len(candidates)))]
 
-    def _choose_index(self, table: _ServerTable, feasible: np.ndarray,
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         return int(feasible[int(self._rng.integers(0, feasible.size))])

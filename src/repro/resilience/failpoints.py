@@ -60,7 +60,7 @@ FAILPOINTS_ENV = "REPRO_FAILPOINTS"
 SITES = frozenset({
     "cache.commit",       # ArtifactCache entry write (staging -> rename)
     "cache.read",         # ArtifactCache entry load
-    "shard.write",        # ShardWriter flush of one shard file
+    "shard.write",        # a series task writing its rows into one shard
     "shard.read",         # shard header/size verification at load
     "series.render",      # one series job render (worker or serial)
     "sweep.cell",         # one sweep cell execution

@@ -10,44 +10,48 @@ that memory-maps one shard at a time and can iterate bounded
 ``(vm_ids, rows)`` windows for the chunked analyses in
 :mod:`repro.core.chunks`.
 
-The writer half (:class:`ShardWriter`) is stream-oriented: callers
-append row blocks as they are rendered and each filled shard is flushed
-to disk immediately, so the writer's working set never exceeds one
-shard regardless of the total VM count.  Writers always target a
-staging directory (a :class:`~repro.cache.ArtifactCache` entry
-being staged, or a workload spill directory), so crash atomicity is
-inherited from the entry-level atomic rename.
+The writer half holds no rows at all.  Any process writes a block at
+its global row offset straight into the final shard files through a
+picklable :class:`ShardTarget`; the :class:`ShardWriter` counts the
+rows reported written and seals each shard once all its rows are in.
+Writers always target a staging directory (a
+:class:`~repro.cache.ArtifactCache` entry being staged, or a workload
+spill directory), so crash atomicity is inherited from the entry-level
+atomic rename.
 
 Every load verifies the store before serving from it: shard count,
 per-shard header dtype/shape, and on-disk payload size must all match
 the index.  A mismatch raises :class:`~repro.errors.TraceError`, which
 the cache layer treats as a corrupt entry (evict + miss).
 
-Self-healing extensions (see :mod:`repro.resilience`): every flushed
+Self-healing extensions (see :mod:`repro.resilience`): every sealed
 shard records a sha256 of its payload bytes in the index, so ``repro
 cache verify`` can *deep*-check stores for silent corruption (structural
 header/size checks stay the default load path — hashing half a terabyte
-per warm city-tier load would defeat the cache).  Shard flushes retry
-transient failures (ENOSPC bursts, injected ``shard.write`` faults)
-under a bounded seeded-backoff policy before propagating — and a
-propagated failure unwinds through the sink's ``abort``, removing the
-staging directory so the store is never left torn.
+per warm city-tier load would defeat the cache).  A failed write
+(ENOSPC, an injected ``shard.write`` fault) propagates; the series farm
+retries the whole job, which rewrites the same bytes at the same
+offsets, and a failure that outlasts the retry budget unwinds through
+the sink's ``abort``, removing the staging directory so the store is
+never left torn.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .errors import TraceError
-from .resilience import RetryPolicy, failpoint
-from .resilience.retry import call_with_retry
+from .resilience import failpoint
 
 #: Rows per shard file.  At paper resolution (92 d / 1 min = 132480
 #: points) one shard is ~2 GiB of float32 at 4096 rows; the default
@@ -140,111 +144,223 @@ def read_shard_index(root: Path) -> dict[str, ShardLayout]:
     return layouts
 
 
-class ShardWriter:
-    """Streams row blocks of one series kind into shard files.
+def _npy_header(rows: int, points: int) -> bytes:
+    """The ``.npy`` header :func:`numpy.save` writes for a shard's shape."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(SHARD_DTYPE)),
+        "fortran_order": False, "shape": (int(rows), int(points))})
+    return buffer.getvalue()
 
-    Rows are buffered into a single preallocated shard-sized float32
-    array; each time the buffer fills, one ``.npy`` shard lands on
-    disk.  :meth:`finalize` flushes the tail shard and returns the
-    resulting :class:`ShardLayout`.  The caller owns directory
+
+def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view = view[written:]
+        offset += written
+
+
+def _payload_sha256(handle, start: int) -> str:
+    """sha256 of an open shard's bytes from ``start`` to the end."""
+    handle.seek(start)
+    digest = hashlib.sha256()
+    while True:
+        chunk = handle.read(1 << 20)
+        if not chunk:
+            return digest.hexdigest()
+        digest.update(chunk)
+
+
+@dataclass(frozen=True)
+class ShardTarget:
+    """Where the rows of one series kind land, as a small picklable value.
+
+    A farm task gets one per kind and writes its block in place: global
+    row ``r`` lives in shard ``r // shard_rows`` at byte ``header_bytes +
+    (r % shard_rows) * points * 4``.  ``numpy`` pads a header for the
+    row count to grow, so its length does not depend on the rows a
+    shard ends up holding.
+    """
+
+    root: Path
+    kind: str
+    points: int
+    shard_rows: int
+
+    @cached_property
+    def header_bytes(self) -> int:
+        return len(_npy_header(self.shard_rows, self.points))
+
+    def pieces(self, row: int, count: int) -> Iterator[tuple[int, int, int]]:
+        """``(shard, row within it, rows)`` for each shard a range touches."""
+        stop = row + count
+        while row < stop:
+            shard, local = divmod(row, self.shard_rows)
+            take = min(stop - row, self.shard_rows - local)
+            yield shard, local, take
+            row += take
+
+    def write(self, row: int, rows: np.ndarray) -> None:
+        """Write a ``(n, points)`` block at global row ``row``.
+
+        Rewriting a block writes the same bytes at the same offsets, so
+        a retried task needs no cleanup.
+
+        Raises:
+            TraceError: when the block is not ``(n, points)``.
+        """
+        block = np.ascontiguousarray(rows, dtype=SHARD_DTYPE)
+        if block.ndim != 2 or block.shape[1] != self.points:
+            raise TraceError(
+                f"{self.kind} shard block has shape {block.shape}, expected "
+                f"(*, {self.points})")
+        stride = self.points * block.itemsize
+        done = 0
+        for shard, local, take in self.pieces(row, block.shape[0]):
+            path = shard_path(self.root, self.kind, shard)
+            failpoint("shard.write", path.name)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                _pwrite_all(fd, block[done:done + take],
+                            self.header_bytes + local * stride)
+            finally:
+                os.close(fd)
+            done += take
+
+    def view(self, row: int, count: int) -> np.ndarray:
+        """Rows ``[row, row + count)`` as written, read-only.
+
+        A memory map while the rows lie in one shard file, a copy when
+        they span several.
+        """
+        stride = self.points * np.dtype(SHARD_DTYPE).itemsize
+        pieces = [np.memmap(shard_path(self.root, self.kind, shard),
+                            dtype=SHARD_DTYPE, mode="r",
+                            offset=self.header_bytes + local * stride,
+                            shape=(take, self.points))
+                  for shard, local, take in self.pieces(row, count)]
+        if len(pieces) == 1:
+            return pieces[0]
+        if not pieces:
+            return np.empty((0, self.points), dtype=SHARD_DTYPE)
+        return np.concatenate(pieces)
+
+
+class ShardWriter:
+    """Seals the shard files of one series kind as their rows come in.
+
+    Rows reach the files through :attr:`target`, from any process and in
+    any order.  The writer counts the rows reported written
+    (:meth:`advance`) and seals each shard, in shard order, once all its
+    rows are in: it writes the ``.npy`` header, hashes the payload while
+    its pages are still cached, and calls ``on_flush``.  :meth:`append`
+    is the one-process shorthand (write at the end, then report) and
+    :meth:`finalize` seals the tail shard.  The caller owns directory
     atomicity (write into a staging dir, rename at the end).
     """
 
     def __init__(self, root: Path, kind: str, points: int,
                  shard_rows: int = DEFAULT_SHARD_ROWS,
-                 on_flush=None, retry: RetryPolicy | None = None,
-                 on_retry=None) -> None:
+                 on_flush=None) -> None:
         if points <= 0:
             raise TraceError(f"points must be positive, got {points}")
         if shard_rows <= 0:
             raise TraceError(f"shard_rows must be positive, got {shard_rows}")
-        self.root = Path(root)
-        self.kind = kind
-        self.points = int(points)
-        self.shard_rows = int(shard_rows)
-        #: Optional callback ``(shard_index, rows, nbytes)`` per flush —
-        #: the journal's ``chunk_spill`` hook.
+        self.target = ShardTarget(Path(root), kind, int(points),
+                                  int(shard_rows))
+        #: Optional callback ``(shard_index, rows, nbytes)`` per sealed
+        #: shard — the journal's ``chunk_spill`` hook.
         self.on_flush = on_flush
-        #: Transient flush failures retry under this policy before
-        #: propagating (and unwinding the owning sink's staging dir).
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: Optional callback ``(shard_index, attempt, delay_s, exc)``
-        #: per flush retry — the journal's ``io_retry`` hook.
-        self.on_retry = on_retry
-        self._dir = self.root / kind
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._buffer = np.empty((self.shard_rows, self.points),
-                                dtype=SHARD_DTYPE)
-        self._fill = 0
+        (self.target.root / kind).mkdir(parents=True, exist_ok=True)
+        #: Rows reported written, per shard.
+        self._filled: list[int] = []
+        #: One past the last row reported written.
         self._rows = 0
-        self._shards = 0
         self._checksums: list[str] = []
         self._finalized = False
 
     def append(self, rows: np.ndarray) -> None:
-        """Buffer a ``(n, points)`` block, flushing filled shards."""
+        """Write a ``(n, points)`` block after the last row and report it."""
+        self._check_open()
+        self.target.write(self._rows, rows)
+        self.advance(self._rows, len(rows))
+
+    def advance(self, row: int, count: int) -> None:
+        """Report rows ``[row, row + count)`` written; seal full shards.
+
+        Raises:
+            TraceError: when the writer is finalized or a row is
+                reported twice.
+        """
+        self._check_open()
+        shard_rows = self.target.shard_rows
+        for shard, _, take in self.target.pieces(row, count):
+            if shard >= len(self._filled):
+                self._filled.extend([0] * (shard + 1 - len(self._filled)))
+            self._filled[shard] += take
+            if self._filled[shard] > shard_rows:
+                raise TraceError(f"{self.target.kind} shard {shard}: rows "
+                                 f"reported written twice")
+        self._rows = max(self._rows, row + count)
+        sealed = len(self._checksums)
+        while sealed < len(self._filled) \
+                and self._filled[sealed] == shard_rows:
+            self._seal(sealed, shard_rows)
+            sealed += 1
+
+    def _check_open(self) -> None:
         if self._finalized:
-            raise TraceError(f"shard writer for {self.kind!r} is finalized")
-        block = np.asarray(rows)
-        if block.ndim != 2 or block.shape[1] != self.points:
             raise TraceError(
-                f"{self.kind} shard block has shape {block.shape}, expected "
-                f"(*, {self.points})")
-        offset = 0
-        remaining = block.shape[0]
-        while remaining:
-            take = min(remaining, self.shard_rows - self._fill)
-            self._buffer[self._fill:self._fill + take] = \
-                block[offset:offset + take]
-            self._fill += take
-            offset += take
-            remaining -= take
-            if self._fill == self.shard_rows:
-                self._flush()
-        self._rows += block.shape[0]
+                f"shard writer for {self.target.kind!r} is finalized")
 
-    def _flush(self) -> None:
-        if not self._fill:
-            return
-        path = shard_path(self.root, self.kind, self._shards)
-        filled = self._buffer[:self._fill]
-        # Hash the payload before writing: zero-copy over the contiguous
-        # buffer slice, and the digest the index records is by
-        # construction what a clean write put on disk.
-        digest = hashlib.sha256(filled).hexdigest()
+    def _seal(self, shard: int, rows: int) -> None:
+        """Write shard ``shard``'s header and record its checksum.
 
-        def write() -> None:
-            failpoint("shard.write", path.name)
-            np.save(path, filled)
-
-        def retried(attempt: int, delay_s: float, exc: BaseException) -> None:
-            # A failed np.save can leave a torn partial file; remove it
-            # so the retry starts from a clean slate.
-            path.unlink(missing_ok=True)
-            if self.on_retry is not None:
-                self.on_retry(self._shards, attempt, delay_s, exc)
-
+        Raises:
+            TraceError: when rows of the shard were never reported, or
+                its file is missing or has the wrong size.
+        """
+        target = self.target
+        path = shard_path(target.root, target.kind, shard)
+        if self._filled[shard] != rows:
+            raise TraceError(
+                f"{target.kind} shard {shard}: {self._filled[shard]} of "
+                f"{rows} rows written")
+        header = _npy_header(rows, target.points)
+        nbytes = rows * target.points * np.dtype(SHARD_DTYPE).itemsize
+        if len(header) != target.header_bytes:
+            raise TraceError(f"{path.name}: header length depends on rows")
         try:
-            call_with_retry(write, policy=self.retry,
-                            token=f"{self.kind}/{self._shards}",
-                            on_retry=retried)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
+            with path.open("r+b") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                if size != len(header) + nbytes:
+                    raise TraceError(
+                        f"{path.name}: {size} bytes written, expected "
+                        f"{len(header) + nbytes}")
+                handle.write(header)
+                digest = _payload_sha256(handle, len(header))
+        except FileNotFoundError:
+            raise TraceError(f"missing shard {path.name}") from None
         self._checksums.append(digest)
         if self.on_flush is not None:
-            self.on_flush(self._shards, self._fill, int(filled.nbytes))
-        self._shards += 1
-        self._fill = 0
+            self.on_flush(shard, rows, nbytes)
 
     def finalize(self) -> ShardLayout:
-        """Flush the partial tail shard, seal the writer, free its buffer."""
+        """Seal every shard not yet sealed and return the layout.
+
+        Raises:
+            TraceError: when a shard has rows that were never reported.
+        """
+        target = self.target
         if not self._finalized:
-            self._flush()
+            for shard in range(len(self._checksums), len(self._filled)):
+                start = shard * target.shard_rows
+                self._seal(shard, min(target.shard_rows, self._rows - start))
             self._finalized = True
-            self._buffer = None
-        return ShardLayout(kind=self.kind, rows=self._rows,
-                           points=self.points, shard_rows=self.shard_rows,
+        return ShardLayout(kind=target.kind, rows=self._rows,
+                           points=target.points,
+                           shard_rows=target.shard_rows,
                            checksums=tuple(self._checksums))
 
 
@@ -294,15 +410,9 @@ def _verify_shard(path: Path, expected_rows: int, points: int,
             f"shard {path.name}: {actual} bytes on disk, expected "
             f"{expected_bytes} (truncated or padded)")
     if deep and checksum:
-        digest = hashlib.sha256()
         with path.open("rb") as handle:
-            handle.seek(data_start)
-            while True:
-                chunk = handle.read(1 << 20)
-                if not chunk:
-                    break
-                digest.update(chunk)
-        if digest.hexdigest() != checksum:
+            digest = _payload_sha256(handle, data_start)
+        if digest != checksum:
             raise TraceError(
                 f"shard {path.name}: payload checksum mismatch")
 

@@ -13,6 +13,8 @@ per-app series blocks through :func:`repro.parallel.run_series_jobs`, so
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from ..config import Scenario
@@ -107,28 +109,34 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
         app_index += 1
 
     # ---- series stage (parallel across apps) -------------------------
-    blocks = run_series_jobs([job for job, _, _ in pending], scenario,
-                             AZURE_RECIPE, n_jobs=jobs, perf=perf)
     if sink is None:
         sink = WorkloadSink.spill()
-    sink.begin(dataset.cpu_points, dataset.bw_points, AZURE_RECIPE.private)
     try:
-        for (job, placed_vms, spec), block in zip(pending, blocks):
-            for offset, vm in enumerate(placed_vms):
-                site = platform.site(vm.site_id)
-                dataset.add_vm_record(VMRecord(
-                    vm_id=vm.vm_id, app_id=job.app_id,
-                    customer_id=vm.customer_id,
-                    site_id=vm.site_id, server_id=vm.server_id,
-                    city=site.city, province=site.province,
-                    category=job.profile.category, image_id=vm.image_id,
-                    os_type=vm.os_type,
-                    cpu_cores=spec.cpu_cores, memory_gb=spec.memory_gb,
-                    disk_gb=spec.disk_gb,
-                    bandwidth_mbps=float(
-                        np.ceil(block.mean_bws[offset] * 3.0)),
-                ))
-            sink.consume([vm.vm_id for vm in placed_vms], block)
+        sink.begin(dataset.cpu_points, dataset.bw_points,
+                   AZURE_RECIPE.private)
+        blocks = run_series_jobs([job for job, _, _ in pending], scenario,
+                                 AZURE_RECIPE, sink, n_jobs=jobs,
+                                 perf=perf)
+        # Closing the generator stops the farm, so no task still
+        # writes into the sink when a failure aborts it below.
+        with contextlib.closing(blocks):
+            for (job, placed_vms, spec), block in zip(pending, blocks,
+                                                      strict=True):
+                for offset, vm in enumerate(placed_vms):
+                    site = platform.site(vm.site_id)
+                    dataset.add_vm_record(VMRecord(
+                        vm_id=vm.vm_id, app_id=job.app_id,
+                        customer_id=vm.customer_id,
+                        site_id=vm.site_id, server_id=vm.server_id,
+                        city=site.city, province=site.province,
+                        category=job.profile.category, image_id=vm.image_id,
+                        os_type=vm.os_type,
+                        cpu_cores=spec.cpu_cores, memory_gb=spec.memory_gb,
+                        disk_gb=spec.disk_gb,
+                        bandwidth_mbps=float(
+                            np.ceil(block.mean_bws[offset] * 3.0)),
+                    ))
+                sink.consume([vm.vm_id for vm in placed_vms], block)
         sink.finalize(platform, dataset)
     except BaseException:
         sink.abort()

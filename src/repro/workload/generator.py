@@ -18,6 +18,7 @@ bit-identical output.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,28 +199,34 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
         app_index += 1
 
     # ---- series stage (parallel across apps) -------------------------
-    blocks = run_series_jobs([job for job, _ in pending], scenario,
-                             NEP_RECIPE, n_jobs=jobs, perf=perf)
     if sink is None:
         sink = WorkloadSink.spill()
-    sink.begin(dataset.cpu_points, dataset.bw_points, NEP_RECIPE.private)
     try:
-        for (job, placed_vms), block in zip(pending, blocks):
-            for offset, vm in enumerate(placed_vms):
-                site = platform.site(vm.site_id)
-                dataset.add_vm_record(VMRecord(
-                    vm_id=vm.vm_id, app_id=job.app_id,
-                    customer_id=vm.customer_id,
-                    site_id=vm.site_id, server_id=vm.server_id,
-                    city=site.city, province=site.province,
-                    category=job.profile.category, image_id=vm.image_id,
-                    os_type=vm.os_type,
-                    cpu_cores=vm.spec.cpu_cores, memory_gb=vm.spec.memory_gb,
-                    disk_gb=vm.spec.disk_gb,
-                    bandwidth_mbps=float(
-                        np.ceil(block.mean_bws[offset] * 3.0)),
-                ))
-            sink.consume([vm.vm_id for vm in placed_vms], block)
+        sink.begin(dataset.cpu_points, dataset.bw_points,
+                   NEP_RECIPE.private)
+        blocks = run_series_jobs([job for job, _ in pending], scenario,
+                                 NEP_RECIPE, sink, n_jobs=jobs,
+                                 perf=perf)
+        # Closing the generator stops the farm, so no task still
+        # writes into the sink when a failure aborts it below.
+        with contextlib.closing(blocks):
+            for (job, placed_vms), block in zip(pending, blocks, strict=True):
+                for offset, vm in enumerate(placed_vms):
+                    site = platform.site(vm.site_id)
+                    dataset.add_vm_record(VMRecord(
+                        vm_id=vm.vm_id, app_id=job.app_id,
+                        customer_id=vm.customer_id,
+                        site_id=vm.site_id, server_id=vm.server_id,
+                        city=site.city, province=site.province,
+                        category=job.profile.category, image_id=vm.image_id,
+                        os_type=vm.os_type,
+                        cpu_cores=vm.spec.cpu_cores,
+                        memory_gb=vm.spec.memory_gb,
+                        disk_gb=vm.spec.disk_gb,
+                        bandwidth_mbps=float(
+                            np.ceil(block.mean_bws[offset] * 3.0)),
+                    ))
+                sink.consume([vm.vm_id for vm in placed_vms], block)
         sink.finalize(platform, dataset)
     except BaseException:
         sink.abort()

@@ -1,10 +1,12 @@
 """Workload sinks: the one way generated series reach storage.
 
-Every generator streams its rendered rows through a
-:class:`WorkloadSink`: each :class:`~repro.workload.series.SeriesBlock`
-is validated and appended to per-kind :class:`~repro.shards.ShardWriter`
-streams, so the process only ever holds one shard buffer per kind plus
-the block in flight, whatever the VM count.
+Every generator streams its rendered rows into a :class:`WorkloadSink`'s
+shard files.  The process that renders a block also checks it and
+writes it in place (:func:`write_block`, at the block's global row
+offset, through the sink's picklable :attr:`WorkloadSink.targets`); the
+parent's per-block step, :meth:`WorkloadSink.consume`, only checks the
+VM ids and seals the shards the block completed.  Nothing holds a shard
+in memory, whatever the VM count.
 
 Two backings share one class:
 
@@ -36,11 +38,37 @@ from ..config import Scenario
 from ..errors import InjectedFault, TraceError
 from ..shards import (
     DEFAULT_SHARD_ROWS,
+    ShardTarget,
     ShardWriter,
     load_sharded_series,
     write_shard_index,
 )
 from .series import SeriesBlock
+
+
+def write_block(targets: dict[str, ShardTarget], row: int,
+                block: SeriesBlock) -> None:
+    """Check one rendered block and write its rows at global row ``row``.
+
+    The checks mirror :meth:`TraceDataset.add_vm` (CPU utilisation in
+    [0, 1], non-negative bandwidth) vectorised over the block, plus
+    private rows whenever the sink stores them.
+
+    Raises:
+        TraceError: on a failed check.
+    """
+    cpu, bw = block.cpu_rows, block.bw_rows
+    if np.any(cpu < 0) or np.any(cpu > 1.0 + 1e-6):
+        raise TraceError(
+            f"block {block.app_id!r}: CPU utilisation outside [0, 1]")
+    if np.any(bw < 0):
+        raise TraceError(f"block {block.app_id!r}: negative bandwidth")
+    if "private" in targets and block.private_rows is None:
+        raise TraceError(f"block {block.app_id!r}: missing private rows")
+    targets["cpu"].write(row, cpu)
+    targets["bw"].write(row, bw)
+    if "private" in targets:
+        targets["private"].write(row, block.private_rows)
 
 
 class SpillLifetime:
@@ -64,8 +92,10 @@ class WorkloadSink:
     """Routes one workload's rendered series blocks to sharded disk.
 
     Single-use: one sink serves exactly one generator call.  The
-    generator drives the protocol — :meth:`begin` once, :meth:`consume`
-    per block, then :meth:`finalize` (or :meth:`abort` on failure).
+    generator drives the protocol — :meth:`begin` once, then per block
+    a :func:`write_block` into :attr:`targets` (done by the farm task
+    that rendered it) and :meth:`consume` in row order, then
+    :meth:`finalize` (or :meth:`abort` on failure).
     """
 
     def __init__(self, root: Path, *, entry_writer=None, journal=None,
@@ -128,8 +158,12 @@ class WorkloadSink:
         for kind, points in kinds:
             self._writers[kind] = ShardWriter(
                 self.root, kind, points, shard_rows=self.shard_rows,
-                on_flush=self._flush_hook(kind),
-                on_retry=self._retry_hook(kind))
+                on_flush=self._flush_hook(kind))
+
+    @property
+    def targets(self) -> dict[str, ShardTarget]:
+        """Per-kind :class:`~repro.shards.ShardTarget`: where rows go."""
+        return {kind: writer.target for kind, writer in self._writers.items()}
 
     def _flush_hook(self, kind: str):
         def hook(shard: int, rows: int, nbytes: int) -> None:
@@ -138,21 +172,11 @@ class WorkloadSink:
                                   rows=rows, bytes=nbytes)
         return hook
 
-    def _retry_hook(self, kind: str):
-        def hook(shard: int, attempt: int, delay_s: float,
-                 exc: BaseException) -> None:
-            if self.journal is not None:
-                self.journal.emit("io_retry", kind=kind, shard=shard,
-                                  attempt=attempt,
-                                  delay_s=round(delay_s, 6),
-                                  error=f"{type(exc).__name__}: {exc}")
-        return hook
-
     def consume(self, vm_ids: list[str], block: SeriesBlock) -> None:
-        """Validate and append one rendered block's rows.
+        """Take the next block, already written at the next free row.
 
-        Mirrors :meth:`TraceDataset.add_vm` semantics (duplicate ids,
-        CPU range, non-negative bandwidth) vectorised over the block.
+        Checks the VM ids (no duplicates, one per row) and seals the
+        shards whose rows are now all in.
         """
         if not self._began or self._done:
             raise TraceError("workload sink is not accepting blocks")
@@ -164,20 +188,8 @@ class WorkloadSink:
             if vm_id in self._seen:
                 raise TraceError(f"duplicate VM id {vm_id!r}")
             self._seen.add(vm_id)
-        cpu, bw = block.cpu_rows, block.bw_rows
-        if np.any(cpu < 0) or np.any(cpu > 1.0 + 1e-6):
-            raise TraceError(
-                f"block {block.app_id!r}: CPU utilisation outside [0, 1]")
-        if np.any(bw < 0):
-            raise TraceError(f"block {block.app_id!r}: negative bandwidth")
-        self._writers["cpu"].append(cpu.astype(np.float32, copy=False))
-        self._writers["bw"].append(bw.astype(np.float32, copy=False))
-        if "private" in self._writers:
-            if block.private_rows is None:
-                raise TraceError(
-                    f"block {block.app_id!r}: missing private rows")
-            self._writers["private"].append(
-                block.private_rows.astype(np.float32, copy=False))
+        for writer in self._writers.values():
+            writer.advance(len(self._order), len(vm_ids))
         self._order.extend(vm_ids)
 
     def finalize(self, platform, dataset) -> None:
@@ -240,9 +252,6 @@ class WorkloadSink:
             return
         self._aborted = True
         self._done = True
-        # The writers' hooks close a cycle back to this sink; dropping
-        # them frees their shard buffers without waiting for the GC.
-        self._writers.clear()
         if self._entry_writer is not None:
             self._entry_writer.abort()
         else:

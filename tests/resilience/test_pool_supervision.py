@@ -25,6 +25,8 @@ from repro.resilience import RetryPolicy, SupervisionConfig, install, reset
 from repro.workload.apps import NEP_PROFILES
 from repro.workload.series import NEP_RECIPE, SeriesJob
 
+from ..test_parallel import series_sink
+
 SCENARIO = Scenario.smoke_scale()
 
 #: A patient watchdog with fast, bounded retries for chaos tests.
@@ -56,8 +58,9 @@ def _run(jobs, n_jobs, supervision=FAST_RETRY):
     """One journaled run; returns (rows, journal, perf)."""
     journal = RunJournal(None)
     perf = PerfRegistry(journal=journal)
-    blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=n_jobs,
-                                  perf=perf, supervision=supervision))
+    blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, series_sink(),
+                                  n_jobs=n_jobs, perf=perf,
+                                  supervision=supervision))
     return _rows(blocks), journal, perf
 
 
@@ -114,7 +117,7 @@ class TestInjectedRenderFaults:
         perf = PerfRegistry(journal=journal)
         with pytest.raises(ParallelError) as info:
             list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE,
-                                 n_jobs=n_jobs, perf=perf,
+                                 series_sink(), n_jobs=n_jobs, perf=perf,
                                  supervision=FAST_RETRY))
         assert type(info.value) is ParallelError
         assert "ValueError: bad render app-00" in str(info.value)
@@ -126,8 +129,9 @@ class TestInjectedRenderFaults:
         journal = RunJournal(None)
         perf = PerfRegistry(journal=journal)
         with pytest.raises(QuarantineError):
-            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE, n_jobs=1,
-                                 perf=perf, supervision=FAST_RETRY))
+            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE,
+                                 series_sink(), n_jobs=1, perf=perf,
+                                 supervision=FAST_RETRY))
         quarantined = [e for e in journal.events
                        if e["type"] == "job_quarantined"]
         assert len(quarantined) == 1

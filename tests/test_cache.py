@@ -17,7 +17,7 @@ from repro.config import Scenario
 from repro.errors import ConfigurationError
 from repro.workload.generator import GeneratedWorkload
 from repro.workload.series import SeriesBlock
-from repro.workload.streaming import WorkloadSink
+from repro.workload.streaming import WorkloadSink, write_block
 
 SCENARIO = Scenario.smoke_scale()
 
@@ -27,8 +27,10 @@ def store_workload(cache: ArtifactCache, artifact: str,
                    scenario: Scenario = SCENARIO) -> GeneratedWorkload:
     """Replay ``workload``'s rows through a cache sink, one VM per block.
 
-    The sink is the only way a workload reaches the cache; the returned
-    workload serves its series from wherever the sink left them.
+    Each block is written in place at its row, then consumed, as a
+    series farm task and its parent do.  The sink is the only way a
+    workload reaches the cache; the returned workload serves its series
+    from wherever the sink left them.
     """
     ds = workload.dataset
     sink = WorkloadSink.for_cache(cache, artifact, scenario)
@@ -36,14 +38,16 @@ def store_workload(cache: ArtifactCache, artifact: str,
     try:
         sink.begin(ds.cpu_points, ds.bw_points,
                    private=bool(ds.bw_private_series))
-        for vm_id in ds.vms:
+        for row, vm_id in enumerate(ds.vms):
             private = ds.bw_private_series.get(vm_id)
-            sink.consume([vm_id], SeriesBlock(
+            block = SeriesBlock(
                 app_id=vm_id, mean_bws=None,
                 cpu_rows=np.asarray(ds.cpu_series[vm_id])[None],
                 bw_rows=np.asarray(ds.bw_series[vm_id])[None],
                 private_rows=(None if private is None
-                              else np.asarray(private)[None])))
+                              else np.asarray(private)[None]))
+            write_block(sink.targets, row, block)
+            sink.consume([vm_id], block)
         sink.finalize(workload.platform, copy)
     except BaseException:
         sink.abort()

@@ -23,7 +23,7 @@ from repro.config import Scenario
 from repro.obs import RunJournal
 from repro.resilience import install, reset
 from repro.shards import ShardWriter, shard_path
-from repro.workload.streaming import WorkloadSink
+from repro.workload.streaming import WorkloadSink, write_block
 
 SCENARIO = Scenario.smoke_scale()
 
@@ -140,26 +140,21 @@ class TestSimulatedEnospc:
         monkeypatch.undo()
         assert cache.get_object("campaign_latency", SCENARIO) == {"x": 1}
 
-    def test_shard_staging_enospc_removes_partial_file(self, tmp_path,
-                                                       monkeypatch):
-        from repro.resilience import RetryPolicy
-
-        def no_space(path, *_args, **_kwargs):
-            # np.save opens the file before our fake failure fires, so a
-            # torn partial exists exactly as with a real full disk.
-            with open(path, "wb") as handle:
-                handle.write(b"torn")
+    def test_shard_write_enospc_propagates_unreported(self, tmp_path,
+                                                      monkeypatch):
+        def no_space(fd, data, offset):
+            # A full disk can take part of a write before it fails.
+            os.write(fd, b"torn")
             raise OSError(errno.ENOSPC, "No space left on device")
 
         import repro.shards as shards_mod
 
-        monkeypatch.setattr(shards_mod.np, "save", no_space)
-        writer = ShardWriter(tmp_path, "cpu", 8, shard_rows=2,
-                             retry=RetryPolicy(max_attempts=2,
-                                               backoff_s=0.0))
+        monkeypatch.setattr(shards_mod.os, "pwrite", no_space)
+        writer = ShardWriter(tmp_path, "cpu", 8, shard_rows=2)
         with pytest.raises(OSError):
             writer.append(np.zeros((4, 8), dtype=np.float32))
-        assert not list(tmp_path.glob("shard-*.npy"))
+        # The failed rows were never reported, so nothing was sealed.
+        assert writer.finalize().rows == 0
 
     def test_streamed_entry_abort_after_enospc_cleans_up(self, tmp_path,
                                                          monkeypatch):
@@ -173,14 +168,14 @@ class TestSimulatedEnospc:
         def no_space(*_args, **_kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(shards_mod.np, "save", no_space)
+        monkeypatch.setattr(shards_mod.os, "pwrite", no_space)
         block = type("B", (), {})()
         block.app_id = "doomed"
         block.cpu_rows = np.full((4, 8), 0.5, dtype=np.float32)
         block.bw_rows = np.ones((4, 8), dtype=np.float32)
         block.private_rows = None
         with pytest.raises(OSError):
-            sink.consume(["vm0", "vm1", "vm2", "vm3"], block)
+            write_block(sink.targets, 0, block)
         sink.abort()
         assert not list(cache.root.glob(".tmp-*"))
         assert cache.get_workload("workload_nep", SCENARIO) is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import tempfile
 import threading
 
@@ -14,10 +15,27 @@ from repro.obs import RunJournal, canonical_events
 from repro.parallel import resolve_jobs, run_series_jobs
 from repro.perf import PerfRegistry
 from repro.resilience import install, reset
+from repro.shards import DEFAULT_SHARD_ROWS
 from repro.workload.apps import NEP_PROFILES
+from repro.workload.patterns import time_axis_minutes
 from repro.workload.series import NEP_RECIPE, SeriesJob
+from repro.workload.streaming import WorkloadSink
 
 SCENARIO = Scenario.smoke_scale()
+
+
+def series_sink(root=None, shard_rows: int = DEFAULT_SHARD_ROWS):
+    """A begun spill sink shaped for ``SCENARIO``'s NEP series.
+
+    Without ``root`` it is a temporary spill, removed with the sink.
+    """
+    def points(interval):
+        return time_axis_minutes(SCENARIO.trace_days, interval).size
+
+    sink = WorkloadSink.spill(root, shard_rows=shard_rows)
+    sink.begin(points(SCENARIO.cpu_interval_minutes),
+               points(SCENARIO.bw_interval_minutes), NEP_RECIPE.private)
+    return sink
 
 
 def _jobs(count: int) -> list[SeriesJob]:
@@ -48,16 +66,24 @@ def _block_rows(blocks):
             for b in blocks]
 
 
+def _series(jobs, n_jobs, sink=None, **kwargs):
+    """``run_series_jobs`` on ``SCENARIO`` into ``sink`` (a fresh
+    temporary spill by default)."""
+    return run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
+                           series_sink() if sink is None else sink,
+                           n_jobs=n_jobs, **kwargs)
+
+
 class TestRunSeriesJobs:
     def test_blocks_arrive_in_submission_order(self):
         jobs = _jobs(6)
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=3))
+        blocks = list(_series(jobs, 3))
         assert [b.app_id for b in blocks] == [j.app_id for j in jobs]
 
     def test_parallel_rows_match_serial(self):
         jobs = _jobs(5)
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
-        parallel = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=4))
+        serial = list(_series(jobs, 1))
+        parallel = list(_series(jobs, 4))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.mean_bws, b.mean_bws)
             assert np.array_equal(a.cpu_rows, b.cpu_rows)
@@ -68,8 +94,7 @@ class TestRunSeriesJobs:
     def test_worker_perf_merged_into_parent(self):
         jobs = _jobs(4)
         perf = PerfRegistry()
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=2,
-                                      perf=perf))
+        blocks = list(_series(jobs, 2, perf=perf))
         assert all(block.perf is None for block in blocks)
         assert perf.counters["series_vms"] == sum(j.vm_count for j in jobs)
         assert perf.spans["series_render"].calls == len(jobs)
@@ -77,8 +102,7 @@ class TestRunSeriesJobs:
     def test_single_job_stays_inline(self):
         jobs = _jobs(1)
         perf = PerfRegistry()
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=8,
-                                      perf=perf))
+        blocks = list(_series(jobs, 8, perf=perf))
         assert len(blocks) == 1
         assert perf.spans["series_render"].calls == 1
 
@@ -87,9 +111,8 @@ class TestRunSeriesJobs:
         jobs = _jobs(3)
         journal = RunJournal(None)
         perf = PerfRegistry(journal=journal)
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                      n_jobs=2, perf=perf))
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
+        blocks = list(_series(jobs, 2, perf=perf))
+        serial = list(_series(jobs, 1))
         assert _block_rows(blocks) == _block_rows(serial)
         warning = next(e for e in journal.events if e["type"] == "warning")
         assert "fork" in warning["message"]
@@ -99,62 +122,89 @@ class TestRunSeriesJobs:
 
 
 @pytest.fixture
-def spool_root(tmp_path, monkeypatch):
-    """Make the pool create its spool directory under ``tmp_path``."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    return tmp_path
+def temp_root(tmp_path, monkeypatch):
+    """Point the temp directory at an empty ``tmp_path/tmp``."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
 
 
 class TestSpoolHandoff:
-    """Blocks travel through per-job spool files that never outlive a run."""
+    """Rows reach the parent through the sink's files alone: a render
+    leaves no temporary files of its own, and closing it early stops
+    its farm."""
 
     def test_canonical_journal_invariant_across_jobs(self):
         def run(n_jobs):
             journal = RunJournal(None)
             perf = PerfRegistry(journal=journal)
-            list(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
-                                 n_jobs=n_jobs, perf=perf))
+            list(_series(_jobs(4), n_jobs, perf=perf))
             return canonical_events(journal.events)
 
         assert run(1) == run(2)
 
-    def test_inline_mode_writes_no_spool(self, spool_root):
-        blocks = run_series_jobs(_jobs(3), SCENARIO, NEP_RECIPE, n_jobs=1)
-        next(blocks)
-        assert not list(spool_root.iterdir())
-        assert len(list(blocks)) == 2
-
-    def test_spool_removed_after_run(self, spool_root):
-        blocks = list(run_series_jobs(_jobs(5), SCENARIO, NEP_RECIPE,
-                                      n_jobs=2))
+    def test_spool_removed_after_run(self, temp_root, tmp_path):
+        blocks = list(_series(_jobs(5), 2, series_sink(tmp_path / "sink")))
         assert len(blocks) == 5
-        assert not list(spool_root.iterdir())
+        assert not list(temp_root.iterdir())
 
-    def test_spool_removed_when_consumer_stops_early(self, spool_root):
-        blocks = run_series_jobs(_jobs(6), SCENARIO, NEP_RECIPE, n_jobs=2)
+    def test_spool_removed_when_consumer_stops_early(self, temp_root,
+                                                     tmp_path):
+        before = set(multiprocessing.active_children())
+        blocks = _series(_jobs(6), 2, series_sink(tmp_path / "sink"))
         next(blocks)
-        assert [p.name.startswith("repro-spool-")
-                for p in spool_root.iterdir()] == [True]
+        assert set(multiprocessing.active_children()) - before
         blocks.close()
-        assert not list(spool_root.iterdir())
+        assert not set(multiprocessing.active_children()) - before
+        assert not list(temp_root.iterdir())
 
-    def test_spool_removed_after_worker_kill(self, spool_root):
+    def test_spool_removed_after_worker_kill(self, temp_root, tmp_path):
         jobs = _jobs(6)
         install("pool.kill_worker:nth=2,times=1")
         try:
-            survived = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                            n_jobs=2))
+            survived = list(_series(jobs, 2,
+                                    series_sink(tmp_path / "sink")))
         finally:
             reset()
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
+        serial = list(_series(jobs, 1, series_sink(tmp_path / "serial")))
         assert _block_rows(survived) == _block_rows(serial)
-        assert not list(spool_root.iterdir())
+        assert not list(temp_root.iterdir())
 
-    def test_unusable_temp_dir_raises_parallel_error(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        with pytest.raises(ParallelError, match="spool directory"):
-            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE, n_jobs=2))
+
+class TestInPlaceWrites:
+    """Tasks write their rows straight into the sink's shard files."""
+
+    @staticmethod
+    def _render(root, n_jobs, jobs):
+        """Render ``jobs`` into a fresh sink; returns it and the blocks."""
+        sink, blocks = series_sink(root, shard_rows=4), []
+        for block in _series(jobs, n_jobs, sink):
+            sink.consume([f"{block.app_id}-{i}"
+                          for i in range(len(block.cpu_rows))], block)
+            blocks.append(block)
+        return sink, blocks
+
+    def test_inline_and_pooled_write_identical_shards(self, tmp_path):
+        jobs = _jobs(7)
+        layouts = []
+        for n_jobs in (1, 2):
+            sink, _ = self._render(tmp_path / str(n_jobs), n_jobs, jobs)
+            layouts.append([w.finalize() for w in sink._writers.values()])
+        assert layouts[0] == layouts[1]
+        assert layouts[0][0].rows == sum(j.vm_count for j in jobs)
+        assert all(len(layout.checksums) == layout.n_shards
+                   for layout in layouts[0])
+
+    def test_blocks_are_read_only_disk_views(self, tmp_path):
+        _, blocks = self._render(tmp_path, 1, _jobs(3))
+        # Rows 0-1 lie in shard 0: a memory map of that file.
+        assert isinstance(blocks[0].cpu_rows, np.memmap)
+        assert not blocks[0].cpu_rows.flags.writeable
+        # Rows 2-4 span shards 0 and 1: a copy of both pieces.
+        points = blocks[0].cpu_rows.shape[1]
+        assert blocks[1].cpu_rows.shape == (3, points)
+        assert blocks[1].bw_rows.nbytes == 3 * points * 4
 
 
 def _square(x):
@@ -177,8 +227,7 @@ def _worker_pid(_):
 
 
 def _nested_render(n_jobs):
-    return _block_rows(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
-                                       n_jobs=n_jobs))
+    return _block_rows(_series(_jobs(4), n_jobs))
 
 
 class TestTaskFarm:

@@ -9,12 +9,17 @@ behind by a process killed mid-write.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import multiprocessing
 import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache
 from repro.config import Scenario
@@ -88,6 +93,82 @@ class TestShardWriter:
             ShardWriter(tmp_path, "cpu", 0)
         with pytest.raises(TraceError):
             ShardWriter(tmp_path, "cpu", 8, shard_rows=0)
+
+
+@st.composite
+def _jobs_in_shards(draw):
+    """Shard height, job sizes (some spanning or outgrowing a shard), and
+    the orders in which the jobs are written and then reported."""
+    shard_rows = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3 * shard_rows), min_size=1,
+                          max_size=7))
+    jobs = range(len(sizes))
+    return (shard_rows, sizes, draw(st.permutations(jobs)),
+            draw(st.permutations(jobs)))
+
+
+class TestOffsetWrites:
+    """Rows written at their offsets, in any order, seal like np.save."""
+
+    @staticmethod
+    def _store(root, shard_rows, sizes, points=3):
+        rows = np.random.default_rng(sum(sizes)).random(
+            (sum(sizes), points)).astype(np.float32)
+        starts = np.cumsum([0] + sizes).tolist()
+        sealed = []
+        writer = ShardWriter(root, "cpu", points, shard_rows=shard_rows,
+                             on_flush=lambda shard, *_: sealed.append(shard))
+        return rows, starts, writer, sealed
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_jobs_in_shards())
+    def test_sealed_shards_equal_np_save(self, case):
+        shard_rows, sizes, write_order, report_order = case
+        with tempfile.TemporaryDirectory() as root:
+            rows, starts, writer, sealed = self._store(root, shard_rows,
+                                                       sizes)
+            for job in write_order:
+                writer.target.write(starts[job],
+                                    rows[starts[job]:starts[job + 1]])
+            for job in report_order:
+                writer.advance(starts[job], sizes[job])
+            layout = writer.finalize()
+            assert layout.rows == len(rows)
+            assert sealed == list(range(layout.n_shards))
+            for shard in range(layout.n_shards):
+                start, stop = layout.shard_extent(shard)
+                expected = io.BytesIO()
+                np.save(expected, rows[start:stop])
+                assert (shard_path(root, "cpu", shard).read_bytes()
+                        == expected.getvalue())
+                assert layout.checksums[shard] == hashlib.sha256(
+                    rows[start:stop].tobytes()).hexdigest()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_jobs_in_shards(), data=st.data())
+    def test_shard_with_missing_rows_refuses_to_seal(self, case, data):
+        shard_rows, sizes, write_order, _ = case
+        if len(sizes) < 2:
+            sizes = sizes + [1]
+            write_order = [*write_order, len(sizes) - 1]
+        # Any job but the last leaves a hole below rows reported later.
+        missing = data.draw(st.integers(0, len(sizes) - 2))
+        with tempfile.TemporaryDirectory() as root:
+            rows, starts, writer, _ = self._store(root, shard_rows, sizes)
+            for job in write_order:
+                if job != missing:
+                    writer.target.write(starts[job],
+                                        rows[starts[job]:starts[job + 1]])
+                    writer.advance(starts[job], sizes[job])
+            with pytest.raises(TraceError, match="rows written"):
+                writer.finalize()
+
+    def test_rows_reported_twice_rejected(self, tmp_path):
+        writer = ShardWriter(tmp_path, "cpu", 2, shard_rows=4)
+        writer.target.write(0, np.zeros((3, 2), dtype=np.float32))
+        writer.advance(0, 3)
+        with pytest.raises(TraceError, match="twice"):
+            writer.advance(2, 2)
 
 
 class TestShardedSeriesMap:
@@ -186,7 +267,7 @@ class TestCorruptionDetection:
 
 def _stream_bomb(root: str) -> None:
     """SIGKILL this process while a sharded cache entry is mid-write."""
-    from repro.workload.streaming import WorkloadSink
+    from repro.workload.streaming import WorkloadSink, write_block
 
     cache = ArtifactCache(root)
     sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
@@ -197,7 +278,8 @@ def _stream_bomb(root: str) -> None:
     block.cpu_rows = np.full((3, 16), 0.5, dtype=np.float32)
     block.bw_rows = np.ones((3, 16), dtype=np.float32)
     block.private_rows = None
-    sink.consume(["vm0", "vm1", "vm2"], block)  # flushes shard 0
+    write_block(sink.targets, 0, block)
+    sink.consume(["vm0", "vm1", "vm2"], block)  # seals shard 0
     os.kill(os.getpid(), signal.SIGKILL)
 
 

@@ -10,7 +10,8 @@ and that the sink protocol rejects misuse.
 from __future__ import annotations
 
 import gc
-import weakref
+import multiprocessing
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,14 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.config import Scenario
-from repro.errors import TraceError
-from repro.study import scenario_for
-from repro.trace.dataset import TraceDataset
+from repro.errors import QuarantineError, TraceError
+from repro.obs import RunJournal, canonical_events
+from repro.resilience import RetryPolicy, install, reset
+from repro.shards import read_shard_index
+from repro.study import EdgeStudy, scenario_for
 from repro.workload.azure import generate_azure_workload
 from repro.workload.generator import generate_nep_workload
-from repro.workload.streaming import WorkloadSink
+from repro.workload.streaming import WorkloadSink, write_block
 
 from .test_parallel_equivalence import GOLDEN, workload_digest
 
@@ -118,6 +121,103 @@ class TestOneEntryFormat:
                 == read_shard_index(entry.path))
 
 
+class TestJobsAndChaos:
+    """Whoever writes the rows, and however often, the store is the same."""
+
+    @staticmethod
+    def _cache_nep(root, jobs):
+        journal = RunJournal(None)
+        study = EdgeStudy(SCENARIO, jobs=jobs, cache=ArtifactCache(root),
+                          journal=journal)
+        study.nep
+        entry = next(iter(study.cache.entries()))
+        return read_shard_index(entry.path), journal.events
+
+    def test_jobs_and_chaos_store_equal_shards_and_journals(self, tmp_path):
+        inline, inline_events = self._cache_nep(tmp_path / "inline", 1)
+        pooled, pooled_events = self._cache_nep(tmp_path / "pooled", 2)
+        install("shard.write:nth=2,times=1;pool.kill_worker:nth=2,times=1")
+        try:
+            chaos, chaos_events = self._cache_nep(tmp_path / "chaos", 2)
+        finally:
+            reset()
+        # Equal layouts include equal per-shard payload checksums.
+        assert inline == pooled == chaos
+        assert (canonical_events(inline_events)
+                == canonical_events(pooled_events)
+                == canonical_events(chaos_events))
+        # Both faults fired: a killed worker and a failed in-task write.
+        assert any(e["type"] == "worker_restart" for e in chaos_events)
+        assert any(e["type"] == "job_retry" and "shard.write" in e["error"]
+                   for e in chaos_events)
+
+    @pytest.mark.parametrize("generate", [generate_nep_workload,
+                                          generate_azure_workload])
+    def test_farm_closed_before_finalize(self, generate, tmp_path,
+                                         monkeypatch):
+        """The last block ends the series farm: no worker outlives it."""
+        alive = []
+        finalize = WorkloadSink.finalize
+
+        def counting(sink, *args):
+            alive.append(len(multiprocessing.active_children()))
+            return finalize(sink, *args)
+
+        monkeypatch.setattr(WorkloadSink, "finalize", counting)
+        generate(SCENARIO, jobs=2, sink=WorkloadSink.spill(tmp_path))
+        assert alive == [0]
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("generate", [generate_nep_workload,
+                                          generate_azure_workload])
+    def test_mid_stream_failure_stops_farm_before_abort(
+            self, generate, cached, tmp_path, monkeypatch):
+        """A failing consumer closes the farm before the sink is
+        removed, so no task writes into a directory being deleted."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        consume, abort = WorkloadSink.consume, WorkloadSink.abort
+        consumed, alive = [], []
+
+        def failing(sink, *args):
+            consumed.append(1)
+            if len(consumed) == 2:
+                raise TraceError("consumer failed")
+            return consume(sink, *args)
+
+        def counting(sink):
+            alive.append(len(multiprocessing.active_children()))
+            return abort(sink)
+
+        monkeypatch.setattr(WorkloadSink, "consume", failing)
+        monkeypatch.setattr(WorkloadSink, "abort", counting)
+        cache = ArtifactCache(tmp_path / "cache") if cached else None
+        sink = (WorkloadSink.for_cache(cache, "workload", SCENARIO)
+                if cached else WorkloadSink.spill())
+        with pytest.raises(TraceError, match="consumer failed"):
+            generate(SCENARIO, jobs=2, sink=sink)
+        assert alive == [0]
+        assert not list(tmp_path.glob("repro-spill-*"))
+        if cached:
+            assert not list(cache.root.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_persistent_shard_write_failure_leaves_nothing(
+            self, cached, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(RetryPolicy, "delay", lambda *_args: 0.0)
+        cache = ArtifactCache(tmp_path / "cache") if cached else None
+        install("shard.write:p=1")
+        try:
+            with pytest.raises(QuarantineError):
+                EdgeStudy(SCENARIO, jobs=2, cache=cache).nep
+        finally:
+            reset()
+        assert not list(tmp_path.glob("repro-spill-*"))
+        if cached:
+            assert not list(cache.root.glob(".tmp-*"))
+            assert cache.entries() == []
+
+
 class TestSpillLifetime:
     """A spill directory lives exactly as long as the series read from it."""
 
@@ -140,42 +240,6 @@ class TestSpillLifetime:
         del sink
         gc.collect()
         assert not root.exists()
-
-
-class TestShardBuffers:
-    """Finalize and abort free the writers' shard-sized buffers at once."""
-
-    def _sink(self, tmp_path):
-        sink = WorkloadSink.spill(tmp_path / "spill")
-        sink.begin(8, 8, private=True)
-        block = _block()
-        block.private_rows = block.bw_rows
-        sink.consume(["a", "b"], block)
-        buffers = [weakref.ref(writer._buffer)
-                   for writer in sink._writers.values()]
-        return sink, buffers
-
-    def test_finalize_releases_buffers(self, tmp_path):
-        gc.disable()
-        try:
-            sink, buffers = self._sink(tmp_path)
-            dataset = TraceDataset(platform_name="p", trace_days=1,
-                                   cpu_interval_minutes=180,
-                                   bw_interval_minutes=180,
-                                   vms=dict.fromkeys(["a", "b"]))
-            sink.finalize(None, dataset)
-            assert all(ref() is None for ref in buffers)
-        finally:
-            gc.enable()
-
-    def test_abort_releases_buffers(self, tmp_path):
-        gc.disable()
-        try:
-            sink, buffers = self._sink(tmp_path)
-            sink.abort()
-            assert all(ref() is None for ref in buffers)
-        finally:
-            gc.enable()
 
 
 class TestSinkProtocol:
@@ -210,11 +274,11 @@ class TestSinkProtocol:
         bad = _block()
         bad.cpu_rows = np.full((2, 8), 1.5, dtype=np.float32)
         with pytest.raises(TraceError, match="CPU"):
-            sink.consume(["a", "b"], bad)
+            write_block(sink.targets, 0, bad)
         worse = _block()
         worse.bw_rows = np.full((2, 8), -1.0, dtype=np.float32)
         with pytest.raises(TraceError, match="negative"):
-            sink.consume(["c", "d"], worse)
+            write_block(sink.targets, 0, worse)
 
     def test_abort_discards_spill(self, tmp_path):
         root = tmp_path / "spill"
