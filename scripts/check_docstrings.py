@@ -7,8 +7,8 @@ A stdlib-`ast` stand-in for the pydocstyle subset this repo enforces
 * **Every module** under ``src/repro`` must open with a docstring
   (pydocstyle D100/D104).
 * In the **strict surfaces** — ``repro.obs``, ``repro.cache``,
-  ``repro.parallel``, ``repro.faults``, ``repro.perf``,
-  ``repro.phases`` — every public class, public function, and public
+  ``repro.parallel``, ``repro.faults``, ``repro.perf`` — every public
+  class, public function, and public
   method must carry a docstring (D101/D102/D103).  Private names
   (``_underscore``), dunders other than ``__init__``'s class, and
   ``@overload`` stubs are exempt; a public ``__init__`` is covered by
@@ -41,7 +41,6 @@ STRICT = (
     "parallel.py",
     "faults",
     "perf.py",
-    "phases.py",
 )
 
 

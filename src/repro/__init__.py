@@ -35,10 +35,9 @@ from .errors import (
     TraceError,
 )
 from .faults import FaultSchedule, build_fault_schedule
-from .obs import MemorySampler, RunJournal
+from .obs import RunJournal
 from .parallel import resolve_jobs
 from .perf import PerfRegistry
-from .phases import PhaseLedger, PhaseStatus
 from .study import EdgeStudy, default_study, smoke_study, study_for
 
 __version__ = "1.0.0"
@@ -55,10 +54,7 @@ __all__ = [
     "FaultSchedule",
     "GeoError",
     "MeasurementError",
-    "MemorySampler",
     "PerfRegistry",
-    "PhaseLedger",
-    "PhaseStatus",
     "PlacementError",
     "PredictionError",
     "RandomState",

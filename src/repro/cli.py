@@ -23,8 +23,8 @@ from typing import Sequence
 from .cache import ArtifactCache, default_cache_dir
 from .config import ABR_POLICIES, AUTOSCALE_MODES, FAULT_PROFILES
 from .errors import ReproError
-from .obs import RunJournal, canonical_events, diff_journals, \
-    read_journal, render_show, render_summary
+from .obs import RunJournal, diff_journals, read_journal, render_show, \
+    render_summary
 from .reports import REPORTS
 from .resilience import CHAOS_PROFILES, chaos_spec, install
 from .study import SCALES, EdgeStudy, scenario_for, study_for
@@ -541,13 +541,11 @@ def _command_trace(args: argparse.Namespace) -> int:
             print(f"warning: {path}: {warning}", file=sys.stderr)
     if args.action == "diff":
         (events_a, _), (events_b, _) = loaded
-        if not args.raw:
-            # Behavioural compare: volatile telemetry (retries, tick
-            # events, spills) differs between equivalent runs by design.
-            events_a = canonical_events(events_a)
-            events_b = canonical_events(events_b)
+        # Behavioural compare: volatile telemetry (retries, tick events,
+        # spills) differs between equivalent runs by design.
         print(diff_journals(events_a, events_b,
-                            str(args.journals[0]), str(args.journals[1])))
+                            str(args.journals[0]), str(args.journals[1]),
+                            canonical=not args.raw))
         return 0
     events, warnings = loaded[0]
     if args.action == "show":

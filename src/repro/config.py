@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,22 @@ CACHE_EVICTIONS = ("lru", "ttl")
 #: Autoscaling modes accepted by :attr:`Scenario.live_autoscale` (the
 #: CLI's ``--autoscale``); the policy lives in :mod:`repro.live`.
 AUTOSCALE_MODES = ("on", "off")
+
+
+#: Annotation of a :class:`Scenario` field -> (accepts value, expected).
+#: ``bool`` is an ``int`` to Python but never a valid knob value.
+_FIELD_KINDS = {
+    "int": (lambda value: isinstance(value, numbers.Integral)
+            and not isinstance(value, bool), "an integer"),
+    "float": (lambda value: isinstance(value, numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value),
+              "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
+
+#: Integer :class:`Scenario` knobs that may be zero; every other
+#: integer knob must be positive.
+_NON_NEGATIVE_FIELDS = ("seed", "live_flash_crowds")
 
 
 class RandomState:
@@ -149,25 +167,21 @@ class Scenario:
     fault_profile: str = "off"
 
     def __post_init__(self) -> None:
-        positive_fields = (
-            "nep_site_count", "nep_servers_per_site_min",
-            "nep_servers_per_site_max", "cloud_region_count",
-            "nep_vm_count", "azure_vm_count", "trace_days",
-            "cpu_interval_minutes", "bw_interval_minutes",
-            "participant_count", "city_count", "pings_per_target",
-            "throughput_participants", "throughput_edge_vms",
-            "iperf_duration_seconds", "qoe_samples_per_setting",
-            "prediction_vm_sample", "prediction_window_minutes",
-            "prediction_train_days", "prediction_test_days",
-            "heaviest_app_count", "qoe_session_count",
-            "qoe_session_ticks", "qoe_cache_mb", "qoe_catalog_objects",
-            "qoe_cache_ttl_s", "live_ticks", "live_tick_minutes",
-            "live_mean_lifetime_ticks",
-        )
-        for name in positive_fields:
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            accepts, expected = _FIELD_KINDS[spec.type]
+            if not accepts(value):
+                raise ConfigurationError(
+                    f"{spec.name} must be {expected}, got {value!r}")
+            if spec.type != "int":
+                continue
+            if spec.name in _NON_NEGATIVE_FIELDS:
+                if value < 0:
+                    raise ConfigurationError(
+                        f"{spec.name} must be non-negative, got {value}")
+            elif value <= 0:
+                raise ConfigurationError(
+                    f"{spec.name} must be positive, got {value}")
         if self.nep_servers_per_site_min > self.nep_servers_per_site_max:
             raise ConfigurationError(
                 "nep_servers_per_site_min exceeds nep_servers_per_site_max"
@@ -200,10 +214,6 @@ class Scenario:
             raise ConfigurationError(
                 f"live_autoscale must be one of {AUTOSCALE_MODES}, "
                 f"got {self.live_autoscale!r}")
-        if self.live_flash_crowds < 0:
-            raise ConfigurationError(
-                f"live_flash_crowds must be non-negative, "
-                f"got {self.live_flash_crowds}")
         if self.live_flash_magnitude < 1.0:
             raise ConfigurationError(
                 f"live_flash_magnitude must be >= 1, "

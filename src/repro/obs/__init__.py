@@ -11,8 +11,6 @@ were :class:`~repro.perf.PerfRegistry` span totals and ad-hoc prints.
   hit/miss/store/evict, pool job dispatch/completion, fault-schedule
   summaries, warnings), written with the same staging + atomic-rename
   discipline as :class:`~repro.cache.ArtifactCache`;
-* :class:`MemorySampler` — lightweight RSS/peak-RSS probes attached to
-  phase-end and run-end events;
 * :mod:`repro.obs.trace` — a tolerant journal reader plus the
   renderers behind the ``repro trace show|summary|diff`` subcommand.
 
@@ -40,7 +38,6 @@ from .journal import (
     canonical_events,
     merge_cell_journal,
 )
-from .memory import MemorySampler
 from .trace import (
     JournalSummary,
     diff_journals,
@@ -53,7 +50,6 @@ from .trace import (
 
 __all__ = [
     "JournalSummary",
-    "MemorySampler",
     "RunJournal",
     "VOLATILE_EVENT_TYPES",
     "VOLATILE_FIELDS",

@@ -5,7 +5,7 @@ Every event is one JSON object per line with three envelope fields —
 seconds), and ``type`` — plus type-specific payload fields.  The event
 vocabulary is documented in ``docs/observability.md``; the emitters are
 spread across the library (:class:`~repro.study.EdgeStudy`,
-:class:`~repro.perf.PerfRegistry`, :class:`~repro.phases.PhaseLedger`,
+:class:`~repro.perf.PerfRegistry` for spans and phases,
 :class:`~repro.cache.ArtifactCache`, :mod:`repro.parallel`,
 :class:`~repro.measurement.campaign.CrowdCampaign`).
 
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Callable
 
 from ..errors import ConfigurationError
-from .memory import MemorySampler
 
 #: Event fields that may differ between two runs of the same scenario:
 #: wall-clock times, durations, memory samples, and execution knobs
@@ -77,6 +76,48 @@ JOURNAL_NAME = "journal.jsonl"
 
 #: Event types that get an automatic memory sample attached.
 _SAMPLED_EVENTS = frozenset({"phase_end", "run_end"})
+
+#: ``/proc/self/status`` field name -> journal field name.
+_PROC_FIELDS = {"VmRSS": "rss_mb", "VmHWM": "peak_rss_mb"}
+
+
+def _memory_sample() -> dict[str, float]:
+    """``{"rss_mb": ..., "peak_rss_mb": ...}`` of this process, in MiB.
+
+    Parses ``VmRSS`` / ``VmHWM`` out of ``/proc/self/status`` on Linux;
+    elsewhere falls back to :func:`resource.getrusage`, which only
+    knows the peak, and finally to zeros — sampling must never be the
+    thing that breaks a run.
+    """
+    try:
+        with open("/proc/self/status") as handle:
+            lines = handle.read().splitlines()
+    except OSError:
+        lines = []
+    sample: dict[str, float] = {}
+    for line in lines:
+        key, _, rest = line.partition(":")
+        parts = rest.split()
+        if key in _PROC_FIELDS and parts and parts[0].isdigit():  # "<kB> kB"
+            sample[_PROC_FIELDS[key]] = round(int(parts[0]) / 1024.0, 3)
+    if len(sample) == len(_PROC_FIELDS):
+        return sample
+    return _rusage_sample()
+
+
+def _rusage_sample() -> dict[str, float]:
+    """Peak RSS via ``getrusage`` (current RSS is not available there)."""
+    try:
+        import resource
+
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    except Exception:  # pragma: no cover - non-POSIX platforms
+        return {"rss_mb": 0.0, "peak_rss_mb": 0.0}
+    # ru_maxrss is KiB on Linux, bytes on macOS; normalise heuristically.
+    if peak_kb > 1 << 32:  # pragma: no cover - macOS byte counts
+        peak_kb //= 1024
+    peak_mb = round(peak_kb / 1024.0, 3)
+    return {"rss_mb": peak_mb, "peak_rss_mb": peak_mb}
 
 
 def canonical_events(events: list[dict]) -> list[dict]:
@@ -164,14 +205,12 @@ class RunJournal:
     """
 
     def __init__(self, path: str | Path | None, *,
-                 echo: Callable[[dict], None] | None = None,
-                 sampler: MemorySampler | None = None) -> None:
+                 echo: Callable[[dict], None] | None = None) -> None:
         self.events: list[dict] = []
         self.echo = echo
         self.closed = False
         self._seq = 0
         self._run_started = False
-        self._sampler = sampler if sampler is not None else MemorySampler()
         self.path: Path | None = None
         self._staging: Path | None = None
         self._handle = None
@@ -201,7 +240,7 @@ class RunJournal:
         }
         event.update(fields)
         if etype in _SAMPLED_EVENTS:
-            event.update(self._sampler.sample())
+            event.update(_memory_sample())
         self._seq += 1
         self.events.append(event)
         if self._handle is not None:

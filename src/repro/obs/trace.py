@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .journal import canonical_events
+
 #: Envelope fields hidden from the per-event key=value rendering.
 _ENVELOPE = ("seq", "t", "type")
 
@@ -333,7 +335,8 @@ def _delta(a: float | None, b: float | None) -> str:
 
 
 def diff_journals(events_a: list[dict], events_b: list[dict],
-                  label_a: str = "A", label_b: str = "B") -> str:
+                  label_a: str = "A", label_b: str = "B", *,
+                  canonical: bool = False) -> str:
     """Compare two journals: phases, cache behaviour, event counts.
 
     Wall-clock deltas are reported for shared phases; structural
@@ -343,7 +346,17 @@ def diff_journals(events_a: list[dict], events_b: list[dict],
     looks like.  When nothing structural differs the report ends with a
     ``result: no behavioural differences`` verdict — timing deltas
     alone never count as a difference.
+
+    ``canonical=True`` judges structure on the
+    :func:`~repro.obs.journal.canonical_events` view, so volatile
+    telemetry (retries, spills, ticks) never counts as a difference,
+    while the phase timings still come from the raw events.
     """
+    timings_a = phase_breakdown(events_a)
+    timings_b = phase_breakdown(events_b)
+    if canonical:
+        events_a = canonical_events(events_a)
+        events_b = canonical_events(events_b)
     a = summarize_journal(events_a)
     b = summarize_journal(events_b)
     structural = False
@@ -370,8 +383,9 @@ def diff_journals(events_a: list[dict], events_b: list[dict],
         if pa.get("cached") != pb.get("cached"):
             structural = True
             cached = (f"  cache: {_cached_word(pa)} -> {_cached_word(pb)}")
-        lines.append(f"  {name:<22} "
-                     f"{_delta(pa.get('wall_s'), pb.get('wall_s'))}{cached}")
+        wall_a = timings_a.get(name, {}).get("wall_s")
+        wall_b = timings_b.get(name, {}).get("wall_s")
+        lines.append(f"  {name:<22} {_delta(wall_a, wall_b)}{cached}")
 
     counts_a = {k: len(v) for k, v in a.cache.items()}
     counts_b = {k: len(v) for k, v in b.cache.items()}

@@ -9,6 +9,9 @@ latency campaign's span so a regression fails CI.
 
 Spans nest and re-enter safely: each ``with`` block adds its own elapsed
 time and bumps the call count, so a phase touched twice reports the sum.
+A *phase* is a span that also records its outcome: :meth:`PerfRegistry.phase`
+keeps the error of a phase that raised in its :class:`SpanStats`, which
+is how a study degrades gracefully and still says what failed.
 
 Usage::
 
@@ -39,6 +42,9 @@ class SpanStats:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     calls: int = 0
+    #: ``"<ExcType>: <message>"`` when the phase's last run raised;
+    #: ``None`` when it succeeded (or the span is not a phase).
+    error: str | None = None
 
     def merge(self, other: "SpanStats") -> None:
         """Add another span's accumulated timings to this one."""
@@ -46,13 +52,16 @@ class SpanStats:
         self.cpu_s += other.cpu_s
         self.calls += other.calls
 
-    def as_dict(self) -> dict[str, float | int]:
-        """JSON-ready view of the accumulated timings."""
-        return {
+    def as_dict(self) -> dict[str, float | int | str]:
+        """JSON-ready view of the accumulated timings (and any error)."""
+        data: dict[str, float | int | str] = {
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
             "calls": self.calls,
         }
+        if self.error is not None:
+            data["error"] = self.error
+        return data
 
 
 class PerfRegistry:
@@ -60,7 +69,8 @@ class PerfRegistry:
 
     When a :class:`~repro.obs.journal.RunJournal` is attached
     (``journal=``), every span additionally emits ``span_begin`` /
-    ``span_end`` journal events — the timing bridge of the structured
+    ``span_end`` journal events, and every phase ``phase_begin`` /
+    ``phase_end`` inside them — the one bridge into the structured
     observability layer.  Worker-process registries are created *without*
     a journal and folded in via :meth:`merge`, which emits nothing, so
     journals stay identical across ``--jobs`` settings.
@@ -76,23 +86,59 @@ class PerfRegistry:
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
-        """Time a phase; wall and CPU elapsed are added to ``name``."""
-        if self.journal is not None:
-            self.journal.emit("span_begin", span=name)
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
+        """Time a block; wall and CPU elapsed are added to ``name``."""
+        self._emit("span_begin", span=name)
+        start = (time.perf_counter(), time.process_time())
         try:
             yield
         finally:
-            wall = time.perf_counter() - wall0
-            cpu = time.process_time() - cpu0
-            stats = self._spans.setdefault(name, SpanStats())
-            stats.wall_s += wall
-            stats.cpu_s += cpu
-            stats.calls += 1
-            if self.journal is not None:
-                self.journal.emit("span_end", span=name,
-                                  wall_s=round(wall, 6), cpu_s=round(cpu, 6))
+            self._end(name, start)
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Time a study phase and record its outcome (re-raising).
+
+        A span that additionally emits ``phase_begin`` / ``phase_end``
+        (``status`` ``ok`` or ``failed``, ``wall_s``, and ``error`` as
+        ``"<ExcType>: <message>"``) inside its ``span_begin`` /
+        ``span_end``, and keeps the error in the span's
+        :attr:`SpanStats.error`.  An interrupt (a ``BaseException``
+        that is not an ``Exception``) closes the span but records no
+        outcome.
+        """
+        self._emit("span_begin", span=name)
+        self._emit("phase_begin", phase=name)
+        start = (time.perf_counter(), time.process_time())
+        outcome: dict[str, str] | None = None
+        try:
+            yield
+            outcome = {"status": "ok"}
+        except Exception as exc:
+            outcome = {"status": "failed",
+                       "error": f"{type(exc).__name__}: {exc}"}
+            raise
+        finally:
+            self._end(name, start, outcome)
+
+    def _emit(self, etype: str, **fields: object) -> None:
+        if self.journal is not None:
+            self.journal.emit(etype, **fields)
+
+    def _end(self, name: str, start: tuple[float, float],
+             outcome: dict[str, str] | None = None) -> None:
+        """Fold one closed span into ``name``; emit its end event(s)."""
+        wall = time.perf_counter() - start[0]
+        cpu = time.process_time() - start[1]
+        stats = self._spans.setdefault(name, SpanStats())
+        stats.wall_s += wall
+        stats.cpu_s += cpu
+        stats.calls += 1
+        if outcome is not None:
+            stats.error = outcome.get("error")
+            self._emit("phase_end", phase=name, **outcome,
+                       wall_s=round(wall, 6))
+        self._emit("span_end", span=name, wall_s=round(wall, 6),
+                   cpu_s=round(cpu, 6))
 
     def count(self, name: str, amount: int = 1) -> None:
         """Bump a named counter (e.g. observations produced)."""
@@ -111,11 +157,6 @@ class PerfRegistry:
             self._spans.setdefault(name, SpanStats()).merge(stats)
         for name, value in other._counters.items():
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def reset(self) -> None:
-        """Drop every recorded span and counter."""
-        self._spans.clear()
-        self._counters.clear()
 
     # ---- reading ---------------------------------------------------------
 
@@ -143,15 +184,18 @@ class PerfRegistry:
         }
 
     def report(self) -> str:
-        """Human-readable table, slowest phase first."""
+        """Human-readable table, slowest phase first; failures marked."""
         if not self._spans and not self._counters:
             return "perf: no spans recorded"
         lines = ["phase                         wall_s    cpu_s  calls"]
         ordered = sorted(self._spans.items(),
                          key=lambda item: item[1].wall_s, reverse=True)
         for name, stats in ordered:
-            lines.append(f"{name:<28}{stats.wall_s:>8.3f} {stats.cpu_s:>8.3f}"
-                         f" {stats.calls:>6d}")
+            line = (f"{name:<28}{stats.wall_s:>8.3f} {stats.cpu_s:>8.3f}"
+                    f" {stats.calls:>6d}")
+            if stats.error is not None:
+                line += f"  FAILED {stats.error}"
+            lines.append(line)
         for name, value in sorted(self._counters.items()):
             lines.append(f"{name:<28}{value:>15d}")
         return "\n".join(lines)

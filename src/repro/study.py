@@ -6,12 +6,11 @@ campaigns, generate the workload traces — and caches each piece so
 examples and benchmarks can share one simulation instead of regenerating
 it per figure.
 
-Every expensive phase is tracked twice: a :class:`~repro.perf.PerfRegistry`
-span for timings and a :class:`~repro.phases.PhaseLedger` entry for the
-outcome.  A phase that raises is recorded as failed in the ledger and the
-exception propagates; :meth:`EdgeStudy.try_phase` gives callers the
-graceful-degradation variant (``None`` on failure, other phases still
-runnable).
+Every expensive phase runs inside one :meth:`~repro.perf.PerfRegistry.phase`,
+which records its timings and its outcome.  A phase that raises is
+recorded as failed and the exception propagates;
+:meth:`EdgeStudy.try_phase` gives callers the graceful-degradation
+variant (``None`` on failure, other phases still runnable).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .measurement.qoe.testbed import QoETestbed
 from .obs import RunJournal
 from .parallel import resolve_jobs
 from .perf import PerfRegistry
-from .phases import PhaseLedger
 from .platform.cloud import build_cloud_platform
 from .platform.cluster import Platform
 from .qoe import QoeSessionsResult, run_qoe_sessions
@@ -56,10 +54,11 @@ RESUMABLE_PHASES = ("workload_nep", "workload_azure",
 class EdgeStudy:
     """Lazily-computed bundle of every dataset the paper's figures need.
 
-    Each expensive phase runs inside a :class:`~repro.perf.PerfRegistry`
-    span, so ``study.perf.report()`` (or the CLI's ``--perf`` flag) shows
-    where a run spent its time; ``study.phases.report()`` shows which
-    phases ran and whether they failed.
+    Each expensive phase runs inside a :meth:`PerfRegistry.phase
+    <repro.perf.PerfRegistry.phase>`, so ``study.perf.report()`` (or the
+    CLI's ``--perf`` flag) shows where a run spent its time and which
+    phases failed, and ``study.perf.spans[name].error`` holds a failed
+    phase's error.
 
     ``resume=True`` declares that this run continues an earlier (killed
     or crashed) run of the same scenario: it requires an artifact cache
@@ -95,7 +94,6 @@ class EdgeStudy:
                 "resume needs an artifact cache (committed phases are "
                 "cache entries); drop --no-cache or pass cache_dir")
         self.perf = PerfRegistry(journal=journal)
-        self.phases = PhaseLedger(journal=journal)
         if journal is not None:
             if cache is not None:
                 cache.journal = journal
@@ -124,7 +122,31 @@ class EdgeStudy:
         pending = [name for name in RESUMABLE_PHASES if name not in cached]
         return {"cached": cached, "pending": pending}
 
-    # ---- artifact cache plumbing ----------------------------------------
+    # ---- phases and the artifact cache -----------------------------------
+
+    def _phase(self, name: str, build, *deps: str, cached: bool = False):
+        """Compute phase ``name`` as ``build(*deps)`` inside a perf phase.
+
+        ``deps`` name study attributes that are resolved *before* the
+        phase opens and passed to ``build``, so their own phases do not
+        nest inside this one.  With ``cached=True`` the result is an
+        artifact-cache object: the cache is peeked first, so a warm run
+        never builds the dependencies just to replay recorded results,
+        and a miss is stored inside the phase.
+        """
+        result = None
+        if cached and self.cache is not None:
+            result = self.cache.get_object(name, self.scenario)
+            if result is not None:
+                self.perf.count(f"cache_hit:{name}")
+        args = [getattr(self, dep) for dep in deps] if result is None else []
+        with self.perf.phase(name):
+            if result is None:
+                result = build(*args)
+                if cached and self.cache is not None:
+                    with self.perf.span(f"cache_store:{name}"):
+                        self.cache.put_object(name, self.scenario, result)
+        return result
 
     def _cached_workload(self, name: str, builder):
         """Load a generated workload from the cache, or build and store it.
@@ -160,30 +182,12 @@ class EdgeStudy:
             sink.abort()
             raise
 
-    def _campaign_cache_peek(self, name: str):
-        """A cached phase object (campaign results, session QoE), or ``None``.
-
-        Peeked *before* touching the phase's dependencies so a warm run
-        never builds the platforms just to replay recorded results.
-        """
-        if self.cache is None:
-            return None
-        cached = self.cache.get_object(name, self.scenario)
-        if cached is not None:
-            self.perf.count(f"cache_hit:{name}")
-        return cached
-
-    def _campaign_cache_store(self, name: str, results: object) -> None:
-        if self.cache is not None:
-            with self.perf.span(f"cache_store:{name}"):
-                self.cache.put_object(name, self.scenario, results)
-
     def try_phase(self, name: str):
         """Compute phase ``name``, degrading gracefully on failure.
 
         Returns the phase value, or ``None`` when it raised a
         :class:`~repro.errors.ReproError` — in which case the failure
-        (type and message) is recorded in :attr:`phases` and every other
+        (type and message) is recorded in :attr:`perf` and every other
         phase remains computable.
         """
         try:
@@ -196,19 +200,16 @@ class EdgeStudy:
     @cached_property
     def nep(self) -> GeneratedWorkload:
         """The NEP platform with placed VMs and its 3-month-style trace."""
-        with self.perf.span("workload_nep"), self.phases.track("workload_nep"):
-            workload = self._cached_workload("workload_nep",
-                                             generate_nep_workload)
+        workload = self._phase("workload_nep", lambda: self._cached_workload(
+            "workload_nep", generate_nep_workload))
         self.perf.count("nep_vms", len(workload.platform.vms))
         return workload
 
     @cached_property
     def azure(self) -> GeneratedWorkload:
         """The Azure-like cloud comparison dataset."""
-        with self.perf.span("workload_azure"), \
-                self.phases.track("workload_azure"):
-            workload = self._cached_workload("workload_azure",
-                                             generate_azure_workload)
+        workload = self._phase("workload_azure", lambda: self._cached_workload(
+            "workload_azure", generate_azure_workload))
         self.perf.count("azure_vms", len(workload.platform.vms))
         return workload
 
@@ -219,10 +220,8 @@ class EdgeStudy:
         Only its region locations matter for the campaign, so the server
         fleet is kept minimal.
         """
-        with self.perf.span("platform_alicloud"), \
-                self.phases.track("platform_alicloud"):
-            return build_cloud_platform(self.scenario, name="AliCloud",
-                                        servers_per_region=4)
+        return self._phase("platform_alicloud", lambda: build_cloud_platform(
+            self.scenario, name="AliCloud", servers_per_region=4))
 
     # ---- fault injection ---------------------------------------------------
 
@@ -231,13 +230,19 @@ class EdgeStudy:
         """The run's deterministic fault weather; ``None`` when off."""
         if self.scenario.fault_profile == "off":
             return None
-        with self.perf.span("fault_schedule"), \
-                self.phases.track("fault_schedule"):
-            schedule = build_fault_schedule(self.scenario, self.nep.platform,
-                                            self.alicloud)
+        schedule = self._phase("fault_schedule", lambda: build_fault_schedule(
+            self.scenario, self.nep.platform, self.alicloud))
         if self.journal is not None and schedule is not None:
             self.journal.emit("fault_schedule", **schedule.summary())
         return schedule
+
+    def _require_faults(self) -> FaultSchedule:
+        if self.faults is None:
+            raise ConfigurationError(
+                "fault injection is off; rerun with --faults paper or "
+                "harsh (Scenario.fault_profile)"
+            )
+        return self.faults
 
     @cached_property
     def failover(self) -> FailoverReport:
@@ -246,13 +251,11 @@ class EdgeStudy:
         Raises:
             ConfigurationError: when fault injection is off.
         """
-        with self.perf.span("failover"), self.phases.track("failover"):
-            if self.faults is None:
-                raise ConfigurationError(
-                    "fault injection is off; rerun with --faults paper or "
-                    "harsh (Scenario.fault_profile)"
-                )
-            return simulate_failover(self.nep.platform, self.faults)
+        def build() -> FailoverReport:
+            faults = self._require_faults()
+            return simulate_failover(self.nep.platform, faults)
+
+        return self._phase("failover", build)
 
     @cached_property
     def availability(self) -> AvailabilityReport:
@@ -261,15 +264,9 @@ class EdgeStudy:
         Raises:
             ConfigurationError: when fault injection is off.
         """
-        with self.perf.span("availability"), self.phases.track("availability"):
-            if self.faults is None:
-                raise ConfigurationError(
-                    "fault injection is off; rerun with --faults paper or "
-                    "harsh (Scenario.fault_profile)"
-                )
-            return run_availability_study(
-                self.faults, self.latency_results, self.throughput_results,
-                self.failover)
+        return self._phase("availability", lambda: run_availability_study(
+            self._require_faults(), self.latency_results,
+            self.throughput_results, self.failover))
 
     # ---- campaigns ---------------------------------------------------------
 
@@ -284,31 +281,16 @@ class EdgeStudy:
 
     @cached_property
     def latency_results(self) -> CampaignResults:
-        cached = self._campaign_cache_peek("campaign_latency")
-        if cached is None:
-            campaign, participants = self.campaign, self.participants
-        with self.perf.span("campaign_latency"), \
-                self.phases.track("campaign_latency"):
-            if cached is not None:
-                results = cached
-            else:
-                results = campaign.run_latency(participants)
-                self._campaign_cache_store("campaign_latency", results)
+        results = self._phase("campaign_latency", CrowdCampaign.run_latency,
+                              "campaign", "participants", cached=True)
         self.perf.count("latency_observations", len(results.latency))
         return results
 
     @cached_property
     def throughput_results(self) -> CampaignResults:
-        cached = self._campaign_cache_peek("campaign_throughput")
-        if cached is None:
-            campaign, participants = self.campaign, self.participants
-        with self.perf.span("campaign_throughput"), \
-                self.phases.track("campaign_throughput"):
-            if cached is not None:
-                results = cached
-            else:
-                results = campaign.run_throughput(participants)
-                self._campaign_cache_store("campaign_throughput", results)
+        results = self._phase("campaign_throughput",
+                              CrowdCampaign.run_throughput,
+                              "campaign", "participants", cached=True)
         self.perf.count("throughput_observations", len(results.throughput))
         return results
 
@@ -331,15 +313,8 @@ class EdgeStudy:
         both arms, chunked through a task farm and folded into streaming
         sketches.
         """
-        cached = self._campaign_cache_peek("qoe_sessions")
-        with self.perf.span("qoe_sessions"), \
-                self.phases.track("qoe_sessions"):
-            if cached is not None:
-                result = cached
-            else:
-                result = run_qoe_sessions(self.scenario, jobs=self.jobs,
-                                          journal=self.journal)
-                self._campaign_cache_store("qoe_sessions", result)
+        result = self._phase("qoe_sessions", lambda: run_qoe_sessions(
+            self.scenario, jobs=self.jobs, journal=self.journal), cached=True)
         self.perf.count("qoe_sessions_simulated",
                         result.sessions * len(result.arms))
         return result
@@ -357,14 +332,8 @@ class EdgeStudy:
         the result ignores ``jobs`` and is bit-identical across any
         ``--jobs`` setting.
         """
-        cached = self._campaign_cache_peek("live")
-        with self.perf.span("live"), self.phases.track("live"):
-            if cached is not None:
-                result = cached
-            else:
-                result = run_live(self.scenario, jobs=self.jobs,
-                                  journal=self.journal)
-                self._campaign_cache_store("live", result)
+        result = self._phase("live", lambda: run_live(
+            self.scenario, jobs=self.jobs, journal=self.journal), cached=True)
         self.perf.count("live_ticks", result.ticks)
         return result
 

@@ -147,6 +147,9 @@ def _build_cell(name: str, merged: dict, where: str) -> SweepCell:
     analyses = merged.get("analyses", [])
     if isinstance(analyses, str):
         analyses = [analyses]
+    if not isinstance(analyses, list):
+        raise ConfigurationError(
+            f"{where}: analyses must be a list of analysis ids")
     if not analyses:
         raise ConfigurationError(f"{where}: needs at least one analysis")
     for analysis in analyses:
@@ -231,7 +234,11 @@ def parse_sweep_spec(data: dict, name: str = "sweep") -> SweepSpec:
     if "grid" in data:
         named.extend(_expand_grid(
             _require_mapping(data["grid"], "[grid]"), defaults))
-    for index, table in enumerate(data.get("cells", [])):
+    tables = data.get("cells", [])
+    if not isinstance(tables, list):
+        raise ConfigurationError(f"[[cells]] must be an array of tables, "
+                                 f"got {type(tables).__name__}")
+    for index, table in enumerate(tables):
         table = _require_mapping(table, f"[[cells]] #{index}")
         _check_cell_keys(table, f"[[cells]] #{index}", extra=("name",))
         merged = dict(defaults)

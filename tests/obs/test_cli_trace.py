@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -99,6 +100,22 @@ class TestTrace:
         assert main(["trace", "diff", str(journal_path), str(warm)]) == 0
         out = capsys.readouterr().out
         assert "generated -> hit" in out
+
+    def test_diff_reports_phase_timings(self, tmp_path, capsys):
+        # Same scenario at two --jobs settings: canonical journals agree,
+        # but every phase still gets a numeric wall-time delta.
+        runs = []
+        for jobs in ("1", "2"):
+            runs.append(str(tmp_path / f"jobs{jobs}.jsonl"))
+            assert main(["run", "fig2a", "--no-cache", "--jobs", jobs,
+                         "--log-json", runs[-1], "-q"]) == 0
+        assert main(["trace", "diff", *runs]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("result: no behavioural differences")
+        for phase in ("workload_nep", "campaign_latency"):
+            line = next(line for line in out.splitlines()
+                        if line.strip().startswith(phase))
+            assert re.search(r"[+-]\d+\.\d{3}s", line), line
 
     def test_diff_requires_two_journals(self, journal_path, capsys):
         assert main(["trace", "diff", str(journal_path)]) == 2

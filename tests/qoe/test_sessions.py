@@ -219,7 +219,7 @@ class TestStudyPhase:
 
     def test_phase_in_ledger(self, study):
         study.qoe_sessions
-        assert study.phases.status("qoe_sessions").ok
+        assert study.perf.spans["qoe_sessions"].error is None
 
     def test_knobs_change_the_answer(self, study):
         from repro.study import EdgeStudy

@@ -3,6 +3,9 @@
 import pickle
 import time
 
+import pytest
+
+from repro.obs import RunJournal
 from repro.perf import PerfRegistry, SpanStats
 
 
@@ -36,6 +39,65 @@ class TestSpans:
         assert PerfRegistry().wall_s("never-ran") == 0.0
 
 
+class TestPhases:
+    def test_ok_phase_has_no_error(self):
+        perf = PerfRegistry()
+        with perf.phase("build"):
+            pass
+        stats = perf.spans["build"]
+        assert (stats.calls, stats.error) == (1, None)
+        assert "error" not in stats.as_dict()
+
+    def test_failed_phase_records_error_and_reraises(self):
+        perf = PerfRegistry()
+        with pytest.raises(ValueError):
+            with perf.phase("build"):
+                raise ValueError("no capacity")
+        assert perf.spans["build"].error == "ValueError: no capacity"
+        assert perf.spans["build"].as_dict()["error"] == \
+            "ValueError: no capacity"
+        assert "FAILED ValueError: no capacity" in perf.report()
+
+    def test_rerun_replaces_the_outcome(self):
+        perf = PerfRegistry()
+        with pytest.raises(KeyError):
+            with perf.phase("build"):
+                raise KeyError("x")
+        with perf.phase("build"):
+            pass
+        assert perf.spans["build"].error is None
+        assert perf.spans["build"].calls == 2
+
+    def test_journal_events_nest_phase_inside_span(self):
+        journal = RunJournal(None)
+        perf = PerfRegistry(journal=journal)
+        with perf.phase("ok"):
+            pass
+        with pytest.raises(RuntimeError):
+            with perf.phase("bad"):
+                raise RuntimeError("boom")
+        assert [(e["type"], e.get("status")) for e in journal.events] == [
+            ("span_begin", None), ("phase_begin", None),
+            ("phase_end", "ok"), ("span_end", None),
+            ("span_begin", None), ("phase_begin", None),
+            ("phase_end", "failed"), ("span_end", None),
+        ]
+        failed = journal.events[6]
+        assert failed["error"] == "RuntimeError: boom"
+        assert list(failed)[3:7] == ["phase", "status", "error", "wall_s"]
+        assert failed["rss_mb"] > 0  # the journal samples phase ends
+
+    def test_interrupt_closes_span_without_outcome(self):
+        journal = RunJournal(None)
+        perf = PerfRegistry(journal=journal)
+        with pytest.raises(KeyboardInterrupt):
+            with perf.phase("build"):
+                raise KeyboardInterrupt
+        assert [e["type"] for e in journal.events] == [
+            "span_begin", "phase_begin", "span_end"]
+        assert perf.spans["build"].error is None
+
+
 class TestCountersAndViews:
     def test_counters_accumulate(self):
         perf = PerfRegistry()
@@ -64,14 +126,6 @@ class TestCountersAndViews:
 
     def test_empty_report(self):
         assert "no spans" in PerfRegistry().report()
-
-    def test_reset(self):
-        perf = PerfRegistry()
-        with perf.span("a"):
-            pass
-        perf.reset()
-        assert perf.spans == {}
-        assert perf.counters == {}
 
 
 class TestMerge:

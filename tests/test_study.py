@@ -131,19 +131,20 @@ class TestFaultWiring:
 
 
 class TestPhaseLedger:
+    """Phase outcomes, recorded in ``study.perf`` next to the timings."""
+
     def test_ok_phase_recorded(self, study):
         study.nep  # force the phase
-        status = study.phases.status("workload_nep")
-        assert status is not None and status.ok
-        assert status.wall_s >= 0.0
+        stats = study.perf.spans["workload_nep"]
+        assert stats.error is None and stats.calls >= 1
+        assert stats.wall_s >= 0.0
 
     def test_failed_phase_recorded_with_error(self, study):
         with pytest.raises(ConfigurationError):
             study.availability
-        status = study.phases.status("availability")
-        assert status is not None and not status.ok
-        assert "ConfigurationError" in status.error
-        assert "availability" in study.phases.report()
+        error = study.perf.spans["availability"].error
+        assert error is not None and "ConfigurationError" in error
+        assert "FAILED ConfigurationError" in study.perf.report()
 
     def test_try_phase_degrades_gracefully(self, study):
         # A failing phase returns None; a working one still computes.
@@ -152,8 +153,9 @@ class TestPhaseLedger:
 
     def test_ledger_report_lists_phases(self, study):
         study.nep
-        report = study.phases.report()
-        assert "workload_nep" in report and "ok" in report
+        nep_line = next(line for line in study.perf.report().splitlines()
+                        if line.startswith("workload_nep"))
+        assert "FAILED" not in nep_line
 
 
 class TestErrorHierarchy:
