@@ -252,6 +252,7 @@ class EdgeStudy:
             ConfigurationError: when fault injection is off.
         """
         def build() -> FailoverReport:
+            # Faults first: with injection off, fail before building NEP.
             faults = self._require_faults()
             return simulate_failover(self.nep.platform, faults)
 
