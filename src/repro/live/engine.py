@@ -393,20 +393,18 @@ def run_live_engine(inputs: LiveInputs, journal=None,
     return _result(inputs, scenario_fields or {}, series, fault_ticks)
 
 
-def run_live(scenario: Scenario, jobs: int = 1, journal=None) -> LiveResult:
+def run_live(scenario: Scenario, journal=None) -> LiveResult:
     """The full live study phase: topology, fault weather, tick loop.
 
     Builds the NEP topology (no VM placement — the live engine owns its
     population), lowers the scenario's fault profile to tick
-    transitions, and runs the vectorized stepper.  ``jobs`` is accepted
-    for phase-signature symmetry and ignored: tick stepping is
-    sequential, so the result is bit-identical for any value.
+    transitions, and runs the vectorized stepper.  Tick stepping is
+    sequential, so the phase takes no worker count.
     """
     from ..faults.schedule import build_fault_schedule
     from ..platform.cloud import build_cloud_platform
     from ..platform.nep import build_nep_platform
 
-    del jobs  # sequential by design; see docstring
     platform = build_nep_platform(scenario)
     faults = None
     if scenario.fault_profile != "off":

@@ -108,7 +108,7 @@ def run_ping_tests(routes: Sequence[Route], repetitions: int,
     """Probe many routes in one vectorised pass (one result per route).
 
     All routes' pings and traceroutes are drawn by a single
-    :meth:`~repro.netsim.latency.LatencyModel.sample_route_batch` call —
+    :meth:`~repro.netsim.latency.LatencyModel.sample_routes_block` call —
     this is the campaign's hot path.
 
     ``loss_probability`` (one value per route) drops individual pings via

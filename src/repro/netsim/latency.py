@@ -11,7 +11,7 @@ Each ping sample sums per-hop draws:
 Sampling is batched: :meth:`LatencyModel.sample_matrix` draws the whole
 ``(count, n_hops)`` matrix of normals, Bernoulli spike masks, and
 exponential magnitudes in three NumPy calls, and
-:meth:`LatencyModel.sample_route_batch` extends that to *many* routes in
+:meth:`LatencyModel.sample_routes_block` extends that to *many* routes in
 one pass by concatenating their hop parameter vectors.  A campaign that
 previously issued ~1M scalar RNG calls now issues a few thousand array
 calls.  The per-cell distributions are unchanged, but the RNG *draw
@@ -126,31 +126,17 @@ class LatencyModel:
         means, sds, spike_p, spike_scale = _hop_params(route.hops)
         return self._draw(means, sds, spike_p, spike_scale, count)
 
-    def sample_route_batch(self, routes: Sequence[Route],
-                           count: int) -> list[np.ndarray]:
-        """Sample every route in one pass; ``(count, n_hops_i)`` per route.
-
-        All routes' hop parameters are concatenated so the normals, spike
-        masks, and magnitudes for the whole batch come from single NumPy
-        calls, then split back per route.  This is what
-        :func:`repro.measurement.ping.run_ping_tests` uses to probe all of
-        a participant's targets at once.
-
-        Raises:
-            MeasurementError: if ``count`` is not positive.
-        """
-        block, starts = self.sample_routes_block(routes, count)
-        if block.size == 0 and not routes:
-            return []
-        return np.split(block, starts[1:], axis=1)
-
     def sample_routes_block(self, routes: Sequence[Route],
                             count: int) -> tuple[np.ndarray, np.ndarray]:
         """The undivided ``(count, total_hops)`` block plus segment starts.
 
         ``starts[i]`` is the column where route ``i``'s hops begin — the
         exact form :func:`numpy.add.reduceat` wants, so callers can compute
-        per-route RTT sums without splitting the block first.
+        per-route RTT sums without splitting the block first.  All routes'
+        hop parameters are concatenated so the normals, spike masks, and
+        magnitudes for the whole batch come from single NumPy calls; this
+        is what :func:`repro.measurement.ping.run_ping_tests` uses to probe
+        all of a participant's targets at once.
 
         Raises:
             MeasurementError: if ``count`` is not positive.

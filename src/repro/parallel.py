@@ -8,11 +8,12 @@ independent ``(task_id, fn, arg)`` tasks and collect
   block draws from its own named RNG substream (see
   :mod:`repro.workload.series`), so blocks are mutually independent;
   every job is submitted at once and the generator yields blocks **in
-  submission order**, so the parent takes them deterministically
-  whatever the worker count or completion order.
-* :func:`repro.qoe.sessions.run_sessions` simulates session chunks.
+  submission order** (:meth:`TaskFarm.ordered`), so the parent takes
+  them deterministically whatever the worker count or completion order.
+* :func:`repro.qoe.sessions.run_sessions` simulates session chunks and
+  folds them through the same :meth:`TaskFarm.ordered`.
 * :mod:`repro.sweep.runner` runs sweep cells, each a full
-  :class:`~repro.study.EdgeStudy`.
+  :class:`~repro.study.EdgeStudy`, in completion order.
 
 Workers
 -------
@@ -76,7 +77,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -308,6 +309,35 @@ class TaskFarm:
         outcome = self._done.popleft()
         del self._tasks[outcome.task_id]
         return outcome
+
+    def ordered(self, fn: Callable,
+                tasks: Iterable[tuple[str, object]]) -> Iterator[object]:
+        """Run ``fn`` on every ``(task_id, arg)``; yield values in order.
+
+        Every task is submitted before the first value is awaited, and
+        values come back in submission order whatever order the tasks
+        finish in, so a fold over them is independent of the worker
+        count.
+
+        Raises:
+            QuarantineError: when a task exhausts its retry budget.
+            ParallelError: when a task fails with a genuine error, or
+                cannot be sent to a worker.
+        """
+        order = []
+        for task_id, arg in tasks:
+            self.submit(task_id, fn, arg)
+            order.append(task_id)
+        finished: dict[str, object] = {}
+        for task_id in order:
+            while task_id not in finished:
+                outcome = self.next_outcome()
+                if not outcome.ok:
+                    error = (QuarantineError if outcome.quarantined
+                             else ParallelError)
+                    raise error(f"task {outcome.task_id!r}: {outcome.error}")
+                finished[outcome.task_id] = outcome.value
+            yield finished.pop(task_id)
 
     def close(self) -> None:
         """Stop the workers and drop every outstanding task."""
@@ -574,20 +604,11 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
             for job in jobs_list:
                 journal.emit("job_dispatch", app_id=job.app_id,
                              vm_count=job.vm_count)
-        for row, job in zip(rows, jobs_list):
-            farm.submit(job.app_id, _render_task,
-                        (setup, job, row, targets))
-        finished: dict[str, tuple] = {}
-        for row, job in zip(rows, jobs_list):
-            while job.app_id not in finished:
-                outcome = farm.next_outcome()
-                if not outcome.ok:
-                    error = (QuarantineError if outcome.quarantined
-                             else ParallelError)
-                    raise error(f"series job {outcome.task_id!r}: "
-                                f"{outcome.error}")
-                finished[outcome.task_id] = outcome.value
-            mean_bws, block_perf = finished.pop(job.app_id)
+        values = farm.ordered(_render_task, (
+            (job.app_id, (setup, job, row, targets))
+            for row, job in zip(rows, jobs_list)))
+        for row, job, (mean_bws, block_perf) in zip(rows, jobs_list,
+                                                     values):
             # Inline and pooled renders both merge a private perf
             # registry, so their journals cannot tell them apart.
             if perf is not None:

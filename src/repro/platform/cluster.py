@@ -257,9 +257,6 @@ class Platform:
     def site_memory_sales_rates(self) -> list[float]:
         return [s.memory_sales_rate() for s in self.sites]
 
-    def server_cpu_sales_rates(self) -> list[float]:
-        return [srv.cpu_sales_rate() for srv in self.iter_servers()]
-
     def validate(self) -> None:
         """Cross-check the inventory ledgers; raise on inconsistency.
 

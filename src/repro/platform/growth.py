@@ -34,10 +34,6 @@ class GrowthEpoch:
     site_cpu_rates: np.ndarray
 
     @property
-    def loaded_rates(self) -> np.ndarray:
-        return self.site_cpu_rates[self.site_cpu_rates > 0]
-
-    @property
     def skew(self) -> float:
         """P95/P5 across all active sites, floored (§4.1/§4.3 skew).
 

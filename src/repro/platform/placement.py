@@ -85,33 +85,18 @@ class _ScopedTable:
 
 
 class PlacementPolicy(abc.ABC):
-    """Strategy interface: order candidate servers for one VM."""
+    """Strategy interface: pick the table row that hosts one VM."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def choose_server(self, candidates: list[Server],
-                      spec: VMSpec) -> Server:
-        """Pick the server to host a VM with ``spec`` from ``candidates``.
-
-        ``candidates`` is non-empty and every entry already fits the spec.
-        """
-
     def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
-        """Vectorised selection hook; built-in policies override this.
+        """Pick the row of ``table`` that hosts a VM with ``spec``.
 
-        The default delegates to :meth:`choose_server` so custom policies
-        written against the public interface keep working unchanged.
+        ``feasible`` holds the non-empty, ascending row indices whose
+        free capacity already fits the spec; the result is one of them.
         """
-        candidates = [table.server(i) for i in feasible]
-        chosen = self.choose_server(candidates, spec)
-        for i, candidate in zip(feasible, candidates):
-            if candidate is chosen:
-                return int(i)
-        raise PlacementError(
-            f"policy {self.name!r} chose a server outside the candidate set"
-        )
 
     def place(self, platform: Platform, request: SubscriptionRequest,
               usage: UsageProvider | None = None,
@@ -209,16 +194,6 @@ class NepPlacementPolicy(PlacementPolicy):
     def __init__(self, usage: UsageProvider | None = None) -> None:
         self._usage = usage
 
-    def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
-        def score(server: Server) -> tuple[float, float]:
-            s = server.cpu_sales_rate()
-            if self._usage is not None:
-                mean_u, max_u = self._usage(server.server_id)
-                s += mean_u + max_u
-            return (s, -server.free.cpu_cores)
-
-        return min(candidates, key=score)
-
     def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         score = table.cpu_sales_rates()[feasible]
@@ -238,9 +213,6 @@ class FirstFitPolicy(PlacementPolicy):
 
     name = "first-fit"
 
-    def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
-        return candidates[0]
-
     def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
         return int(feasible[0])
@@ -254,13 +226,6 @@ class BestFitPolicy(PlacementPolicy):
     """
 
     name = "best-fit"
-
-    def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
-        return min(
-            candidates,
-            key=lambda s: (s.free.cpu_cores - spec.cpu_cores,
-                           s.free.memory_gb - spec.memory_gb),
-        )
 
     def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:
@@ -276,9 +241,6 @@ class RandomPolicy(PlacementPolicy):
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-
-    def choose_server(self, candidates: list[Server], spec: VMSpec) -> Server:
-        return candidates[int(self._rng.integers(0, len(candidates)))]
 
     def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
                       spec: VMSpec) -> int:

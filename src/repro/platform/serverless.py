@@ -94,11 +94,6 @@ class FaasRuntime:
         self.total_invocations = 0
         self.total_cold_starts = 0
 
-    @property
-    def warm_instances(self) -> int:
-        return sum(1 for inst in self._instances
-                   if inst.expires_at_ms > self._clock_ms)
-
     def run_window(self, requests: int, window_s: float,
                    rng: np.random.Generator) -> FaasWindowStats:
         """Simulate one window of ``requests`` arrivals.

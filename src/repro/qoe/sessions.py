@@ -413,49 +413,41 @@ def run_sessions(workload: SessionWorkload, arm: str,
                  jobs: int = 1, journal=None) -> ArmResult:
     """Run one arm chunked through a :class:`~repro.parallel.TaskFarm`.
 
-    Chunks are submitted up front and folded strictly in index order as
-    they complete, so digests, histograms and means are independent of
-    worker scheduling; the in-memory state is a handful of sketches.
+    Chunks are submitted up front and folded strictly in index order
+    (:meth:`~repro.parallel.TaskFarm.ordered`), so digests, histograms
+    and means are independent of worker scheduling; the in-memory state
+    is a handful of sketches.
 
     Raises:
         ParallelError: on an unknown arm, a bad chunk size, or a chunk
-            whose simulation failed (after the farm's retry budget).
+            whose simulation failed with a genuine error.
+        QuarantineError: when a chunk keeps failing past the farm's
+            retry budget.
     """
     if arm not in ARMS:
         raise ParallelError(f"unknown session arm {arm!r}")
     if chunk_sessions <= 0:
         raise ParallelError(
             f"chunk_sessions must be positive, got {chunk_sessions}")
-    starts = list(range(0, workload.n_sessions, chunk_sessions))
     digest = SessionDigest()
     histograms = {metric: StreamingHistogram(*HIST_SPECS[metric])
                   for metric in METRICS}
     sums = {metric: 0.0 for metric in METRICS}
-    pending: dict[int, dict[str, np.ndarray]] = {}
-    next_index = 0
+    tasks = ((f"qoe:{arm}:{index}",
+              (workload, start,
+               min(chunk_sessions, workload.n_sessions - start), arm))
+             for index, start in enumerate(
+                 range(0, workload.n_sessions, chunk_sessions)))
     with TaskFarm(n_jobs=jobs, journal=journal) as farm:
-        for chunk_index, chunk_start in enumerate(starts):
-            chunk_count = min(chunk_sessions,
-                              workload.n_sessions - chunk_start)
-            farm.submit(f"qoe:{arm}:{chunk_index}", _simulate_chunk_task,
-                        (workload, chunk_start, chunk_count, arm))
-        while farm.outstanding:
-            outcome = farm.next_outcome()
-            if not outcome.ok:
-                raise ParallelError(
-                    f"session chunk {outcome.task_id} failed: "
-                    f"{outcome.error}")
-            pending[int(outcome.task_id.rsplit(":", 1)[1])] = outcome.value
-            while next_index in pending:
-                chunk = pending.pop(next_index)
-                digest.update(chunk)
-                for metric in METRICS:
-                    histograms[metric].add(chunk[metric])
-                    sums[metric] += float(chunk[metric].sum())
-                if journal is not None:
-                    journal.emit("session_chunk", arm=arm, chunk=next_index,
-                                 sessions=int(chunk[METRICS[0]].size))
-                next_index += 1
+        for index, chunk in enumerate(farm.ordered(_simulate_chunk_task,
+                                                   tasks)):
+            digest.update(chunk)
+            for metric in METRICS:
+                histograms[metric].add(chunk[metric])
+                sums[metric] += float(chunk[metric].sum())
+            if journal is not None:
+                journal.emit("session_chunk", arm=arm, chunk=index,
+                             sessions=int(chunk[METRICS[0]].size))
     means = {metric: sums[metric] / workload.n_sessions
              for metric in METRICS}
     return ArmResult(arm=arm, sessions=workload.n_sessions,

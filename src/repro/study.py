@@ -330,11 +330,11 @@ class EdgeStudy:
         departures, evacuation off faulted servers, autoscaling — as
         vectorized array ops, with the scenario's fault profile
         interleaved as down/up events.  Sequential by construction, so
-        the result ignores ``jobs`` and is bit-identical across any
+        it runs in this process and is bit-identical across any
         ``--jobs`` setting.
         """
         result = self._phase("live", lambda: run_live(
-            self.scenario, jobs=self.jobs, journal=self.journal), cached=True)
+            self.scenario, journal=self.journal), cached=True)
         self.perf.count("live_ticks", result.ticks)
         return result
 

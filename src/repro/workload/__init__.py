@@ -10,13 +10,11 @@ from .apps import (
 )
 from .azure import generate_azure_workload
 from .bandwidth import (
-    derive_private_series,
     derive_private_series_batch,
-    generate_bw_series,
     generate_bw_series_batch,
     peak_to_mean_ratio,
 )
-from .cpu import generate_cpu_series, generate_cpu_series_batch
+from .cpu import generate_cpu_series_batch
 from .generator import GeneratedWorkload, generate_nep_workload
 from .series import (
     AZURE_RECIPE,
@@ -29,10 +27,8 @@ from .series import (
 )
 from .patterns import (
     PATTERNS,
-    ar1_noise,
     ar1_noise_batch,
     pattern,
-    regime_switching_level,
     regime_switching_levels,
     time_axis_minutes,
 )
@@ -61,20 +57,15 @@ __all__ = [
     "SeriesJob",
     "SeriesRecipe",
     "render_series_job",
-    "ar1_noise",
     "ar1_noise_batch",
-    "derive_private_series",
     "derive_private_series_batch",
     "generate_azure_workload",
-    "generate_bw_series",
     "generate_bw_series_batch",
-    "generate_cpu_series",
     "generate_cpu_series_batch",
     "generate_nep_workload",
     "pattern",
     "peak_to_mean_ratio",
     "profiles_by_category",
-    "regime_switching_level",
     "regime_switching_levels",
     "sample_azure_spec",
     "sample_nep_spec",

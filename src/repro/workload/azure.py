@@ -7,25 +7,22 @@ scale: small VM sizes, higher and steadier utilisation, small per-app VM
 counts, and near-balanced within-app usage.
 
 Like the NEP generator, it runs placement sequentially and renders the
-per-app series blocks through :func:`repro.parallel.run_series_jobs`, so
-``jobs > 1`` parallelises generation with bit-identical output.
+per-app series blocks through the shared
+:func:`repro.workload.generator.stream_series` stage, so ``jobs > 1``
+parallelises generation with bit-identical output.
 """
 
 from __future__ import annotations
 
-import contextlib
-
-import numpy as np
-
 from ..config import Scenario
 from ..perf import PerfRegistry
 from ..platform.cloud import build_cloud_platform
-from ..platform.entities import App, Customer
+from ..platform.entities import App, Customer, VM
 from ..platform.placement import RandomPolicy, SubscriptionRequest
 from ..trace.dataset import TraceDataset
-from ..trace.schema import AppRecord, VMRecord
+from ..trace.schema import AppRecord
 from .apps import AZURE_PROFILES, sample_profile
-from .generator import GeneratedWorkload, register_inventory
+from .generator import GeneratedWorkload, register_inventory, stream_series
 from .series import AZURE_RECIPE, SeriesJob
 from .streaming import WorkloadSink
 from .subscription import sample_azure_spec
@@ -45,8 +42,6 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
     ``jobs``/``perf``/``sink`` behave as in
     :func:`repro.workload.generator.generate_nep_workload`.
     """
-    from ..parallel import run_series_jobs
-
     random = scenario.random
     # The fixed 300-server regions fit every historical scale (<= 20k
     # VMs, so scenarios up to paper scale keep their golden digests);
@@ -66,7 +61,7 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
     register_inventory(platform, dataset)
 
     # ---- placement stage (sequential) --------------------------------
-    pending: list[tuple[SeriesJob, list, object]] = []
+    pending: list[tuple[SeriesJob, list[VM]]] = []
     vm_budget = scenario.azure_vm_count
     app_index = 0
     while vm_budget > 0:
@@ -103,45 +98,9 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
         placed_vms = policy.place(platform, request)
 
         pending.append((SeriesJob(app_id=app_id, profile=profile,
-                                  vm_count=len(placed_vms)),
-                        placed_vms, spec))
+                                  vm_count=len(placed_vms)), placed_vms))
         vm_budget -= len(placed_vms)
         app_index += 1
 
-    # ---- series stage (parallel across apps) -------------------------
-    if sink is None:
-        sink = WorkloadSink.spill()
-    try:
-        sink.begin(dataset.cpu_points, dataset.bw_points,
-                   AZURE_RECIPE.private)
-        blocks = run_series_jobs([job for job, _, _ in pending], scenario,
-                                 AZURE_RECIPE, sink, n_jobs=jobs,
-                                 perf=perf)
-        # Closing the generator stops the farm, so no task still
-        # writes into the sink when a failure aborts it below.
-        with contextlib.closing(blocks):
-            for (job, placed_vms, spec), block in zip(pending, blocks,
-                                                      strict=True):
-                for offset, vm in enumerate(placed_vms):
-                    site = platform.site(vm.site_id)
-                    dataset.add_vm_record(VMRecord(
-                        vm_id=vm.vm_id, app_id=job.app_id,
-                        customer_id=vm.customer_id,
-                        site_id=vm.site_id, server_id=vm.server_id,
-                        city=site.city, province=site.province,
-                        category=job.profile.category, image_id=vm.image_id,
-                        os_type=vm.os_type,
-                        cpu_cores=spec.cpu_cores, memory_gb=spec.memory_gb,
-                        disk_gb=spec.disk_gb,
-                        bandwidth_mbps=float(
-                            np.ceil(block.mean_bws[offset] * 3.0)),
-                    ))
-                sink.consume([vm.vm_id for vm in placed_vms], block)
-        sink.finalize(platform, dataset)
-    except BaseException:
-        sink.abort()
-        raise
-
-    dataset.validate()
-    platform.validate()
-    return GeneratedWorkload(platform=platform, dataset=dataset)
+    return stream_series(scenario, platform, dataset, pending, AZURE_RECIPE,
+                         jobs, perf, sink)

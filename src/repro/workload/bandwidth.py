@@ -76,25 +76,6 @@ def generate_bw_series_batch(profile: AppProfile, mean_mbps: np.ndarray,
     return np.maximum(series, 0.0, out=series)
 
 
-def generate_bw_series(profile: AppProfile, mean_mbps: float,
-                       minutes: np.ndarray, rng: np.random.Generator,
-                       erratic: bool = False) -> np.ndarray:
-    """Generate one VM's public bandwidth series (Mbps).
-
-    One row of :func:`generate_bw_series_batch`; see there for the model.
-
-    Raises:
-        ConfigurationError: if ``mean_mbps`` is negative.
-    """
-    if mean_mbps < 0:
-        raise ConfigurationError(
-            f"mean bandwidth must be non-negative, got {mean_mbps}"
-        )
-    return generate_bw_series_batch(
-        profile, np.array([mean_mbps]), minutes, rng,
-        erratic=np.array([erratic]))[0]
-
-
 def derive_private_series_batch(public_series: np.ndarray,
                                 rng: np.random.Generator) -> np.ndarray:
     """Intra-site traffic rows derived from the public rows."""
@@ -104,12 +85,6 @@ def derive_private_series_batch(public_series: np.ndarray,
     wobble *= public_series
     wobble *= fractions[:, None]
     return wobble
-
-
-def derive_private_series(public_series: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Intra-site traffic derived from the public series."""
-    return derive_private_series_batch(public_series[None, :], rng)[0]
 
 
 def peak_to_mean_ratio(series: np.ndarray) -> float:

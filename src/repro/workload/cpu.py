@@ -84,21 +84,3 @@ def generate_cpu_series_batch(profile: AppProfile, mean_levels: np.ndarray,
     series *= shape[None, :]
     series *= mean_levels[:, None]
     return np.clip(series, 0.0, 1.0, out=series)
-
-
-def generate_cpu_series(profile: AppProfile, mean_level: float,
-                        minutes: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Generate one VM's CPU utilisation series over ``minutes``.
-
-    One row of :func:`generate_cpu_series_batch`; see there for the model.
-
-    Raises:
-        ConfigurationError: if ``mean_level`` is outside (0, 1].
-    """
-    if not 0.0 < mean_level <= 1.0:
-        raise ConfigurationError(
-            f"mean CPU level must be in (0, 1], got {mean_level}"
-        )
-    return generate_cpu_series_batch(
-        profile, np.array([mean_level]), minutes, rng)[0]

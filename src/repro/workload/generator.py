@@ -13,13 +13,15 @@ streams and mutate the platform).  The *series* stage renders each
 app's CPU/bandwidth rows from the app's own RNG substream and is
 embarrassingly parallel — ``jobs > 1`` fans the per-app jobs out over
 worker processes via :func:`repro.parallel.run_series_jobs` with
-bit-identical output.
+bit-identical output.  :func:`stream_series` is that stage for both
+this generator and :func:`repro.workload.azure.generate_azure_workload`.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,18 +30,13 @@ from ..errors import PlacementError
 from ..geo.regions import CHINA_CITIES, provinces
 from ..perf import PerfRegistry
 from ..platform.cluster import Platform
-from ..platform.entities import App, Customer, VMSpec
+from ..platform.entities import App, Customer, VM, VMSpec
 from ..platform.nep import build_nep_platform
 from ..platform.placement import NepPlacementPolicy, SubscriptionRequest
 from ..trace.dataset import TraceDataset
 from ..trace.schema import AppRecord, ServerRecord, SiteRecord, VMRecord
 from .apps import AppProfile, NEP_PROFILES, sample_profile
-from .series import (  # noqa: F401  (re-exported: historical home)
-    NEP_RECIPE,
-    SERIES_CHUNK_VMS,
-    SeasonCache,
-    SeriesJob,
-)
+from .series import NEP_RECIPE, SeriesJob, SeriesRecipe
 from .streaming import WorkloadSink
 from .subscription import sample_nep_disk_gb, sample_nep_spec
 
@@ -123,8 +120,6 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
     :meth:`~repro.workload.streaming.WorkloadSink.spill` directory that
     lives as long as the returned series.
     """
-    from ..parallel import run_series_jobs
-
     random = scenario.random
     platform = build_nep_platform(scenario)
     policy = NepPlacementPolicy()
@@ -139,7 +134,7 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
     register_inventory(platform, dataset)
 
     # ---- placement stage (sequential) --------------------------------
-    pending: list[tuple[SeriesJob, list]] = []
+    pending: list[tuple[SeriesJob, list[VM]]] = []
     vm_budget = scenario.nep_vm_count
     app_index = 0
     while vm_budget > 0:
@@ -198,15 +193,34 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
         vm_budget -= len(placed_vms)
         app_index += 1
 
-    # ---- series stage (parallel across apps) -------------------------
+    return stream_series(scenario, platform, dataset, pending, NEP_RECIPE,
+                         jobs, perf, sink)
+
+
+def stream_series(scenario: Scenario, platform: Platform,
+                  dataset: TraceDataset,
+                  pending: Sequence[tuple[SeriesJob, list[VM]]],
+                  recipe: SeriesRecipe, jobs: int,
+                  perf: PerfRegistry | None,
+                  sink: WorkloadSink | None) -> GeneratedWorkload:
+    """The series stage of both generators, after placement.
+
+    ``pending`` pairs each app's :class:`SeriesJob` with its placed VMs,
+    in app order.  The jobs render on
+    :func:`repro.parallel.run_series_jobs` into ``sink`` (a
+    :meth:`~repro.workload.streaming.WorkloadSink.spill` directory when
+    ``None``); each VM gets its :class:`VMRecord`, with cores, memory
+    and disk from ``vm.spec`` and a bandwidth cap of three times its
+    mean.  A failure aborts the sink before it propagates.
+    """
+    from ..parallel import run_series_jobs
+
     if sink is None:
         sink = WorkloadSink.spill()
     try:
-        sink.begin(dataset.cpu_points, dataset.bw_points,
-                   NEP_RECIPE.private)
+        sink.begin(dataset.cpu_points, dataset.bw_points, recipe.private)
         blocks = run_series_jobs([job for job, _ in pending], scenario,
-                                 NEP_RECIPE, sink, n_jobs=jobs,
-                                 perf=perf)
+                                 recipe, sink, n_jobs=jobs, perf=perf)
         # Closing the generator stops the farm, so no task still
         # writes into the sink when a failure aborts it below.
         with contextlib.closing(blocks):

@@ -139,21 +139,16 @@ def regime_switching_levels(count: int, points: int,
     return levels[segment_ids + offsets[:, None]]
 
 
-def regime_switching_level(points: int, rng: np.random.Generator,
-                           switch_probability: float = 0.004,
-                           low: float = 0.2, high: float = 2.5) -> np.ndarray:
-    """One row of :func:`regime_switching_levels` (scalar convenience)."""
-    return regime_switching_levels(1, points, rng, switch_probability,
-                                   low, high)[0]
-
-
 def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
                     rho: float = 0.9, sigma: float = 0.15) -> np.ndarray:
     """``count`` independent AR(1) noise rows as one ``(count, points)`` array.
 
-    All innovations come from a single normal draw; the recursion runs as
-    one :func:`scipy.signal.lfilter` along axis 1, so cost per row is a
-    fraction of the scalar path's.
+    Each row is smooth multiplicative noise centred on 1.0, floored at
+    0.05.  AR(1) rather than white noise: consecutive usage readings of a
+    real VM are strongly autocorrelated, and the §4.4 predictability
+    experiment depends on that.  All innovations come from a single
+    normal draw and the recursion runs as one
+    :func:`scipy.signal.lfilter` along axis 1.
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
@@ -165,14 +160,3 @@ def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
     noise += 1.0
     np.maximum(noise, 0.05, out=noise)
     return noise
-
-
-def ar1_noise(points: int, rng: np.random.Generator, rho: float = 0.9,
-              sigma: float = 0.15) -> np.ndarray:
-    """Smooth multiplicative AR(1) noise centred on 1.0, floored at 0.05.
-
-    AR(1) rather than white noise: consecutive usage readings of a real VM
-    are strongly autocorrelated, and the §4.4 predictability experiment
-    depends on that.
-    """
-    return ar1_noise_batch(1, points, rng, rho, sigma)[0]

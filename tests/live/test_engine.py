@@ -181,10 +181,6 @@ class TestAutoscale:
 
 
 class TestRunLive:
-    def test_jobs_is_inert(self, scenario):
-        assert run_live(scenario, jobs=1).digest == \
-            run_live(scenario, jobs=8).digest
-
     def test_chaos_is_behaviour_identical(self, scenario):
         clean = run_live(scenario)
         install(chaos_spec("ci"))

@@ -73,12 +73,12 @@ class TestDeterminism:
     def test_same_seed_same_batch(self, edge_route, cloud_route):
         routes = [edge_route, cloud_route]
         batches = [
-            LatencyModel(np.random.default_rng(11)).sample_route_batch(
+            LatencyModel(np.random.default_rng(11)).sample_routes_block(
                 routes, 25)
             for _ in range(2)
         ]
-        for first, second in zip(*batches):
-            np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(batches[0][0], batches[1][0])
+        np.testing.assert_array_equal(batches[0][1], batches[1][1])
 
     def test_different_seeds_differ(self, edge_route):
         a = LatencyModel(np.random.default_rng(1)).sample_matrix(
@@ -117,23 +117,24 @@ class TestRouteBatch:
         routes = [edge_route, cloud_route, edge_route]
         block, starts = LatencyModel(
             np.random.default_rng(8)).sample_routes_block(routes, 12)
-        split = LatencyModel(
-            np.random.default_rng(8)).sample_route_batch(routes, 12)
         assert block.shape == (12, sum(r.hop_count for r in routes))
-        offset = 0
-        for route, matrix in zip(routes, split):
-            assert matrix.shape == (12, route.hop_count)
-            np.testing.assert_array_equal(
-                matrix, block[:, offset:offset + route.hop_count])
-            offset += route.hop_count
         assert starts.tolist() == [0, edge_route.hop_count,
                                    edge_route.hop_count
                                    + cloud_route.hop_count]
+        # Splitting at ``starts`` gives each route its own hop columns,
+        # and ``reduceat`` sums them without the split.
+        split = np.split(block, starts[1:], axis=1)
+        assert [m.shape for m in split] == [(12, r.hop_count)
+                                            for r in routes]
+        np.testing.assert_allclose(
+            np.add.reduceat(block, starts, axis=1),
+            np.stack([m.sum(axis=1) for m in split], axis=1))
 
     def test_empty_routes(self, rng):
-        model = LatencyModel(rng)
-        assert model.sample_route_batch([], 5) == []
+        block, starts = LatencyModel(rng).sample_routes_block([], 5)
+        assert block.shape == (5, 0)
+        assert starts.size == 0
 
     def test_zero_count_rejected(self, rng, edge_route):
         with pytest.raises(MeasurementError):
-            LatencyModel(rng).sample_route_batch([edge_route], 0)
+            LatencyModel(rng).sample_routes_block([edge_route], 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ParallelError
+from repro.errors import ParallelError, QuarantineError
 from repro.obs import RunJournal, canonical_events
 from repro.obs.journal import VOLATILE_EVENT_TYPES
 from repro.qoe import (
@@ -168,6 +168,11 @@ class TestFailpointRecovery:
         faulty = run_sessions(_workload(), "edge", chunk_sessions=64)
         assert faulty.digest == clean.digest
         assert faulty.means == clean.means
+
+    def test_chunk_failing_every_attempt_is_quarantined(self):
+        install("qoe.chunk:p=1")
+        with pytest.raises(QuarantineError, match="qoe:edge:0"):
+            run_sessions(_workload(), "edge", chunk_sessions=64)
 
 
 class TestScenarioIntegration:

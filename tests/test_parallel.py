@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import Scenario
-from repro.errors import ConfigurationError, ParallelError
+from repro.errors import ConfigurationError, ParallelError, QuarantineError
 from repro.obs import RunJournal, canonical_events
 from repro.parallel import resolve_jobs, run_series_jobs
 from repro.perf import PerfRegistry
@@ -226,6 +226,17 @@ def _worker_pid(_):
     return os.getpid()
 
 
+def _sleep_then_echo(arg):
+    import time
+    delay, value = arg
+    time.sleep(delay)
+    return value
+
+
+def _always_transient(_):
+    raise OSError("disk hiccup")
+
+
 def _nested_render(n_jobs):
     return _block_rows(_series(_jobs(4), n_jobs))
 
@@ -349,3 +360,42 @@ class TestTaskFarm:
             assert farm.outstanding == 0
         assert sorted((o.task_id, o.value) for o in seen) \
             == sorted((f"t{i}", i * i) for i in range(24))
+
+
+class TestOrdered:
+    def test_pooled_yields_in_submission_order(self, monkeypatch):
+        from repro.parallel import TaskFarm
+        with TaskFarm(3) as farm:
+            finished = []
+            next_outcome = farm.next_outcome
+
+            def recording():
+                outcome = next_outcome()
+                finished.append(outcome.task_id)
+                return outcome
+
+            monkeypatch.setattr(farm, "next_outcome", recording)
+            tasks = [("slow", (1.0, "a")), ("fast1", (0.0, "b")),
+                     ("fast2", (0.0, "c"))]
+            values = list(farm.ordered(_sleep_then_echo, tasks))
+        assert values == ["a", "b", "c"]
+        assert finished[-1] == "slow"
+
+    def test_quarantined_task_raises_quarantine_error(self):
+        from repro.parallel import TaskFarm
+        from repro.resilience import RetryPolicy, SupervisionConfig
+        supervision = SupervisionConfig(
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.0))
+        with TaskFarm(1, supervision=supervision) as farm:
+            with pytest.raises(QuarantineError,
+                               match="'flaky'.*2 attempts"):
+                list(farm.ordered(_always_transient, [("flaky", None)]))
+
+    def test_genuine_error_raises_parallel_error(self):
+        from repro.parallel import TaskFarm
+        with TaskFarm(2) as farm:
+            values = farm.ordered(_explode, [("t0", 1), ("t1", 2)])
+            with pytest.raises(ParallelError,
+                               match="ValueError: bad cell") as info:
+                list(values)
+        assert not isinstance(info.value, QuarantineError)

@@ -6,12 +6,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workload.apps import NEP_PROFILES, profiles_by_category
 from repro.workload.bandwidth import (
-    derive_private_series,
     derive_private_series_batch,
-    generate_bw_series,
     generate_bw_series_batch,
 )
-from repro.workload.cpu import generate_cpu_series, generate_cpu_series_batch
+from repro.workload.cpu import generate_cpu_series_batch
 from repro.workload.patterns import (
     ar1_noise_batch,
     regime_switching_levels,
@@ -34,12 +32,11 @@ class TestPatternBatches:
         assert abs(correlation) < 0.1
 
     def test_ar1_scalar_is_batch_row(self):
-        # The scalar wrapper draws through the same batched code path.
-        from repro.workload.patterns import ar1_noise
-
-        scalar = ar1_noise(300, np.random.default_rng(9))
-        batch = ar1_noise_batch(1, 300, np.random.default_rng(9))
-        np.testing.assert_allclose(scalar, batch[0])
+        # A one-row draw is the first row of a wider batch: the
+        # innovations fill row by row from one normal draw.
+        single = ar1_noise_batch(1, 300, np.random.default_rng(9))
+        batch = ar1_noise_batch(3, 300, np.random.default_rng(9))
+        np.testing.assert_allclose(single[0], batch[0])
 
     def test_regime_levels_shape_and_bounds(self, rng):
         levels = regime_switching_levels(6, 500, rng, low=0.2, high=2.5)
@@ -78,9 +75,9 @@ class TestCpuBatch:
         assert series[1].mean() == pytest.approx(0.5, rel=0.25)
 
     def test_matches_scalar_distribution(self):
-        """Batch rows and scalar series agree in mean within tolerance."""
-        scalar = generate_cpu_series(PROFILE, 0.3, WEEK,
-                                     np.random.default_rng(21))
+        """A one-row series and a fleet agree in mean within tolerance."""
+        scalar = generate_cpu_series_batch(PROFILE, [0.3], WEEK,
+                                           np.random.default_rng(21))
         batch = generate_cpu_series_batch(PROFILE, np.full(8, 0.3), WEEK,
                                           np.random.default_rng(22))
         assert batch.mean() == pytest.approx(scalar.mean(), rel=0.15)
@@ -106,8 +103,8 @@ class TestBandwidthBatch:
         assert series[1].mean() > series[0].mean() * 5
 
     def test_matches_scalar_distribution(self):
-        scalar = generate_bw_series(PROFILE, 20.0, WEEK,
-                                    np.random.default_rng(31))
+        scalar = generate_bw_series_batch(PROFILE, [20.0], WEEK,
+                                          np.random.default_rng(31))
         batch = generate_bw_series_batch(PROFILE, np.full(8, 20.0), WEEK,
                                          np.random.default_rng(32))
         assert batch.mean() == pytest.approx(scalar.mean(), rel=0.2)
@@ -128,11 +125,3 @@ class TestBandwidthBatch:
         private = derive_private_series_batch(public, rng)
         assert private.shape == public.shape
         assert private.mean() < public.mean()
-
-    def test_private_scalar_matches_batch_path(self):
-        public = generate_bw_series(PROFILE, 30.0, WEEK,
-                                    np.random.default_rng(41))
-        scalar = derive_private_series(public, np.random.default_rng(42))
-        batch = derive_private_series_batch(public[None, :],
-                                            np.random.default_rng(42))
-        np.testing.assert_allclose(scalar, batch[0])

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.workload.patterns import (
     PATTERNS,
-    ar1_noise,
+    ar1_noise_batch,
     pattern,
-    regime_switching_level,
+    regime_switching_levels,
     time_axis_minutes,
 )
 
@@ -78,50 +78,52 @@ class TestPatterns:
 
 class TestRegimeSwitching:
     def test_levels_within_bounds(self, rng):
-        levels = regime_switching_level(5000, rng, low=0.2, high=2.5)
+        levels = regime_switching_levels(1, 5000, rng, low=0.2, high=2.5)
         assert levels.min() >= 0.2 and levels.max() <= 2.5
 
     def test_piecewise_constant(self, rng):
-        levels = regime_switching_level(5000, rng,
-                                        switch_probability=0.002)
+        levels = regime_switching_levels(1, 5000, rng,
+                                         switch_probability=0.002)[0]
         changes = np.count_nonzero(np.diff(levels))
         assert changes < 50  # few switches, long holds
 
     def test_switches_do_happen(self, rng):
-        levels = regime_switching_level(20_000, rng,
-                                        switch_probability=0.01)
+        levels = regime_switching_levels(1, 20_000, rng,
+                                         switch_probability=0.01)
         assert np.unique(levels).size > 3
 
     def test_bad_probability_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            regime_switching_level(100, rng, switch_probability=0.0)
+            regime_switching_levels(1, 100, rng, switch_probability=0.0)
 
     @given(st.integers(min_value=10, max_value=2000))
     @settings(max_examples=30, deadline=None)
     def test_output_length(self, points):
-        levels = regime_switching_level(points, np.random.default_rng(1))
-        assert levels.size == points
+        levels = regime_switching_levels(1, points, np.random.default_rng(1))
+        assert levels.shape == (1, points)
 
 
 class TestAr1Noise:
     def test_centred_on_one(self, rng):
-        noise = ar1_noise(50_000, rng, rho=0.9, sigma=0.2)
+        noise = ar1_noise_batch(1, 50_000, rng, rho=0.9, sigma=0.2)
         assert noise.mean() == pytest.approx(1.0, abs=0.05)
 
     def test_floored(self, rng):
-        noise = ar1_noise(50_000, rng, rho=0.5, sigma=1.0)
+        noise = ar1_noise_batch(1, 50_000, rng, rho=0.5, sigma=1.0)
         assert noise.min() >= 0.05
 
     def test_autocorrelated(self, rng):
-        noise = ar1_noise(20_000, rng, rho=0.95, sigma=0.2)
+        noise = ar1_noise_batch(1, 20_000, rng, rho=0.95, sigma=0.2)[0]
         lag1 = np.corrcoef(noise[:-1], noise[1:])[0, 1]
         assert lag1 > 0.7
 
     def test_sigma_controls_spread(self, rng):
-        calm = ar1_noise(20_000, np.random.default_rng(1), sigma=0.05)
-        wild = ar1_noise(20_000, np.random.default_rng(1), sigma=0.4)
+        calm = ar1_noise_batch(1, 20_000, np.random.default_rng(1),
+                               sigma=0.05)
+        wild = ar1_noise_batch(1, 20_000, np.random.default_rng(1),
+                               sigma=0.4)
         assert calm.std() < wild.std()
 
     def test_bad_rho_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            ar1_noise(100, rng, rho=1.0)
+            ar1_noise_batch(1, 100, rng, rho=1.0)
