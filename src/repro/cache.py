@@ -30,7 +30,7 @@ Layout and atomicity
 
 Each entry is a directory ``<root>/<key[:2]>/<key>/`` holding
 ``meta.json`` plus its payload: pickled files (``object.pkl``, or a
-workload's ``platform.pkl`` and ``tables.pkl``) and, for workloads,
+workload's ``platform.pkl`` and ``dataset.pkl``) and, for workloads,
 per-kind shard directories (``cpu/shard-00000.npy``, ...) indexed by
 ``shards.json`` — see :mod:`repro.shards`.  Every store goes through one
 :class:`StreamedEntryWriter`: payload files are filled into a ``.tmp-*``
@@ -83,11 +83,10 @@ from .shards import (
     read_shard_index,
     verify_layout,
 )
-from .trace.dataset import TraceDataset
 from .workload.generator import GeneratedWorkload
 
 #: Bump when the on-disk entry layout changes.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: Files above this size record only their byte count in the entry
 #: manifest, not a sha256 — hashing a large pickled artifact (a
@@ -189,41 +188,9 @@ class CacheEntry:
     shards: int = 0
 
 
-def workload_tables(dataset: TraceDataset,
-                    private_ids: list[str]) -> dict[str, object]:
-    """The picklable table payload of a workload entry (series excluded).
-
-    ``private_ids`` is the row order of the private-traffic shards
-    (empty when the workload logs none).
-    """
-    return {
-        "platform_name": dataset.platform_name,
-        "trace_days": dataset.trace_days,
-        "cpu_interval_minutes": dataset.cpu_interval_minutes,
-        "bw_interval_minutes": dataset.bw_interval_minutes,
-        "vms": dataset.vms,
-        "apps": dataset.apps,
-        "sites": dataset.sites,
-        "servers": dataset.servers,
-        "order": list(dataset.vms),
-        "private_ids": private_ids,
-    }
-
-
 def _unpickle(path: Path) -> object:
     with path.open("rb") as handle:
         return pickle.load(handle)
-
-
-def _dataset_from_tables(tables: dict[str, object]) -> TraceDataset:
-    return TraceDataset(
-        platform_name=tables["platform_name"],
-        trace_days=tables["trace_days"],
-        cpu_interval_minutes=tables["cpu_interval_minutes"],
-        bw_interval_minutes=tables["bw_interval_minutes"],
-        vms=tables["vms"], apps=tables["apps"],
-        sites=tables["sites"], servers=tables["servers"],
-    )
 
 
 class ArtifactCache:
@@ -346,18 +313,18 @@ class ArtifactCache:
 
     @staticmethod
     def _load_workload(entry: Path) -> GeneratedWorkload:
-        """Open a workload entry: pickled tables plus windowed shard maps.
+        """Open a workload entry: pickled dataset plus windowed shard maps.
 
-        Shard verification (headers, sizes, counts) happens inside
-        :func:`repro.shards.load_sharded_series`; a failure propagates
-        to :meth:`get_workload`, which evicts the entry and misses.
+        Every kind in ``shards.json`` holds one row per VM, in the
+        dataset's VM-table order.  Shard verification (headers, sizes,
+        counts) happens inside :func:`repro.shards.load_sharded_series`;
+        a failure propagates to :meth:`get_workload`, which evicts the
+        entry and misses.
         """
-        tables = _unpickle(entry / "tables.pkl")
-        dataset = _dataset_from_tables(tables)
-        orders = {"cpu": tables["order"], "bw": tables["order"]}
-        if tables["private_ids"]:
-            orders["private"] = tables["private_ids"]
-        maps = load_sharded_series(entry, orders)
+        dataset = _unpickle(entry / "dataset.pkl")
+        order = list(dataset.vms)
+        maps = load_sharded_series(
+            entry, dict.fromkeys(read_shard_index(entry), order))
         dataset.attach_series(maps["cpu"], maps["bw"], maps.get("private"))
         return GeneratedWorkload(platform=_unpickle(entry / "platform.pkl"),
                                  dataset=dataset)

@@ -30,6 +30,7 @@ import numpy as np
 from ..config import Scenario
 from ..errors import ConfigurationError
 from ..geo.regions import city
+from ..measurement.qoe.testbed import EXPERIMENT_CITY, _displace
 from ..netsim.access import AccessType
 from ..netsim.latency import LatencyModel
 from ..netsim.path import HopKind
@@ -203,10 +204,9 @@ class CdnModel:
     substreams make two models of the same scenario identical.
     """
 
-    def __init__(self, scenario: Scenario,
-                 experiment_city: str = "Beijing") -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self._origin = city(experiment_city).location
+        self._origin = city(EXPERIMENT_CITY).location
         self._site_rng = scenario.random.stream("cdn-sites")
         self._path_rng = scenario.random.stream("cdn-paths")
 
@@ -249,8 +249,6 @@ class CdnModel:
     def _route_rtt_ms(self, distance_km: float, is_edge: bool,
                       label: str, pings: int = 50) -> float:
         """Mean RTT over a freshly built UE -> target route."""
-        from ..measurement.qoe.testbed import _displace
-
         ue = UESpec(label="cdn-ue", location=self._origin,
                     access=AccessType.WIFI)
         target = TargetSiteSpec(

@@ -44,6 +44,10 @@ CACHE_EVICTIONS = ("lru", "ttl")
 #: CLI's ``--autoscale``); the policy lives in :mod:`repro.live`.
 AUTOSCALE_MODES = ("on", "off")
 
+#: The §4.4 prediction window (minutes); the default of
+#: :attr:`repro.prediction.evaluate.ExperimentSpec.window_minutes`.
+PREDICTION_WINDOW_MINUTES = 30
+
 
 #: Annotation of a :class:`Scenario` field -> (accepts value, expected).
 #: ``bool`` is an ``int`` to Python but never a valid knob value.
@@ -131,9 +135,6 @@ class Scenario:
     throughput_edge_vms: int = 20
     iperf_duration_seconds: int = 15
 
-    # --- QoE testbeds (§3.3) --------------------------------------------
-    qoe_samples_per_setting: int = 50
-
     # --- session-scale QoE (beyond §3.3: CDN + ABR sessions) ------------
     qoe_session_count: int = 2000
     qoe_session_ticks: int = 120
@@ -143,12 +144,6 @@ class Scenario:
     qoe_abr: str = "throughput"
     qoe_cache_eviction: str = "lru"
     qoe_cache_ttl_s: int = 300
-
-    # --- prediction study (§4.4) ----------------------------------------
-    prediction_vm_sample: int = 48     # VMs sampled per platform
-    prediction_window_minutes: int = 30
-    prediction_train_days: int = 21
-    prediction_test_days: int = 7
 
     # --- billing study (§4.5) -------------------------------------------
     heaviest_app_count: int = 50
@@ -186,10 +181,15 @@ class Scenario:
             raise ConfigurationError(
                 "nep_servers_per_site_min exceeds nep_servers_per_site_max"
             )
-        if self.prediction_window_minutes % self.cpu_interval_minutes:
+        if PREDICTION_WINDOW_MINUTES % self.cpu_interval_minutes:
             raise ConfigurationError(
-                "prediction window must be a multiple of the CPU interval"
-            )
+                f"the {PREDICTION_WINDOW_MINUTES}-minute prediction window "
+                "must be a multiple of cpu_interval_minutes, "
+                f"got {self.cpu_interval_minutes}")
+        if (24 * 60) % self.bw_interval_minutes:
+            raise ConfigurationError(
+                "bw_interval_minutes must divide a day, "
+                f"got {self.bw_interval_minutes}")
         if self.fault_profile not in FAULT_PROFILES:
             raise ConfigurationError(
                 f"fault_profile must be one of {FAULT_PROFILES}, "
@@ -274,7 +274,6 @@ class Scenario:
             cpu_interval_minutes=1,
             nep_vm_count=20_000,
             azure_vm_count=20_000,
-            prediction_vm_sample=512,
             qoe_session_count=20_000,
             live_ticks=2880,
             live_arrival_rate=60.0,
@@ -300,7 +299,6 @@ class Scenario:
             cpu_interval_minutes=1,
             nep_vm_count=1_000_000,
             azure_vm_count=1_000_000,
-            prediction_vm_sample=512,
             qoe_session_count=1_000_000,
             qoe_catalog_objects=50_000,
             live_ticks=1440,
@@ -321,13 +319,9 @@ class Scenario:
             pings_per_target=10,
             throughput_participants=6,
             throughput_edge_vms=5,
-            qoe_samples_per_setting=12,
             qoe_session_count=500,
             qoe_session_ticks=60,
             qoe_catalog_objects=2000,
-            prediction_vm_sample=8,
-            prediction_train_days=5,
-            prediction_test_days=2,
             heaviest_app_count=10,
             live_ticks=240,
             live_arrival_rate=3.0,

@@ -48,7 +48,7 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def sketch_cdf(cdf: ECDF, width: int = 50, label: str = "") -> str:
+def sketch_cdf(cdf: ECDF, label: str = "") -> str:
     """A one-line quantile sketch of a CDF (p5/p25/p50/p75/p95)."""
     quantiles = [cdf.quantile(q) for q in (0.05, 0.25, 0.50, 0.75, 0.95)]
     body = " | ".join(f"{q:.3g}" for q in quantiles)

@@ -6,7 +6,7 @@ on each nearby edge site and every cloud region 30 times, recording the
 traceroute when visible.  A subset of participants runs 15-second iperf3
 tests against 20 edge VMs for the throughput study.
 
-One deliberate reduction: each participant pings the ``edge_targets_per_user``
+One deliberate reduction: each participant pings the ``EDGE_TARGETS_PER_USER``
 geographically nearest edge sites instead of all >500 — sites hundreds of
 kilometres away can never be the user's nearest or 3rd-nearest edge, so
 the analyses of §3.1 are unchanged while the campaign stays laptop-sized.
@@ -39,7 +39,6 @@ from ..faults.injection import (
     DEFAULT_RETRY_POLICY,
     FailedProbe,
     ProbeStats,
-    RetryPolicy,
     degraded_throughput_factor,
 )
 from ..faults.schedule import FaultSchedule
@@ -62,7 +61,7 @@ ACCESS_SHARES = {
 FIVE_G_CITY = "Beijing"
 
 #: Edge targets probed per participant (nearest-first).
-DEFAULT_EDGE_TARGETS_PER_USER = 10
+EDGE_TARGETS_PER_USER = 10
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,7 @@ class CrowdCampaign:
 
     def __init__(self, scenario: Scenario, edge_platform: Platform,
                  cloud_platform: Platform,
-                 edge_targets_per_user: int = DEFAULT_EDGE_TARGETS_PER_USER,
                  faults: FaultSchedule | None = None,
-                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
                  journal=None) -> None:
         if not edge_platform.sites:
             raise MeasurementError("edge platform has no sites")
@@ -144,9 +141,7 @@ class CrowdCampaign:
         self._scenario = scenario
         self._edge = edge_platform
         self._cloud = cloud_platform
-        self._edge_targets_per_user = edge_targets_per_user
         self._faults = faults
-        self._retry = retry_policy
         self._random = scenario.random.child("campaign")
         #: Optional :class:`repro.obs.journal.RunJournal` for probe ledgers.
         self.journal = journal
@@ -251,7 +246,7 @@ class CrowdCampaign:
         comes from the ``"fault-injection"`` stream so the route/latency
         draws stay on the same stream as the fault-free engine.
         """
-        faults, policy = self._faults, self._retry
+        faults, policy = self._faults, DEFAULT_RETRY_POLICY
         routes, meta = [], []
         for participant, targets, proutes in probe_sets:
             for (target_id, kind, _), route in zip(targets, proutes):
@@ -334,7 +329,7 @@ class CrowdCampaign:
                     access=participant.access)
         targets: list[tuple[str, str, GeoPoint]] = []
         for site in self._edge.nearest_sites(participant.location,
-                                             self._edge_targets_per_user):
+                                             EDGE_TARGETS_PER_USER):
             targets.append((site.site_id, "edge", site.location))
         for site in self._cloud.sites:
             targets.append((site.site_id, "cloud", site.location))
@@ -388,7 +383,7 @@ class CrowdCampaign:
         # Spread the 20 test VMs across distinct cities, as the paper did.
         vm_sites = self._spread_sites(self._scenario.throughput_edge_vms, rng)
 
-        faults, policy = self._faults, self._retry
+        faults, policy = self._faults, DEFAULT_RETRY_POLICY
         frng = (self._random.stream("fault-injection-iperf")
                 if faults is not None else None)
         results = CampaignResults()

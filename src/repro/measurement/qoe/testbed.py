@@ -69,10 +69,9 @@ def _displace(origin: GeoPoint, distance_km: float,
 class QoETestbed:
     """Builds the four-VM testbed and measures RTTs and link capacities."""
 
-    def __init__(self, rng: np.random.Generator,
-                 experiment_city: str = EXPERIMENT_CITY) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._origin = city(experiment_city).location
+        self._origin = city(EXPERIMENT_CITY).location
         bearing = 200.0  # south-west, into mainland China
         self.vms: tuple[TestbedVM, ...] = tuple(
             TestbedVM(

@@ -40,8 +40,9 @@ class SubscriptionRequest:
 
 
 #: Optional provider of historical CPU usage per server: maps server_id to
-#: (mean_usage, max_usage) in [0, 1].  NEP's policy consults it when
-#: available; during initial platform build-out there is no history yet.
+#: (mean_usage, max_usage) in [0, 1].  :class:`NepPlacementPolicy` takes
+#: one at construction; during initial platform build-out there is no
+#: history yet.
 UsageProvider = Callable[[str], tuple[float, float]]
 
 
@@ -90,16 +91,15 @@ class PlacementPolicy(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
-                      spec: VMSpec) -> int:
-        """Pick the row of ``table`` that hosts a VM with ``spec``.
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray) -> int:
+        """Pick the row of ``table`` that hosts the next VM.
 
         ``feasible`` holds the non-empty, ascending row indices whose
-        free capacity already fits the spec; the result is one of them.
+        free capacity already fits the VM's spec; the result is one of
+        them.
         """
 
     def place(self, platform: Platform, request: SubscriptionRequest,
-              usage: UsageProvider | None = None,
               specs: list[VMSpec] | None = None,
               allow_partial: bool = False) -> list[VM]:
         """Place all VMs of a subscription request; returns the new VMs.
@@ -111,7 +111,6 @@ class PlacementPolicy(abc.ABC):
         Args:
             platform: the target platform.
             request: the subscription request.
-            usage: optional historical-usage provider for the policy.
             specs: optional per-VM spec overrides (e.g. per-VM disk sizes);
                 must have ``request.vm_count`` entries.
             allow_partial: when True, a saturated scope stops placement and
@@ -145,7 +144,7 @@ class PlacementPolicy(abc.ABC):
                         f"(VM {index + 1}/{request.vm_count}, scope "
                         f"province={request.province!r} city={request.city!r})"
                     )
-                choice = self._choose_index(table, feasible, spec)
+                choice = self._choose_index(table, feasible)
                 server = table.server(choice)
                 vm = VM(
                     vm_id=f"{request.app_id}-vm{len(platform.vms) + index:05d}",
@@ -194,8 +193,7 @@ class NepPlacementPolicy(PlacementPolicy):
     def __init__(self, usage: UsageProvider | None = None) -> None:
         self._usage = usage
 
-    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
-                      spec: VMSpec) -> int:
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray) -> int:
         score = table.cpu_sales_rates()[feasible]
         if self._usage is not None:
             extra = np.empty(feasible.size)
@@ -213,8 +211,7 @@ class FirstFitPolicy(PlacementPolicy):
 
     name = "first-fit"
 
-    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
-                      spec: VMSpec) -> int:
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray) -> int:
         return int(feasible[0])
 
 
@@ -227,8 +224,7 @@ class BestFitPolicy(PlacementPolicy):
 
     name = "best-fit"
 
-    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
-                      spec: VMSpec) -> int:
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray) -> int:
         order = np.lexsort((table.free_mem[feasible],
                             table.free_cpu[feasible]))
         return int(feasible[order[0]])
@@ -242,6 +238,5 @@ class RandomPolicy(PlacementPolicy):
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
-    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray,
-                      spec: VMSpec) -> int:
+    def _choose_index(self, table: _ScopedTable, feasible: np.ndarray) -> int:
         return int(feasible[int(self._rng.integers(0, feasible.size))])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PREDICTION_WINDOW_MINUTES
 from ..errors import PredictionError
 from .autoregressive import SeasonalARForecaster
 from .holtwinters import HoltWinters
@@ -61,7 +62,7 @@ class ExperimentSpec:
     """Windowing and split settings for a prediction experiment."""
 
     cpu_interval_minutes: int
-    window_minutes: int = 30
+    window_minutes: int = PREDICTION_WINDOW_MINUTES
     train_days: int = 21
     test_days: int = 7
 

@@ -138,10 +138,11 @@ def _build_cell(name: str, merged: dict, where: str) -> SweepCell:
             f"{where}: unknown fault profile {faults!r}, expected one of "
             f"{FAULT_PROFILES}")
     seed = merged.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (not isinstance(seed, int)
+                             or isinstance(seed, bool)):
         raise ConfigurationError(f"{where}: seed must be an integer")
     jobs = merged.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 0:
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
         raise ConfigurationError(
             f"{where}: jobs must be a non-negative integer")
     analyses = merged.get("analyses", [])

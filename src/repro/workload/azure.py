@@ -32,8 +32,7 @@ from .subscription import sample_azure_spec
 INDIVIDUAL_FRACTION = 0.35
 
 
-def generate_azure_workload(scenario: Scenario, name: str = "Azure",
-                            jobs: int = 1,
+def generate_azure_workload(scenario: Scenario, jobs: int = 1,
                             perf: PerfRegistry | None = None,
                             sink: WorkloadSink | None = None,
                             ) -> GeneratedWorkload:
@@ -47,13 +46,13 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
     # VMs, so scenarios up to paper scale keep their golden digests);
     # the city tier needs the fleet to grow with the VM budget.
     servers_per_region = max(300, scenario.azure_vm_count // 200)
-    platform = build_cloud_platform(scenario, name=name, region_count=8,
+    platform = build_cloud_platform(scenario, name="Azure", region_count=8,
                                     servers_per_region=servers_per_region)
     policy = RandomPolicy(random.stream("azure-placement"))
     app_rng = random.stream("azure-apps")
 
     dataset = TraceDataset(
-        platform_name=name,
+        platform_name=platform.name,
         trace_days=scenario.trace_days,
         cpu_interval_minutes=scenario.cpu_interval_minutes,
         bw_interval_minutes=scenario.bw_interval_minutes,

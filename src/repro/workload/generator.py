@@ -35,7 +35,7 @@ from ..platform.nep import build_nep_platform
 from ..platform.placement import NepPlacementPolicy, SubscriptionRequest
 from ..trace.dataset import TraceDataset
 from ..trace.schema import AppRecord, ServerRecord, SiteRecord, VMRecord
-from .apps import AppProfile, NEP_PROFILES, sample_profile
+from .apps import NEP_PROFILES, sample_profile
 from .series import NEP_RECIPE, SeriesJob, SeriesRecipe
 from .streaming import WorkloadSink
 from .subscription import sample_nep_disk_gb, sample_nep_spec
@@ -58,8 +58,7 @@ def _province_weights() -> tuple[list[str], np.ndarray]:
     return names, weights / weights.sum()
 
 
-def _choose_provinces(profile: AppProfile, vm_count: int,
-                      rng: np.random.Generator) -> list[str]:
+def _choose_provinces(vm_count: int, rng: np.random.Generator) -> list[str]:
     """Provinces an app deploys into; big apps spread wider (§4.1)."""
     names, weights = _province_weights()
     if vm_count >= 100:
@@ -154,7 +153,7 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
         )
 
         spec = sample_nep_spec(app_rng)
-        app_provinces = _choose_provinces(profile, vm_count, app_rng)
+        app_provinces = _choose_provinces(vm_count, app_rng)
         counts = _split_counts(vm_count, len(app_provinces), app_rng)
         placed_vms = []
         for province, count in zip(app_provinces, counts):

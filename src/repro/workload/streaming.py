@@ -121,13 +121,11 @@ class WorkloadSink:
 
     @classmethod
     def for_cache(cls, cache, artifact: str, scenario: Scenario,
-                  journal=None,
                   shard_rows: int = DEFAULT_SHARD_ROWS) -> "WorkloadSink":
         """A sink writing straight into a new cache entry's staging dir."""
         writer = cache.workload_writer(artifact, scenario)
         return cls(writer.staging, entry_writer=writer,
-                   journal=journal if journal is not None else cache.journal,
-                   shard_rows=shard_rows)
+                   journal=cache.journal, shard_rows=shard_rows)
 
     @classmethod
     def spill(cls, directory: Path | str | None = None, journal=None,
@@ -195,10 +193,12 @@ class WorkloadSink:
     def finalize(self, platform, dataset) -> None:
         """Seal the store and attach lazy series maps to ``dataset``.
 
-        For a cache-backed sink this writes the entry tables and commits
-        via the atomic-rename protocol; either way the dataset's series
-        become :class:`~repro.shards.ShardedSeriesMap` views over the
-        final on-disk location.
+        For a cache-backed sink this pickles the platform and the
+        dataset into the entry and commits via the atomic-rename
+        protocol; the series attach only afterwards, so the pickle
+        holds the tables alone.  Either way the dataset's series become
+        :class:`~repro.shards.ShardedSeriesMap` views over the final
+        on-disk location.
         """
         if not self._began or self._done:
             raise TraceError("workload sink cannot finalize")
@@ -223,15 +223,9 @@ class WorkloadSink:
         persistent fault) costs the next run a render, never this run
         its result: the staged shards become this run's spill.
         """
-        from ..cache import workload_tables
-
-        # Private rows are not attached to the dataset yet; their
-        # order is the sink's row order whenever the kind exists.
-        tables = workload_tables(dataset, list(self._order)
-                                 if "private" in self._writers else [])
         try:
             self.root = self._entry_writer.commit(
-                {"platform.pkl": platform, "tables.pkl": tables},
+                {"platform.pkl": platform, "dataset.pkl": dataset},
                 shards=shard_count)
         except (InjectedFault, OSError) as exc:
             self.root = self._entry_writer.detach(exc)

@@ -24,10 +24,10 @@ PHASES = ("nep", "azure", "alicloud", "faults", "failover", "availability",
           "qoe_sessions", "live")
 
 GOLDEN = {
-    "paper": "fe9cf3299e016ce22209ee6577a20664ec1f6abf492eea20ad295a26a9bced59",
-    "off": "5656370bf7d7c2016cec11f4eb48d22e6b089311ad70911adaae4483762bfb5a",
-    "cold": "c7977af104270fbf9f219e36b538c71ab0d485c166fa207d66397f3d57203b7a",
-    "warm": "5fb6fc7bafba59cf436e29518bbe2a260aff4be1b5b780e35ec36588f1144bf7",
+    "paper": "2d201c29215fd63220e7408589370ef6dce48f018335dbf217133b1a0746e855",
+    "off": "e3f2cee0c1576a41ab9f2d217ac748c736664318dc24939cc28666fe2b188673",
+    "cold": "9bc3c081ca092c7eb75e76a0c1579c6a74ccc543c2a32a0141608f25129dd7df",
+    "warm": "839fbfd0abeaf1a55cc08357e068bdf47da89dbda423b296519df52549681229",
 }
 
 

@@ -121,6 +121,19 @@ class TestValidation:
             parse_sweep_spec({"cells": [{"jobs": -1,
                                          "analyses": ["fig8"]}]})
 
+    def test_boolean_seed_rejected_with_cell_name(self):
+        with pytest.raises(ConfigurationError,
+                           match="cell 'a': seed must be an integer"):
+            parse_sweep_spec({"defaults": {"seed": True,
+                                           "analyses": ["fig2a"]},
+                              "cells": [{"name": "a"}]})
+
+    def test_boolean_jobs_rejected_with_cell_name(self):
+        with pytest.raises(ConfigurationError, match="cell 'a': jobs"):
+            parse_sweep_spec({"defaults": {"jobs": True,
+                                           "analyses": ["fig2a"]},
+                              "cells": [{"name": "a"}]})
+
     def test_unknown_override_field(self):
         with pytest.raises(ConfigurationError, match="scenario field"):
             parse_sweep_spec({"cells": [

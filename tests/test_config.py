@@ -1,8 +1,13 @@
 """Tests for scenario configuration and deterministic randomness."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config import DEFAULT_SCENARIO, RandomState, Scenario
 from repro.errors import ConfigurationError
 
@@ -70,7 +75,12 @@ class TestScenario:
 
     def test_rejects_misaligned_prediction_window(self):
         with pytest.raises(ConfigurationError):
-            Scenario(cpu_interval_minutes=7, prediction_window_minutes=30)
+            Scenario(cpu_interval_minutes=7)
+
+    def test_rejects_bandwidth_interval_not_dividing_a_day(self):
+        with pytest.raises(ConfigurationError, match="bw_interval_minutes"):
+            Scenario(bw_interval_minutes=7)
+        assert Scenario(bw_interval_minutes=60).bw_interval_minutes == 60
 
     def test_paper_scale_matches_paper(self):
         sc = Scenario.paper_scale()
@@ -108,3 +118,18 @@ class TestScenario:
     def test_scenario_is_frozen(self):
         with pytest.raises(AttributeError):
             Scenario().trace_days = 10  # type: ignore[misc]
+
+
+def test_every_scenario_field_is_read():
+    """A knob no code outside ``config.py`` reads is not a knob."""
+    package = Path(repro.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        if path == package / "config.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    unread = [f.name for f in dataclasses.fields(Scenario)
+              if f.name not in read]
+    assert unread == []
