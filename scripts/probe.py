@@ -24,9 +24,9 @@ canonical journals; ``sweep-dedup`` times sweep children.  ``campaign``,
     arms ``live.tick`` must journal at least one ``live_retry``.
 ``study-resume``
     SIGKILLs ``repro run`` the moment its first phase commits to the
-    cache, then re-runs it with ``--resume``: it exits 0, a ``resume``
-    event names the committed phases, each is served as a ``cache_hit``
-    (never re-stored), and at least one pending phase commits.
+    cache, then reruns the same command: it exits 0, every phase
+    committed before the kill is served as a ``cache_hit`` (never
+    re-stored), and at least one more phase commits.
 ``sweep-resume``
     SIGKILLs ``repro sweep run`` once its first cell publishes: only
     complete cells are visible, a resume completes exactly the rest and
@@ -310,50 +310,41 @@ def probe_live(args: argparse.Namespace, root: Path) -> str:
             f"{args.profile}")
 
 
-def committed_entries(cache: Path) -> list[Path]:
-    """Published cache entries (staging dirs have no meta.json yet)."""
-    if not cache.exists():
-        return []
-    return sorted(p for p in cache.rglob("meta.json")
-                  if ".tmp-" not in str(p.parent))
+def committed_artifacts(cache: Path) -> list[str]:
+    """Artifact names of the entries published under ``cache``."""
+    return sorted(json.loads(p.read_text(encoding="utf-8"))["artifact"]
+                  for p in cache.glob("??/*/meta.json"))
 
 
 def probe_study_resume(args: argparse.Namespace, root: Path) -> str:
-    """SIGKILL a study after its first commit, then ``--resume`` it."""
+    """SIGKILL a study after its first commit, then rerun it."""
     cache = root / "cache"
     base = repro("run", *args.experiments, "--scale", args.scale,
                  "--jobs", args.jobs, "--cache-dir", cache)
     with launch(base) as proc:
-        wait_for(proc, lambda: committed_entries(cache), args.timeout,
+        wait_for(proc, lambda: committed_artifacts(cache), args.timeout,
                  "scale")
-    committed = len(committed_entries(cache))
-    if not committed:
-        fail("no phase committed before the kill")
-    print(f"probe: killed the run after {committed} committed phase(s)")
-
-    _, journal = run_journaled(base + ["--resume"], root, "resume")
-    events, = load(journal)
-    resume = next((e for e in events if e["type"] == "resume"), None)
-    if resume is None:
-        fail("no resume event journaled")
-    cached, pending = resume["cached"], resume["pending"]
+    cached = committed_artifacts(cache)
     if not cached:
-        fail("resume header lists no committed phase")
+        fail("no phase committed before the kill")
+    print(f"probe: killed the run after {len(cached)} committed phase(s)")
+
+    _, journal = run_journaled(base, root, "rerun")
+    events, = load(journal)
     hits = {e["artifact"] for e in events if e["type"] == "cache_hit"}
-    stores = {e["artifact"] for e in events if e["type"] == "cache_store"}
+    stores = sorted(e["artifact"] for e in events
+                    if e["type"] == "cache_store")
     rebuilt = [name for name in cached
                if name in stores or name not in hits]
     if rebuilt:
         fail(f"committed phase(s) re-ran: {', '.join(rebuilt)}")
-    # The experiment set may not need every resumable phase, but a
-    # resume that did no new work means the kill came too late.
-    progressed = [name for name in pending if name in stores]
-    if not progressed:
-        fail("resume committed nothing new; the kill landed after the "
+    # A rerun that did no new work means the kill came too late.
+    if not stores:
+        fail("rerun committed nothing new; the kill landed after the "
              "whole run finished")
-    return (f"resume served {len(cached)} phase(s) from cache "
-            f"({', '.join(cached)}) and committed {len(progressed)} more "
-            f"({', '.join(progressed)})")
+    return (f"rerun served {len(cached)} phase(s) from cache "
+            f"({', '.join(cached)}) and committed {len(stores)} more "
+            f"({', '.join(stores)})")
 
 
 def visible_cells(cells_dir: Path) -> list[Path]:
@@ -723,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     live.set_defaults(probe=probe_live)
 
     study = sub.add_parser("study-resume",
-                           help="SIGKILL a study mid-run, then --resume")
+                           help="SIGKILL a study mid-run, then rerun it")
     study.add_argument("experiments", nargs="*",
                        default=["fig2a", "fig9", "table3"],
                        help="experiments to run "

@@ -233,18 +233,6 @@ class ArtifactCache:
     def _entry_dir(self, key: str) -> Path:
         return self.root / key[:2] / key
 
-    def has(self, artifact: str, scenario: Scenario) -> bool:
-        """Whether a committed entry exists for ``artifact`` + scenario.
-
-        A pure peek: checks for the entry's ``meta.json`` (the last file
-        the commit protocol writes, so its presence marks a complete
-        entry) without loading anything, emitting events, or evicting.
-        ``resume_status`` uses this to report which phases a resumed
-        study will replay from cache.
-        """
-        key = self.key(artifact, scenario)
-        return (self._entry_dir(key) / "meta.json").exists()
-
     # ---- generic pickled artifacts ---------------------------------------
 
     def get_object(self, artifact: str, scenario: Scenario) -> object | None:

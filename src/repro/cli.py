@@ -7,6 +7,7 @@ Usage::
     python -m repro run fig2a table3         # regenerate figures
     python -m repro run all --scale smoke --seed 7
     python -m repro run all --log-json run.jsonl   # + structured journal
+    python -m repro run all --scale paper    # rerun after a kill resumes
     python -m repro trace summary run.jsonl  # render a journal
     python -m repro export ./datasets        # the paper's two datasets
     python -m repro sweep run grid.toml --jobs 2   # scenario sweep
@@ -27,7 +28,7 @@ from .obs import RunJournal, diff_journals, read_journal, render_show, \
     render_summary
 from .reports import REPORTS
 from .resilience import CHAOS_PROFILES, chaos_spec, install
-from .study import SCALES, EdgeStudy, scenario_for, study_for
+from .study import SCALES, EdgeStudy, scenario_for
 
 #: Human-readable one-liners for `repro list`.
 DESCRIPTIONS = {
@@ -75,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="regenerate one or more experiments")
     run.add_argument("experiments", nargs="+",
                      help="experiment ids (see 'list'), or 'all'")
-    run.add_argument("--resume", action="store_true",
-                     help="continue an interrupted run: phases already "
-                          "committed to the artifact cache are replayed "
-                          "instead of regenerated (needs the cache; "
-                          "results are bit-identical either way)")
     run.add_argument("--sessions", type=int, default=None, metavar="N",
                      help="qoe-sessions: viewer-session count (default: "
                           "the scale's qoe_session_count)")
@@ -259,56 +255,33 @@ def _close_journal(journal: RunJournal | None, study: EdgeStudy,
                       counters=study.perf.counters or None)
 
 
-def _qoe_overrides(args: argparse.Namespace) -> dict[str, object]:
-    """Scenario overrides from the qoe-sessions knobs (empty if unused)."""
-    overrides: dict[str, object] = {}
-    if getattr(args, "sessions", None) is not None:
-        overrides["qoe_session_count"] = args.sessions
-    if getattr(args, "cache_mb", None) is not None:
-        overrides["qoe_cache_mb"] = args.cache_mb
-    if getattr(args, "abr", None) is not None:
-        overrides["qoe_abr"] = args.abr
-    return overrides
-
-
-def _live_overrides(args: argparse.Namespace) -> dict[str, object]:
-    """Scenario overrides from the live-engine knobs (empty if unused)."""
-    overrides: dict[str, object] = {}
-    if getattr(args, "ticks", None) is not None:
-        overrides["live_ticks"] = args.ticks
-    if getattr(args, "arrival", None) is not None:
-        overrides["live_arrival_rate"] = args.arrival
-    if getattr(args, "autoscale", None) is not None:
-        overrides["live_autoscale"] = args.autoscale
-    return overrides
+#: Engine flag (``args`` attribute) -> the ``Scenario`` field it sets.
+_ENGINE_FLAGS = {
+    "sessions": "qoe_session_count",
+    "cache_mb": "qoe_cache_mb",
+    "abr": "qoe_abr",
+    "ticks": "live_ticks",
+    "arrival": "live_arrival_rate",
+    "autoscale": "live_autoscale",
+}
 
 
 def _study(args: argparse.Namespace,
            journal: RunJournal | None = None) -> EdgeStudy:
-    """The study for the CLI args, sharing the module-level cache.
+    """The study for the CLI args: the named scale plus any engine flags.
 
-    A journaled run builds its :class:`EdgeStudy` directly (bypassing the
-    ``study_for`` memo) so the journal observes every phase instead of
-    attaching to a study another command already materialised.  A
-    ``--resume`` run does the same: the resume header must describe
-    *this* invocation's cache state, not a memoised study's.  Scenario
-    overrides (``--sessions``/``--cache-mb``/``--abr``) also bypass the
-    memo — it is keyed on the named scale alone.
+    With a cache, phases an earlier run of the same scenario committed
+    (even one that was killed) replay from it instead of running again.
     """
-    resume = getattr(args, "resume", False)
-    overrides = {**_qoe_overrides(args), **_live_overrides(args)}
-    if journal is None and not resume and not overrides:
-        return study_for(args.scale, args.seed, getattr(args, "faults", None),
-                         jobs=getattr(args, "jobs", 1),
-                         cache_dir=_cache_dir_for(args))
-    scenario = scenario_for(args.scale, args.seed, getattr(args, "faults",
-                                                           None),
-                            overrides=overrides or None)
+    overrides = {field: getattr(args, flag)
+                 for flag, field in _ENGINE_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
     cache_dir = _cache_dir_for(args)
-    cache = (ArtifactCache(cache_dir, journal=journal)
-             if cache_dir is not None else None)
-    return EdgeStudy(scenario, jobs=getattr(args, "jobs", 1), cache=cache,
-                     journal=journal, resume=resume)
+    return EdgeStudy(
+        scenario_for(args.scale, args.seed, args.faults, overrides),
+        jobs=args.jobs,
+        cache=ArtifactCache(cache_dir) if cache_dir is not None else None,
+        journal=journal)
 
 
 def _maybe_report_perf(args: argparse.Namespace, study: EdgeStudy) -> None:
@@ -391,6 +364,15 @@ def _human_bytes(count: int) -> str:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    if args.action != "clear" and (args.older_than is not None
+                                   or args.dry_run):
+        print("--older-than/--dry-run only apply to 'cache clear'",
+              file=sys.stderr)
+        return 2
+    if args.action != "verify" and (args.repair or args.shallow):
+        print("--repair/--shallow only apply to 'cache verify'",
+              file=sys.stderr)
+        return 2
     root = args.cache_dir if args.cache_dir is not None else default_cache_dir()
     cache = ArtifactCache(root)
     if args.action == "clear":
@@ -421,14 +403,6 @@ def _command_cache(args: argparse.Namespace) -> int:
         elif report["problems"] or report["stale_staging"]:
             print("rerun with --repair to evict damaged entries")
         return 1 if report["problems"] and not args.repair else 0
-    if args.older_than is not None or args.dry_run:
-        print("--older-than/--dry-run only apply to 'cache clear'",
-              file=sys.stderr)
-        return 2
-    if args.repair or args.shallow:
-        print("--repair/--shallow only apply to 'cache verify'",
-              file=sys.stderr)
-        return 2
     if args.action == "info":
         info = cache.info()
         print(f"root:         {info['root']}")

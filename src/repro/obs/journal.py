@@ -57,8 +57,7 @@ VOLATILE_FIELDS = frozenset({
 #: Event *types* that exist only because of execution knobs — shard
 #: spills (``chunk_spill``) and per-tick live-engine telemetry
 #: (``live_tick``, one per simulated tick) — or because of *recovery*:
-#: retries,
-#: worker restarts, quarantines, and resume headers exist only when a
+#: retries, worker restarts, and quarantines exist only when a
 #: failpoint fired or the host misbehaved.  Recovery changes when work
 #: happens, never what it produces, so the canonical view drops the
 #: whole event rather than individual fields; that is what makes a
@@ -68,7 +67,6 @@ VOLATILE_EVENT_TYPES = frozenset({
     "live_tick", "live_retry",
     "job_retry", "worker_restart", "job_quarantined",
     "cache_retry", "cache_write_error",
-    "resume",
 })
 
 #: Default journal file name when a directory is given.

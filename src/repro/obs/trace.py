@@ -74,7 +74,6 @@ class JournalSummary:
     run: dict = field(default_factory=dict)        # run_start payload
     end: dict = field(default_factory=dict)        # run_end payload
     phases: dict[str, dict] = field(default_factory=dict)
-    spans: dict[str, dict] = field(default_factory=dict)
     cache: dict[str, list[dict]] = field(default_factory=dict)
     pool: dict[str, int] = field(default_factory=dict)
     faults: dict | None = None
@@ -157,15 +156,6 @@ def summarize_journal(events: list[dict],
             summary.probe_stats[str(payload.get("probe", "?"))] = payload
         elif etype == "warning":
             summary.warnings.append(str(event.get("message", "")))
-        elif etype == "span_end":
-            name = str(event.get("span"))
-            span = summary.spans.setdefault(
-                name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0})
-            span["wall_s"] = round(span["wall_s"]
-                                   + float(event.get("wall_s", 0.0)), 6)
-            span["cpu_s"] = round(span["cpu_s"]
-                                  + float(event.get("cpu_s", 0.0)), 6)
-            span["calls"] += 1
     summary.cache = cache
     summary.pool = pool
     return summary
@@ -277,11 +267,9 @@ def render_summary(events: list[dict],
         ("quarantined", "job_quarantined"),
         ("cache write errors", "cache_write_error"),
     ) if seen.get(etype, 0)}
-    if recovered or seen.get("resume", 0):
-        parts = [f"{n} {label}" for label, n in recovered.items()]
-        if seen.get("resume", 0):
-            parts.append("resumed run")
-        lines.append("resilience: " + ", ".join(parts))
+    if recovered:
+        lines.append("resilience: " + ", ".join(
+            f"{n} {label}" for label, n in recovered.items()))
 
     if summary.live:
         live = summary.live

@@ -44,13 +44,6 @@ from .workload.generator import GeneratedWorkload, generate_nep_workload
 from .workload.streaming import WorkloadSink
 
 
-#: Phases whose results land in the artifact cache and can therefore be
-#: skipped by a resumed run.  Order matches the natural execution order.
-RESUMABLE_PHASES = ("workload_nep", "workload_azure",
-                    "campaign_latency", "campaign_throughput",
-                    "qoe_sessions", "live")
-
-
 class EdgeStudy:
     """Lazily-computed bundle of every dataset the paper's figures need.
 
@@ -60,14 +53,11 @@ class EdgeStudy:
     phases failed, and ``study.perf.spans[name].error`` holds a failed
     phase's error.
 
-    ``resume=True`` declares that this run continues an earlier (killed
-    or crashed) run of the same scenario: it requires an artifact cache
-    — the medium resume works through, since every committed phase is a
-    cache entry published atomically — and journals a ``resume`` event
-    listing which phases will replay from cache and which still have to
-    run.  Resume never changes results; cached phases are bit-identical
-    to regenerated ones, so a resumed journal canonicalizes equal to a
-    clean one.
+    With an artifact cache, the workloads, the campaigns, the QoE
+    sessions and the live run are each committed as one atomically
+    published entry when their phase ends, and every study on that cache
+    replays them.  A rerun of a killed or crashed run therefore resumes
+    after its last committed phase, with bit-identical results.
 
     ``streaming`` is accepted and ignored: every workload streams to
     shards (a cache entry, or a spill directory without a cache).  The
@@ -79,7 +69,7 @@ class EdgeStudy:
     def __init__(self, scenario: Scenario = DEFAULT_SCENARIO,
                  jobs: int = 1, cache: ArtifactCache | None = None,
                  journal: RunJournal | None = None,
-                 streaming: str | None = None, resume: bool = False) -> None:
+                 streaming: str | None = None) -> None:
         self.scenario = scenario
         #: Worker processes for workload generation (0 was "all cores").
         self.jobs = resolve_jobs(jobs)
@@ -87,40 +77,12 @@ class EdgeStudy:
         self.cache = cache
         #: Optional run journal; every layer below reports through it.
         self.journal = journal
-        #: Whether this run continues an interrupted one via the cache.
-        self.resume = resume
-        if resume and cache is None:
-            raise ConfigurationError(
-                "resume needs an artifact cache (committed phases are "
-                "cache entries); drop --no-cache or pass cache_dir")
         self.perf = PerfRegistry(journal=journal)
         if journal is not None:
             if cache is not None:
                 cache.journal = journal
             journal.run_start(scenario, jobs=self.jobs,
                               cache=cache is not None)
-            if resume:
-                status = self.resume_status()
-                journal.emit("resume", cached=status["cached"],
-                             pending=status["pending"])
-
-    def resume_status(self) -> dict[str, list[str]]:
-        """Which resumable phases are already committed in the cache.
-
-        Returns ``{"cached": [...], "pending": [...]}`` over
-        :data:`RESUMABLE_PHASES` — a pure peek at entry metadata, with
-        no loading, no events, and no side effects on the cache.
-
-        Raises:
-            ConfigurationError: when the study has no artifact cache.
-        """
-        if self.cache is None:
-            raise ConfigurationError(
-                "resume status needs an artifact cache")
-        cached = [name for name in RESUMABLE_PHASES
-                  if self.cache.has(name, self.scenario)]
-        pending = [name for name in RESUMABLE_PHASES if name not in cached]
-        return {"cached": cached, "pending": pending}
 
     # ---- phases and the artifact cache -----------------------------------
 

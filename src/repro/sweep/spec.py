@@ -15,8 +15,8 @@ A sweep config names a campaign over scenario axes.  Three sections:
     from the varying axes (``seed7-faults_paper``).
 
 ``[[cells]]``
-    Explicit cells (each may set any default-able key plus ``name``).
-    Grid and explicit cells can coexist; names must be unique.
+    Explicit cells (any default-able key plus ``name``, a plain file
+    name).  Grid and explicit cells can coexist; names must be unique.
 
 Every value is validated at load time — unknown scales, fault
 profiles, analysis ids, or scenario fields fail before any work runs.
@@ -251,7 +251,16 @@ def parse_sweep_spec(data: dict, name: str = "sweep") -> SweepSpec:
             **_require_mapping(table.get("overrides", {}),
                                f"[[cells]] #{index}.overrides"),
         }
-        named.append((str(table.get("name", f"cell{index}")), merged))
+        # The name becomes cells/<name>/: only a plain file name can
+        # neither escape cells/ nor collide with the .tmp- staging dirs.
+        cell_name = table.get("name", f"cell{index}")
+        if (not isinstance(cell_name, str) or not cell_name
+                or cell_name[0] == "."
+                or any(c in cell_name for c in "/\\\0")):
+            raise ConfigurationError(
+                f"[[cells]] #{index}: name {cell_name!r} must be a plain "
+                f"file name (non-empty, no '/', '\\' or NUL, no leading '.')")
+        named.append((cell_name, merged))
 
     if not named:
         raise ConfigurationError(

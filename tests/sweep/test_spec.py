@@ -156,6 +156,20 @@ class TestValidation:
                 {"name": "a", "analyses": ["fig8"]},
                 {"name": "a", "analyses": ["fig10"]}]})
 
+    @pytest.mark.parametrize("name", [
+        "../../victim", "a/b", "a\\b", "", ".", "..", ".tmp-x",
+        ".hidden", "a\0b", 7, None])
+    def test_cell_name_must_be_plain_file_name(self, name):
+        with pytest.raises(ConfigurationError, match="#0: name"):
+            parse_sweep_spec({"cells": [{"name": name,
+                                         "analyses": ["table1"]}]})
+
+    def test_plain_cell_names_accepted(self):
+        spec = parse_sweep_spec({"cells": [
+            {"name": "base-seed.7", "analyses": ["table1"]},
+            {"name": "x..y", "analyses": ["table1"]}]})
+        assert [c.name for c in spec.cells] == ["base-seed.7", "x..y"]
+
 
 class TestLoad:
     def test_toml_round_trip_names_from_stem(self, tmp_path):

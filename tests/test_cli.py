@@ -108,8 +108,8 @@ class TestMain:
         assert "unknown experiments" in capsys.readouterr().err
 
     def test_run_cheap_reports(self, capsys):
-        # table1 needs no simulation; fig3/fig8 reuse the cached smoke
-        # study from the session (same default seed).
+        # table1 needs no simulation; fig3/fig8 run a smoke study, which
+        # replays whatever the suite's artifact cache already holds.
         assert main(["run", "table1", "fig3", "fig8"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
@@ -302,3 +302,20 @@ class TestCacheMain:
                      "--older-than", "3"]) == 2
         err = capsys.readouterr().err
         assert "only apply to 'cache clear'" in err
+
+    def test_pruning_flags_rejected_by_verify(self, capsys, tmp_path):
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path),
+                     "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "only apply to 'cache clear'" in err
+
+    def test_verify_flags_rejected_by_clear(self, capsys, tmp_path):
+        from repro import ArtifactCache, Scenario
+
+        cache = ArtifactCache(tmp_path)
+        cache.put_object("probe", Scenario.smoke_scale(), 1)
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path),
+                     "--repair", "--shallow"]) == 2
+        err = capsys.readouterr().err
+        assert "only apply to 'cache verify'" in err
+        assert len(cache.entries()) == 1

@@ -116,6 +116,9 @@ def assert_parses_or_rejects(data: dict) -> None:
         return
     assert isinstance(spec, SweepSpec) and spec.cells
     for cell in spec.cells:
+        # The name becomes cells/<name>/: it must stay a plain file name.
+        assert cell.name and not cell.name.startswith("."), cell.name
+        assert not any(c in cell.name for c in "/\\\0"), cell.name
         assert_valid(cell.scenario())
 
 

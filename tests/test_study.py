@@ -189,68 +189,25 @@ class TestErrorHierarchy:
 
 
 class TestResume:
-    """Phase-level resume: committed cache entries are the checkpoints."""
+    """A rerun on the same cache resumes: committed phases replay."""
 
-    def _cached_study(self, tmp_path, **kwargs):
+    def test_resumed_study_skips_committed_phases(self, tmp_path):
         from repro import ArtifactCache
 
         cache = ArtifactCache(tmp_path / "cache")
         scenario = Scenario.smoke_scale().with_overrides(seed=606)
-        return EdgeStudy(scenario, cache=cache, **kwargs), cache
-
-    def test_resume_without_cache_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="cache"):
-            EdgeStudy(Scenario.smoke_scale(), resume=True)
-
-    def test_resume_status_without_cache_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="cache"):
-            EdgeStudy(Scenario.smoke_scale()).resume_status()
-
-    def test_resume_status_tracks_committed_phases(self, tmp_path):
-        from repro.study import RESUMABLE_PHASES
-
-        study, cache = self._cached_study(tmp_path)
-        status = study.resume_status()
-        assert status["cached"] == []
-        assert status["pending"] == list(RESUMABLE_PHASES)
-        study.nep  # commits workload_nep
-        status = study.resume_status()
-        assert status["cached"] == ["workload_nep"]
-        assert "workload_nep" not in status["pending"]
-        study.latency_results  # commits campaign_latency
-        status = study.resume_status()
-        assert "campaign_latency" in status["cached"]
-        assert "campaign_throughput" in status["pending"]
-
-    def test_resumed_study_skips_committed_phases(self, tmp_path):
-        crashed, cache = self._cached_study(tmp_path)
+        crashed = EdgeStudy(scenario, cache=cache)
         crashed.nep  # the "crash" happens after this phase committed
-        resumed = EdgeStudy(crashed.scenario, cache=cache, resume=True)
-        resumed.nep, resumed.latency_results
-        assert resumed.perf.counters["cache_hit:workload_nep"] == 1
-        assert "cache_hit:campaign_latency" not in resumed.perf.counters
-
-    def test_resume_event_journaled_and_volatile(self, tmp_path):
-        from repro.obs import RunJournal, canonical_events
-
-        study, cache = self._cached_study(tmp_path)
-        study.nep
-        journal = RunJournal(None)
-        EdgeStudy(study.scenario, cache=cache, journal=journal, resume=True)
-        resumes = [e for e in journal.events if e["type"] == "resume"]
-        assert len(resumes) == 1
-        assert resumes[0]["cached"] == ["workload_nep"]
-        assert "workload_azure" in resumes[0]["pending"]
-        # Volatile: a resumed run canonicalizes equal to a clean one.
-        assert canonical_events(resumes) == []
+        rerun = EdgeStudy(scenario, cache=cache)
+        rerun.nep, rerun.latency_results
+        assert rerun.perf.counters["cache_hit:workload_nep"] == 1
+        assert "cache_hit:campaign_latency" not in rerun.perf.counters
+        assert "cache_store:campaign_latency" in rerun.perf.spans
+        assert {e.artifact for e in cache.entries()} == {
+            "workload_nep", "campaign_latency"}
 
 
 class TestLivePhase:
-    def test_live_is_resumable(self):
-        from repro.study import RESUMABLE_PHASES
-
-        assert "live" in RESUMABLE_PHASES
-
     def test_cache_roundtrip_preserves_digest(self, tmp_path):
         from repro import ArtifactCache
 
