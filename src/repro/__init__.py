@@ -38,7 +38,7 @@ from .faults import FaultSchedule, build_fault_schedule
 from .obs import RunJournal
 from .parallel import resolve_jobs
 from .perf import PerfRegistry
-from .study import EdgeStudy, default_study, smoke_study, study_for
+from .study import EdgeStudy, study_for
 
 __version__ = "1.0.0"
 
@@ -66,9 +66,7 @@ __all__ = [
     "TraceError",
     "build_fault_schedule",
     "default_cache_dir",
-    "default_study",
     "resolve_jobs",
-    "smoke_study",
     "study_for",
     "__version__",
 ]

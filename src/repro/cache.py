@@ -19,7 +19,7 @@ cache — deliberately conservative: a stale artifact can silently skew
 every downstream figure, an unnecessary regeneration only costs time.
 
 The one deliberate widening: *workload* artifacts drop
-``fault_profile`` from their token (:data:`ARTIFACT_TOKEN_EXCLUDES`).
+``fault_profile`` from their token (:func:`artifact_token`).
 Workload generation never reads the fault profile — faults are built
 separately and applied to campaigns and availability analyses — so a
 sweep over ``off``/``paper``/``harsh`` cells shares one rendered trace
@@ -153,6 +153,21 @@ ARTIFACT_TOKEN_EXCLUDES: dict[str, tuple[str, ...]] = {
 }
 
 
+def artifact_token(artifact: str, scenario: Scenario) -> str:
+    """The scenario token an artifact's cache key is built on.
+
+    The canonical JSON of every knob (:meth:`Scenario.cache_token
+    <repro.config.Scenario.cache_token>`) minus the fields
+    :data:`ARTIFACT_TOKEN_EXCLUDES` lists for ``artifact``, so scenarios
+    differing only there share one entry.  This is the one place that
+    decides what a key ignores; sweep dedup groups on it too.
+    """
+    fields = json.loads(scenario.cache_token())
+    for name in ARTIFACT_TOKEN_EXCLUDES.get(artifact, ()):
+        del fields[name]
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
 def default_cache_dir() -> Path:
     """The conventional cache root: ``$REPRO_CACHE_DIR`` or XDG."""
     override = os.environ.get(CACHE_DIR_ENV)
@@ -206,7 +221,12 @@ class ArtifactCache:
 
     def __init__(self, root: Path | str, journal=None) -> None:
         self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot use cache directory {self.root}: "
+                f"{exc.strerror}") from exc
         #: Optional :class:`repro.obs.journal.RunJournal` receiving events.
         self.journal = journal
 
@@ -219,15 +239,14 @@ class ArtifactCache:
     def key(self, artifact: str, scenario: Scenario) -> str:
         """The content-addressed entry key for ``artifact`` + scenario.
 
-        Artifacts listed in :data:`ARTIFACT_TOKEN_EXCLUDES` are keyed on
-        a reduced scenario token, so scenarios differing only in fields
-        the artifact ignores map to the same entry.
+        The scenario part is :func:`artifact_token`, so scenarios
+        differing only in fields the artifact ignores map to the same
+        entry.
         """
         if not artifact:
             raise ConfigurationError("artifact name must be non-empty")
-        exclude = ARTIFACT_TOKEN_EXCLUDES.get(artifact, ())
         payload = "|".join((str(CACHE_FORMAT), code_version(), artifact,
-                            scenario.cache_token(exclude=exclude)))
+                            artifact_token(artifact, scenario)))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def _entry_dir(self, key: str) -> Path:

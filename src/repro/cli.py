@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .cache import ArtifactCache, default_cache_dir
 from .config import ABR_POLICIES, AUTOSCALE_MODES, FAULT_PROFILES
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .obs import RunJournal, diff_journals, read_journal, render_show, \
     render_summary
 from .reports import REPORTS
@@ -481,8 +481,14 @@ def _command_export(args: argparse.Namespace,
     from .measurement.io import save_campaign
     from .trace.io import save_dataset
 
-    study = _study(args, journal)
     root = Path(args.directory)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {root}: {exc.strerror}"
+        ) from exc
+    study = _study(args, journal)
     # Fresh container: never mutate the study's cached results.
     results = CampaignResults(
         latency=list(study.latency_results.latency),
@@ -532,9 +538,10 @@ def _command_trace(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    journal = (_open_journal(args)
-               if args.command in ("info", "run", "export") else None)
+    journal = None
     try:
+        if args.command in ("info", "run", "export"):
+            journal = _open_journal(args)
         if getattr(args, "chaos", None):
             # Exported to the env, so forked farm workers (series jobs,
             # sweep cells) inherit the same deterministic failpoints.

@@ -64,6 +64,14 @@ _FIELD_KINDS = {
 #: integer knob must be positive.
 _NON_NEGATIVE_FIELDS = ("seed", "live_flash_crowds")
 
+#: Enumerated :class:`Scenario` knobs -> the values each accepts.
+_CHOICES = {
+    "fault_profile": FAULT_PROFILES,
+    "qoe_abr": ABR_POLICIES,
+    "qoe_cache_eviction": CACHE_EVICTIONS,
+    "live_autoscale": AUTOSCALE_MODES,
+}
+
 
 class RandomState:
     """A root seed plus a family of named, independent substreams.
@@ -177,6 +185,11 @@ class Scenario:
             elif value <= 0:
                 raise ConfigurationError(
                     f"{spec.name} must be positive, got {value}")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigurationError(
+                    f"{name} must be one of {choices}, got {value!r}")
         if self.nep_servers_per_site_min > self.nep_servers_per_site_max:
             raise ConfigurationError(
                 "nep_servers_per_site_min exceeds nep_servers_per_site_max"
@@ -190,30 +203,13 @@ class Scenario:
             raise ConfigurationError(
                 "bw_interval_minutes must divide a day, "
                 f"got {self.bw_interval_minutes}")
-        if self.fault_profile not in FAULT_PROFILES:
-            raise ConfigurationError(
-                f"fault_profile must be one of {FAULT_PROFILES}, "
-                f"got {self.fault_profile!r}"
-            )
         if self.qoe_zipf_alpha <= 0:
             raise ConfigurationError(
                 f"qoe_zipf_alpha must be positive, got {self.qoe_zipf_alpha}")
-        if self.qoe_abr not in ABR_POLICIES:
-            raise ConfigurationError(
-                f"qoe_abr must be one of {ABR_POLICIES}, "
-                f"got {self.qoe_abr!r}")
-        if self.qoe_cache_eviction not in CACHE_EVICTIONS:
-            raise ConfigurationError(
-                f"qoe_cache_eviction must be one of {CACHE_EVICTIONS}, "
-                f"got {self.qoe_cache_eviction!r}")
         if self.live_arrival_rate <= 0:
             raise ConfigurationError(
                 f"live_arrival_rate must be positive, "
                 f"got {self.live_arrival_rate}")
-        if self.live_autoscale not in AUTOSCALE_MODES:
-            raise ConfigurationError(
-                f"live_autoscale must be one of {AUTOSCALE_MODES}, "
-                f"got {self.live_autoscale!r}")
         if self.live_flash_magnitude < 1.0:
             raise ConfigurationError(
                 f"live_flash_magnitude must be >= 1, "
@@ -237,30 +233,17 @@ class Scenario:
         """Return a copy of this scenario with the given fields replaced."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
-    def cache_token(self, exclude: tuple[str, ...] = ()) -> str:
+    def cache_token(self) -> str:
         """Canonical JSON of every knob, for artifact-cache keys.
 
         Two scenarios with equal fields produce the same token; any
         field difference (seed, scale, fault profile, ...) changes it,
         so cached artifacts can never be served across configurations.
-
-        ``exclude`` drops the named fields from the token — for
-        artifacts that are provably independent of them (workload
-        generation never reads ``fault_profile``, so fault-sweep cells
-        can share one rendered trace).  Excluding a field an artifact
-        *does* depend on would silently serve stale data, so callers
-        must only exclude fields the producing code never consults.
-
-        Raises:
-            ConfigurationError: when ``exclude`` names an unknown field.
+        Which fields an artifact's key ignores is decided in one place,
+        :func:`repro.cache.artifact_token`.
         """
-        fields = dataclasses.asdict(self)
-        for name in exclude:
-            if name not in fields:
-                raise ConfigurationError(
-                    f"cannot exclude unknown scenario field {name!r}")
-            del fields[name]
-        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          separators=(",", ":"))
 
     @classmethod
     def paper_scale(cls) -> "Scenario":

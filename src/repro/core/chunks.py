@@ -22,10 +22,11 @@ original operand types and order.  ``tests/core/test_chunks.py`` pins
 this equivalence; the golden-digest suite pins it end to end.
 
 :class:`StreamingHistogram` is the exception that proves the rule: it
-is an explicitly *approximate*, mergeable fixed-bin sketch for
-platform-level tick quantiles, where an exact answer would require
-holding every reading at once.  Its error is bounded by one bin width
-and it is never used for paper-figure statistics.
+is an explicitly *approximate*, mergeable fixed-bin sketch for the
+session-scale QoE distributions (:mod:`repro.qoe`), where an exact
+answer would require holding every session at once.  Its error is
+bounded by one bin width and it is never used for paper-figure
+statistics.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def cpu_row_stats(series: Mapping[str, np.ndarray],
 
 
 class StreamingHistogram:
-    """A mergeable fixed-bin histogram for approximate tick quantiles.
+    """A mergeable fixed-bin histogram for approximate quantiles.
 
     Covers ``[lo, hi]`` with ``bins`` equal-width bins (values outside
     are clamped into the edge bins).  Partial histograms built over

@@ -14,8 +14,9 @@ import numpy as np
 from ..errors import TraceError
 from ..platform.cluster import Platform
 from ..trace.dataset import TraceDataset
-from .chunks import (
-    StreamingHistogram,
+# ``iter_series_chunks`` is unused here, but the benchmark's span
+# wrappers (``bench/spans.py``) resolve it through this module.
+from .chunks import (  # noqa: F401
     cpu_row_stats,
     iter_series_chunks,
     per_vm_totals,
@@ -225,46 +226,3 @@ def category_breakdown(dataset: TraceDataset) -> CategoryBreakdown:
     }
     return CategoryBreakdown(platform=dataset.platform_name,
                              categories=categories)
-
-
-@dataclass(frozen=True)
-class CpuTickQuantiles:
-    """Platform-level quantiles over *all* CPU readings of a trace.
-
-    Unlike Figure 10 (per-VM summaries), this pools every
-    ``(vm, interval)`` reading — the platform operator's "how loaded is
-    the fleet at a random tick" view.  Values come from a mergeable
-    fixed-bin sketch, so they are approximate with error bounded by
-    :attr:`max_error` (one histogram bin width) — which is why the exact
-    per-VM statistics above remain the paper-figure source of truth.
-    """
-
-    platform: str
-    quantiles: dict[float, float]
-    readings: int
-    max_error: float
-
-
-def cpu_tick_quantiles(dataset: TraceDataset,
-                       qs: tuple[float, ...] = (0.5, 0.9, 0.99),
-                       bins: int = 4096) -> CpuTickQuantiles:
-    """Pooled CPU-reading quantiles via a streaming histogram sketch.
-
-    One chunked pass, ``O(bins)`` state: works unchanged over an
-    out-of-core sharded trace where the pooled readings could never be
-    sorted in memory.
-
-    Raises:
-        TraceError: if the dataset has no VMs.
-    """
-    if not dataset.vms:
-        raise TraceError("dataset has no VMs")
-    sketch = StreamingHistogram(lo=0.0, hi=1.0, bins=bins)
-    for _, window in iter_series_chunks(dataset.cpu_series):
-        sketch.add(window)
-    return CpuTickQuantiles(
-        platform=dataset.platform_name,
-        quantiles={float(q): sketch.quantile(q) for q in qs},
-        readings=sketch.count,
-        max_error=sketch.bin_width,
-    )

@@ -29,12 +29,6 @@ the identical draw sequence and produce bit-identical series:
   on the same servers under both steppers;
 * ``jobs`` does not exist here: tick stepping is inherently sequential,
   so a live run is trivially bit-identical across ``--jobs`` settings.
-
-Each tick probes the ``live.tick`` failpoint *before* touching state
-and runs under :func:`~repro.resilience.retry.call_with_retry`, so a
-``--chaos`` run retries injected faults without corrupting the fleet —
-and, because retries only repeat un-started work, canonicalizes
-bit-identical to a clean run.
 """
 
 from __future__ import annotations
@@ -45,11 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import Scenario
-from ..errors import ConfigurationError, InjectedFault
+from ..errors import ConfigurationError
 from ..faults.schedule import FaultSchedule
 from ..platform.cluster import Platform
-from ..resilience.failpoints import failpoint
-from ..resilience.retry import RetryPolicy, call_with_retry
 
 #: EWMA smoothing factor for per-server utilization.
 EWMA_ALPHA = 0.3
@@ -62,10 +54,6 @@ SCALE_DOWN_UTIL = 0.30
 #: The per-tick series a live run records, in digest order.
 SERIES = ("active", "capacity", "down_servers", "arrivals", "admitted",
           "rejected", "departures", "evacuated", "displaced")
-
-#: Retry budget for one tick under chaos: injected faults are probed
-#: before any state mutation, so repeating a tick is always safe.
-TICK_RETRY = RetryPolicy(max_attempts=5, backoff_s=0.001, seed=47)
 
 
 @dataclass(frozen=True)
@@ -264,13 +252,10 @@ def run_live_engine(inputs: LiveInputs, journal=None,
     servers evacuate, evacuees re-place onto free up-slots by
     largest-remainder weights; (2) error-diffusion departures; (3)
     arrival admission over the remaining free slots; (4) EWMA-driven
-    autoscaling within ``[base, 2*base]`` slots.  Each tick probes the
-    ``live.tick`` failpoint first and retries injected faults under
-    :data:`TICK_RETRY`.
+    autoscaling within ``[base, 2*base]`` slots.
 
-    ``journal`` receives one volatile ``live_tick`` event per tick, a
-    canonical ``live_fault`` event per fault tick, and retry telemetry
-    as volatile ``live_retry`` events.
+    ``journal`` receives one volatile ``live_tick`` event per tick and
+    a canonical ``live_fault`` event per fault tick.
     """
     n = inputs.n_servers
     slots = inputs.base_slots.copy()
@@ -314,81 +299,69 @@ def run_live_engine(inputs: LiveInputs, journal=None,
         return out
 
     for t in range(inputs.ticks):
-        def tick_step(t: int = t) -> None:
-            failpoint("live.tick", f"tick {t}")
-            evacuated = displaced = 0
-            changes = by_tick.get(t)
-            if changes:
-                was_down = down_count > 0
-                for lo, hi, delta in changes:
-                    down_count[lo:hi] += delta
-                now_down = down_count > 0
-                newly_down = now_down & ~was_down
-                if newly_down.any():
-                    evacuated = int(active[newly_down].sum())
-                    active[newly_down] = 0
-                    acc[newly_down] = 0.0
-                up = ~now_down
-                if evacuated:
-                    free = np.where(up, slots - active, 0)
-                    moved = allocate(evacuated, free)
-                    np.add(active, moved, out=active)
-                    displaced = evacuated - int(moved.sum())
-                fault_ticks.append(t)
-                if journal is not None:
-                    journal.emit("live_fault", tick=t,
-                                 down=int(now_down.sum()),
-                                 evacuated=evacuated,
-                                 displaced=displaced)
-            up = down_count == 0
-
-            np.add(acc, active * p, out=acc)
-            departed = np.floor(acc).astype(np.int64)
-            np.subtract(acc, departed, out=acc)
-            np.subtract(active, departed, out=active)
-
-            n_arrivals = int(inputs.arrivals[t])
-            free = np.where(up, slots - active, 0)
-            placed = allocate(n_arrivals, free)
-            np.add(active, placed, out=active)
-            admitted = int(placed.sum())
-
-            util = active / slots
-            ewma_next = EWMA_ALPHA * util + (1.0 - EWMA_ALPHA) * ewma
-            ewma[:] = ewma_next
-            if inputs.autoscale:
-                slots[:] = np.where(ewma > SCALE_UP_UTIL,
-                                    np.minimum(slots + grow, max_slots),
-                                    slots)
-                slots[:] = np.where(ewma < SCALE_DOWN_UTIL,
-                                    np.maximum(slots - grow, base),
-                                    slots)
-
-            series["active"][t] = int(active.sum())
-            series["capacity"][t] = int(slots[up].sum())
-            series["down_servers"][t] = int((~up).sum())
-            series["arrivals"][t] = n_arrivals
-            series["admitted"][t] = admitted
-            series["rejected"][t] = n_arrivals - admitted
-            series["departures"][t] = int(departed.sum())
-            series["evacuated"][t] = evacuated
-            series["displaced"][t] = displaced
+        evacuated = displaced = 0
+        changes = by_tick.get(t)
+        if changes:
+            was_down = down_count > 0
+            for lo, hi, delta in changes:
+                down_count[lo:hi] += delta
+            now_down = down_count > 0
+            newly_down = now_down & ~was_down
+            if newly_down.any():
+                evacuated = int(active[newly_down].sum())
+                active[newly_down] = 0
+                acc[newly_down] = 0.0
+            up = ~now_down
+            if evacuated:
+                free = np.where(up, slots - active, 0)
+                moved = allocate(evacuated, free)
+                np.add(active, moved, out=active)
+                displaced = evacuated - int(moved.sum())
+            fault_ticks.append(t)
             if journal is not None:
-                journal.emit("live_tick", tick=t,
-                             active=int(series["active"][t]),
-                             down=int(series["down_servers"][t]),
-                             admitted=admitted,
-                             rejected=int(series["rejected"][t]))
+                journal.emit("live_fault", tick=t,
+                             down=int(now_down.sum()),
+                             evacuated=evacuated,
+                             displaced=displaced)
+        up = down_count == 0
 
-        def on_retry(attempt: int, delay: float, exc: BaseException,
-                     t: int = t) -> None:
-            if journal is not None:
-                journal.emit("live_retry", tick=t, attempt=attempt,
-                             error=f"{type(exc).__name__}: {exc}")
+        np.add(acc, active * p, out=acc)
+        departed = np.floor(acc).astype(np.int64)
+        np.subtract(acc, departed, out=acc)
+        np.subtract(active, departed, out=active)
 
-        call_with_retry(tick_step, policy=TICK_RETRY,
-                        token=f"live.tick:{t}",
-                        transient=(InjectedFault,), on_retry=on_retry)
+        n_arrivals = int(inputs.arrivals[t])
+        free = np.where(up, slots - active, 0)
+        placed = allocate(n_arrivals, free)
+        np.add(active, placed, out=active)
+        admitted = int(placed.sum())
+
+        util = active / slots
+        ewma_next = EWMA_ALPHA * util + (1.0 - EWMA_ALPHA) * ewma
+        ewma[:] = ewma_next
+        if inputs.autoscale:
+            slots[:] = np.where(ewma > SCALE_UP_UTIL,
+                                np.minimum(slots + grow, max_slots),
+                                slots)
+            slots[:] = np.where(ewma < SCALE_DOWN_UTIL,
+                                np.maximum(slots - grow, base),
+                                slots)
+
+        series["active"][t] = int(active.sum())
+        series["capacity"][t] = int(slots[up].sum())
+        series["down_servers"][t] = int((~up).sum())
+        series["arrivals"][t] = n_arrivals
+        series["admitted"][t] = admitted
+        series["rejected"][t] = n_arrivals - admitted
+        series["departures"][t] = int(departed.sum())
+        series["evacuated"][t] = evacuated
+        series["displaced"][t] = displaced
+        if journal is not None:
+            journal.emit("live_tick", tick=t,
+                         active=int(series["active"][t]),
+                         down=int(series["down_servers"][t]),
+                         admitted=admitted,
+                         rejected=int(series["rejected"][t]))
 
     return _result(inputs, scenario_fields or {}, series, fault_ticks)
 

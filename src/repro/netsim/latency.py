@@ -48,13 +48,6 @@ SPIKE_SCALE_MS = {
 #: Floor applied to every per-hop draw (a hop never "gains time").
 MIN_HOP_MS = 0.01
 
-#: Fused (probability, scale) view of the two tables above: one dict
-#: lookup per hop instead of two on the batch engine's hot path.
-_SPIKE_PARAMS = {
-    kind: (SPIKE_PROBABILITY[kind], SPIKE_SCALE_MS[kind])
-    for kind in HopKind
-}
-
 #: Index-keyed views of the spike tables.  Enum dict lookups go through a
 #: Python-level ``__hash__`` per hop; tagging each HopKind member with a
 #: dense integer index lets :func:`_hop_params` gather spike parameters

@@ -64,7 +64,7 @@ VOLATILE_FIELDS = frozenset({
 #: ``--chaos`` run canonicalize bit-identical to a clean one.
 VOLATILE_EVENT_TYPES = frozenset({
     "chunk_spill", "session_chunk",
-    "live_tick", "live_retry",
+    "live_tick",
     "job_retry", "worker_restart", "job_quarantined",
     "cache_retry", "cache_write_error",
 })
@@ -216,10 +216,15 @@ class RunJournal:
             target = Path(path)
             if target.is_dir():
                 target = target / JOURNAL_NAME
-            target.parent.mkdir(parents=True, exist_ok=True)
             self.path = target
             self._staging = target.with_name(target.name + ".part")
-            self._handle = self._staging.open("w", encoding="utf-8")
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = self._staging.open("w", encoding="utf-8")
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot write run journal {target}: "
+                    f"{exc.strerror}") from exc
 
     # ---- emission --------------------------------------------------------
 

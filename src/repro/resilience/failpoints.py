@@ -66,7 +66,6 @@ SITES = frozenset({
     "sweep.cell",         # one sweep cell execution
     "pool.kill_worker",   # supervisor-side: SIGKILL the dispatched worker
     "qoe.chunk",          # one vectorized session-chunk simulation
-    "live.tick",          # one live-engine tick step (probed pre-mutation)
 })
 
 #: Named chaos profiles behind ``--chaos PROFILE``.  ``ci`` is the CI
@@ -74,12 +73,12 @@ SITES = frozenset({
 #: recoverable well inside the default retry budgets.
 CHAOS_PROFILES = {
     "ci": ("cache.commit:p=0.05,seed=11;pool.kill_worker:nth=2,times=1;"
-           "qoe.chunk:p=0.05,seed=14;live.tick:p=0.02,seed=15"),
+           "qoe.chunk:p=0.05,seed=14"),
     "cache": "cache.commit:p=0.2,seed=7;cache.read:p=0.05,seed=8",
     "pool": "series.render:p=0.05,seed=9;pool.kill_worker:nth=3,times=1",
     "harsh": ("cache.commit:p=0.1,seed=11;shard.write:p=0.02,seed=12;"
               "series.render:p=0.05,seed=13;qoe.chunk:p=0.05,seed=14;"
-              "pool.kill_worker:nth=2,times=2;live.tick:p=0.05,seed=15"),
+              "pool.kill_worker:nth=2,times=2"),
 }
 
 

@@ -323,8 +323,14 @@ class EdgeStudy:
         return cloud_regions_from_platform(self.alicloud)
 
 
-#: Scale names accepted by :func:`study_for` and the CLI's ``--scale``.
-SCALES = ("smoke", "default", "paper", "city")
+#: Scale name -> the :class:`Scenario` factory behind it; the names
+#: :func:`scenario_for` and the CLI's ``--scale`` accept.
+SCALES = {
+    "smoke": Scenario.smoke_scale,
+    "default": Scenario,
+    "paper": Scenario.paper_scale,
+    "city": Scenario.city_scale,
+}
 
 
 def scenario_for(scale: str, seed: int | None = None,
@@ -332,33 +338,38 @@ def scenario_for(scale: str, seed: int | None = None,
                  overrides: dict[str, object] | None = None) -> Scenario:
     """The scenario behind a named scale (see :data:`SCALES`).
 
-    ``faults`` overrides the fault-injection profile (``"off"``,
-    ``"paper"``, ``"harsh"``); ``None`` keeps the scale's default.
-    ``overrides`` replaces arbitrary scenario fields on top of the
-    scale's values — the hook sweep cells use for per-cell knobs.
+    ``seed`` and ``faults`` (the fault-injection profile: ``"off"``,
+    ``"paper"``, ``"harsh"``) replace the scale's values when given;
+    ``overrides`` replaces arbitrary scenario fields on top — the hook
+    sweep cells and the CLI's engine flags use.  This is the only path
+    from a scale or fault-profile name to a :class:`Scenario`; every
+    field value is validated by the :class:`Scenario` it builds.
+
+    Raises:
+        ConfigurationError: on an unknown scale, fault profile or
+            override field, or an invalid value.
     """
-    if seed is None:
-        seed = DEFAULT_SCENARIO.seed
-    if scale == "default":
-        scenario = Scenario(seed=seed)
-    elif scale == "smoke":
-        scenario = Scenario.smoke_scale().with_overrides(seed=seed)
-    elif scale == "paper":
-        scenario = Scenario.paper_scale().with_overrides(seed=seed)
-    elif scale == "city":
-        scenario = Scenario.city_scale().with_overrides(seed=seed)
-    else:
+    try:
+        factory = SCALES[scale]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigurationError(
-            f"unknown scale {scale!r}, expected one of {SCALES}")
+            f"unknown scale {scale!r}, expected one of {tuple(SCALES)}"
+        ) from None
+    if faults is not None and faults not in FAULT_PROFILES:
+        raise ConfigurationError(
+            f"unknown fault profile {faults!r}, expected one of "
+            f"{FAULT_PROFILES}")
+    changes: dict[str, object] = {}
+    if seed is not None:
+        changes["seed"] = seed
     if faults is not None:
-        scenario = scenario.with_overrides(fault_profile=faults)
-    if overrides:
-        try:
-            scenario = scenario.with_overrides(**overrides)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"unknown scenario override: {exc}") from exc
-    return scenario
+        changes["fault_profile"] = faults
+    changes.update(overrides or {})
+    try:
+        return factory().with_overrides(**changes)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"unknown scenario override: {exc}") from exc
 
 
 @lru_cache(maxsize=8)
@@ -379,24 +390,7 @@ def study_for(scale: str, seed: int | None = None,
     disables caching) — both execution knobs, so two calls differing
     only there still share scenario *results* bit-for-bit.
     """
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}, expected one of {SCALES}")
-    resolved_faults = "off" if faults is None else faults
-    if resolved_faults not in FAULT_PROFILES:
-        raise ConfigurationError(
-            f"unknown fault profile {resolved_faults!r}, expected one of "
-            f"{FAULT_PROFILES}")
     return _study_for(scale,
                       seed if seed is not None else DEFAULT_SCENARIO.seed,
-                      resolved_faults, resolve_jobs(jobs), cache_dir)
-
-
-def default_study(seed: int | None = None) -> EdgeStudy:
-    """The shared full-scale study (cached per seed)."""
-    return study_for("default", seed)
-
-
-def smoke_study(seed: int | None = None) -> EdgeStudy:
-    """The shared reduced-scale study for tests (cached per seed)."""
-    return study_for("smoke", seed)
+                      "off" if faults is None else faults,
+                      resolve_jobs(jobs), cache_dir)

@@ -5,7 +5,7 @@ Execution model
 
 Cells are grouped by their **workload cache identity** — the scenario
 token minus the fields workload artifacts ignore (see
-:data:`~repro.cache.ARTIFACT_TOKEN_EXCLUDES`).  Within a group, the
+:func:`~repro.cache.artifact_token`).  Within a group, the
 first pending cell runs alone as the *leader*, rendering every shared
 artifact cold into the sweep's :class:`~repro.cache.ArtifactCache`;
 once it finishes, the remaining *followers* are released all at once
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
-from ..cache import ARTIFACT_TOKEN_EXCLUDES, ArtifactCache
+from ..cache import ArtifactCache, artifact_token
 from ..errors import ConfigurationError, ReproError
 from ..obs import RunJournal, merge_cell_journal, read_journal
 from ..parallel import TaskFarm
@@ -107,8 +107,7 @@ def workload_group_token(cell: SweepCell) -> str:
     Two cells with equal tokens render identical workload artifacts, so
     only one of them needs a cold run against a shared cache.
     """
-    exclude = ARTIFACT_TOKEN_EXCLUDES.get("workload_nep", ())
-    token = cell.scenario().cache_token(exclude=exclude)
+    token = artifact_token("workload_nep", cell.scenario())
     return sha256(token.encode("utf-8")).hexdigest()[:12]
 
 
@@ -201,13 +200,18 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path,
     journal events as they are emitted (the CLI's progress line hook).
 
     Raises:
-        ConfigurationError: when ``out_dir`` already holds a different
-            sweep spec.
+        ConfigurationError: when ``out_dir`` cannot be created or
+            already holds a different sweep spec.
     """
     started = time.perf_counter()
     out = Path(out_dir)
     cells_dir = out / CELLS_DIR
-    cells_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cells_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create sweep output directory {out}: "
+            f"{exc.strerror}") from exc
 
     spec_payload = spec.to_dict()
     spec_path = out / SPEC_NAME

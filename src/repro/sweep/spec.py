@@ -30,9 +30,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..config import FAULT_PROFILES, Scenario
+from ..config import Scenario
 from ..errors import ConfigurationError
-from ..study import SCALES, scenario_for
+from ..study import scenario_for
 from .analyses import ANALYSES
 
 try:
@@ -128,19 +128,6 @@ def _check_cell_keys(table: dict, where: str,
 
 
 def _build_cell(name: str, merged: dict, where: str) -> SweepCell:
-    scale = merged.get("scale", "smoke")
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"{where}: unknown scale {scale!r}, expected one of {SCALES}")
-    faults = merged.get("faults", "off")
-    if faults not in FAULT_PROFILES:
-        raise ConfigurationError(
-            f"{where}: unknown fault profile {faults!r}, expected one of "
-            f"{FAULT_PROFILES}")
-    seed = merged.get("seed")
-    if seed is not None and (not isinstance(seed, int)
-                             or isinstance(seed, bool)):
-        raise ConfigurationError(f"{where}: seed must be an integer")
     jobs = merged.get("jobs", 1)
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
         raise ConfigurationError(
@@ -162,11 +149,15 @@ def _build_cell(name: str, merged: dict, where: str) -> SweepCell:
                                  f"{where}.overrides")
     _check_overrides(overrides, where)
     cell = SweepCell(
-        name=name, scale=scale, seed=seed, faults=faults, jobs=jobs,
-        analyses=tuple(analyses),
+        name=name, scale=merged.get("scale", "smoke"),
+        seed=merged.get("seed"), faults=merged.get("faults", "off"),
+        jobs=jobs, analyses=tuple(analyses),
         overrides=tuple(sorted(overrides.items())),
     )
-    cell.scenario()  # surface invalid override values at load time
+    try:
+        cell.scenario()  # scale, faults, seed and override values
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
     return cell
 
 

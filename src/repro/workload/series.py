@@ -132,8 +132,9 @@ class SeriesBlock:
     bw_rows: np.ndarray
     #: Private-traffic rows, or ``None`` when the recipe doesn't log them.
     private_rows: np.ndarray | None
-    #: Spans/counters recorded while rendering; the executor merges
-    #: them into the caller's registry and resets this to ``None``.
+    #: Spans/counters recorded while rendering, set by the farm task;
+    #: the executor merges them into the caller's registry, and the
+    #: blocks it yields leave this ``None``.
     perf: PerfRegistry | None = None
 
 

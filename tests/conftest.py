@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import Scenario, smoke_study, study_for
+from repro import Scenario, study_for
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -31,7 +31,7 @@ def _isolated_cache_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def study():
     """The shared reduced-scale study."""
-    return smoke_study()
+    return study_for("smoke")
 
 
 @pytest.fixture(scope="session")

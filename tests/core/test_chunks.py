@@ -17,7 +17,6 @@ from repro.core.chunks import (
     per_vm_means,
     per_vm_totals,
 )
-from repro.core.workload_analysis import cpu_tick_quantiles
 from repro.errors import TraceError
 from repro.shards import ShardWriter, load_sharded_series, write_shard_index
 
@@ -200,50 +199,3 @@ class TestStreamingHistogram:
         hist.add(np.array([1.0, 1.0]))  # everything in the top bin
         assert hist.quantile(1.0) <= 1.0
         assert hist.quantile(0.0) >= 0.75
-
-
-class TestCpuTickQuantiles:
-    def test_matches_exact_within_bound(self, nep_dataset):
-        result = cpu_tick_quantiles(nep_dataset, qs=(0.5, 0.95))
-        assert result.platform == nep_dataset.platform_name
-        everything = np.concatenate(
-            [np.asarray(nep_dataset.cpu_series[vm])
-             for vm in nep_dataset.vms]).astype(np.float64)
-        assert result.readings == everything.size
-        for q, approx in result.quantiles.items():
-            assert abs(approx - float(np.quantile(everything, q))) \
-                <= result.max_error
-
-    def test_frozen_result(self, nep_dataset):
-        result = cpu_tick_quantiles(nep_dataset)
-        with pytest.raises(AttributeError):
-            result.platform = "x"
-
-    def test_small_scale_matches_exact_quantiles(self):
-        """At toy scale the sketch must track np.quantile bin-tight."""
-        from repro.trace.dataset import TraceDataset
-        from repro.trace.schema import VMRecord
-
-        ds = TraceDataset(platform_name="toy", trace_days=1,
-                          cpu_interval_minutes=180,
-                          bw_interval_minutes=180)
-        rng = np.random.default_rng(19)
-        rows = rng.random((6, ds.cpu_points)).astype(np.float32)
-        for i, row in enumerate(rows):
-            record = VMRecord(vm_id=f"vm{i}", app_id="a0",
-                              customer_id="c0", site_id="s0",
-                              server_id="m0", city="Beijing",
-                              province="Beijing", category="cdn",
-                              image_id="img", os_type="linux",
-                              cpu_cores=4, memory_gb=8, disk_gb=50,
-                              bandwidth_mbps=10.0)
-            ds.add_vm(record, row, np.zeros(ds.bw_points))
-        result = cpu_tick_quantiles(ds, qs=(0.25, 0.5, 0.75, 0.95))
-        pooled = rows.astype(np.float64).ravel()
-        assert result.readings == pooled.size
-        for q, approx in result.quantiles.items():
-            # With 48 readings the interpolated default quantile can sit
-            # between order statistics; the sketch tracks the pure
-            # order-statistic quantile to within one bin.
-            exact = float(np.quantile(pooled, q, method="inverted_cdf"))
-            assert abs(approx - exact) <= result.max_error

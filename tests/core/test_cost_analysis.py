@@ -14,8 +14,8 @@ from repro.errors import BillingError
 
 @pytest.fixture(scope="module")
 def cost_study():
-    from repro import smoke_study
-    study = smoke_study()
+    from repro import study_for
+    study = study_for("smoke")
     return run_cost_study(study.nep.dataset, study.vcloud1,
                           study.vcloud_regions, study.nep_billing,
                           app_count=6)

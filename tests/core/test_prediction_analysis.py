@@ -19,8 +19,8 @@ def small_spec(request):
 
 @pytest.fixture(scope="module")
 def nep_study(small_spec):
-    from repro import smoke_study
-    study = smoke_study()
+    from repro import study_for
+    study = study_for("smoke")
     return run_prediction_study(study.nep.dataset, vm_sample=4,
                                 rng=np.random.default_rng(0),
                                 spec=small_spec, lstm_epochs=4,
@@ -68,9 +68,9 @@ class TestStudy:
 
 class TestSeasonalArLeg:
     def test_included_on_request(self, small_spec):
-        from repro import smoke_study
+        from repro import study_for
 
-        study = smoke_study()
+        study = study_for("smoke")
         result = run_prediction_study(
             study.nep.dataset, vm_sample=2,
             rng=np.random.default_rng(5), spec=small_spec,
@@ -85,8 +85,8 @@ class TestSeasonalArLeg:
 
 class TestComparison:
     def test_median_table_and_headline(self, nep_study, small_spec):
-        from repro import smoke_study
-        study = smoke_study()
+        from repro import study_for
+        study = study_for("smoke")
         azure_study = run_prediction_study(
             study.azure.dataset, vm_sample=4,
             rng=np.random.default_rng(1), spec=small_spec,

@@ -1,9 +1,9 @@
 """`repro trace diff` on live-engine journals (the replay/diff story).
 
-Pins the satellite contract from docs/live.md: two live runs that
-differ only in volatile tick events (telemetry, chaos retries) diff
-clean, while a fault-interleaved run diverges from a clean one at
-exactly the first fault tick.
+Pins the contract from docs/live.md: two live runs that differ only in
+volatile events (here a retried cache commit) diff clean, while a
+fault-interleaved run diverges from a clean one at exactly the first
+fault tick.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import read_journal
-from repro.resilience import reset
+from repro.resilience import install, reset
 
 TICKS = 200
 
@@ -26,10 +26,12 @@ def _clean_registry():
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Three real live runs: clean, under --chaos ci, and with faults.
+    """Three real live runs, each on its own cold cache: clean, with the
+    live entry's first cache commit failing (and retried), and with
+    faults.
 
-    Module-scoped (the engine steps 200 ticks each); the chaos profile
-    is reset manually because monkeypatch is function-scoped.
+    Module-scoped (the engine steps 200 ticks each); the failpoint is
+    reset manually because monkeypatch is function-scoped.
     """
     root = tmp_path_factory.mktemp("trace-live")
     paths = {"clean": root / "clean.jsonl", "chaos": root / "chaos.jsonl",
@@ -37,12 +39,14 @@ def runs(tmp_path_factory):
 
     def live(name, *extra):
         assert main(["run", "live", "--scale", "smoke",
-                     "--ticks", str(TICKS), "--no-cache",
+                     "--ticks", str(TICKS),
+                     "--cache-dir", str(root / f"{name}-cache"),
                      "--log-json", str(paths[name]), *extra]) == 0
 
     live("clean")
+    install("cache.commit:nth=1")
     try:
-        live("chaos", "--chaos", "ci")
+        live("chaos")
     finally:
         reset()
     live("faulted", "--faults", "paper")
@@ -55,20 +59,20 @@ class TestVolatileOnlyDrift:
         # vacuously empty
         events, warnings = read_journal(runs["chaos"])
         assert warnings == []
-        assert any(e["type"] == "live_retry" for e in events)
+        assert any(e["type"] == "cache_retry" for e in events)
 
     def test_canonical_diff_is_clean(self, runs, capsys):
         assert main(["trace", "diff", str(runs["clean"]),
                      str(runs["chaos"])]) == 0
         out = capsys.readouterr().out
         assert "result: no behavioural differences" in out
-        assert "live_retry" not in out
+        assert "cache_retry" not in out
 
     def test_raw_diff_keeps_the_chaos_story(self, runs, capsys):
         assert main(["trace", "diff", "--raw", str(runs["clean"]),
                      str(runs["chaos"])]) == 0
         out = capsys.readouterr().out
-        assert "live_retry" in out
+        assert "cache_retry" in out
 
     def test_raw_flag_parses(self):
         args = build_parser().parse_args(

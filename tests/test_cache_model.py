@@ -35,7 +35,7 @@ from repro.config import Scenario
 from repro.core.chunks import iter_series_chunks
 from repro.errors import InjectedFault
 from repro.resilience import RetryPolicy, install, reset
-from repro.study import smoke_study
+from repro.study import study_for
 
 from .test_cache import store_workload
 
@@ -59,7 +59,7 @@ def series_digest(workload) -> str:
 class CacheModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.workload = smoke_study().nep
+        self.workload = study_for("smoke").nep
         self.workload_digest = series_digest(self.workload)
         self.root = tempfile.mkdtemp(prefix="cache-model-")
         self.cache = ArtifactCache(self.root)

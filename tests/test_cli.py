@@ -249,6 +249,29 @@ class TestSweepParser:
         assert args.dry_run is True
 
 
+class TestBadOutputPaths:
+    """An output path that is (or sits under) a file is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig2a", "--cache-dir", "{file}"],
+        ["cache", "ls", "--cache-dir", "{file}"],
+        ["run", "fig2a", "--no-cache", "--log-json", "{file}/x.jsonl"],
+        ["export", "{file}", "--no-cache"],
+        ["sweep", "run", "{config}", "--out", "{file}", "--no-cache"],
+    ], ids=["run-cache-dir", "cache-ls", "log-json", "export", "sweep-out"])
+    def test_exits_2_with_one_error_line(self, argv, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        config = tmp_path / "grid.toml"
+        config.write_text('[defaults]\nanalyses = ["fig8"]\n'
+                          '[[cells]]\nname = "a"\n', encoding="utf-8")
+        argv = [arg.format(file=blocker, config=config) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(blocker) in err[0]
+
+
 class TestSweepMain:
     def _config(self, tmp_path):
         config = tmp_path / "grid.toml"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EdgeStudy, Scenario, smoke_study, study_for
+from repro import EdgeStudy, Scenario, study_for
 from repro.errors import ConfigurationError, ReproError
 
 
@@ -13,10 +13,10 @@ class TestFacade:
         assert study.qoe_testbed is study.qoe_testbed
 
     def test_smoke_study_is_module_cached(self):
-        assert smoke_study() is smoke_study()
+        assert study_for("smoke") is study_for("smoke")
 
     def test_distinct_seeds_distinct_studies(self):
-        assert smoke_study(1) is not smoke_study(2)
+        assert study_for("smoke", 1) is not study_for("smoke", 2)
 
     def test_platforms_have_expected_kinds(self, study):
         assert study.nep.platform.is_edge
