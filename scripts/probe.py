@@ -18,9 +18,11 @@ canonical journals; ``sweep-dedup`` times sweep children.  ``campaign``,
     ``--jobs >= 2`` and a profile that kills workers at least one
     ``worker_restart`` proves the watchdog ran.
 ``live``
-    ``repro run live`` with the cache off: clean at ``--jobs 1``, clean at
-    ``--jobs N`` and under chaos.  All exit 0 with byte-identical stdout,
-    and the clean and chaos journals canonicalise equal.
+    ``repro run live`` clean at ``--jobs 1``, clean at ``--jobs N`` and
+    under chaos, each against its own cold cache, so the chaos profile
+    reaches the live entry's commit.  All exit 0 with byte-identical
+    stdout, the clean and chaos journals canonicalise equal, and the
+    chaos run journals at least one recovery event.
 ``study-resume``
     SIGKILLs ``repro run`` the moment its first phase commits to the
     cache, then reruns the same command: it exits 0, every phase
@@ -42,8 +44,10 @@ constants below.
     studies is within ``CAMPAIGN_MAX_RATIO`` of ``CAMPAIGN_REFERENCE_S``.
 ``warm-cache``
     ``repro run`` cold, then warm, against one cache: the warm run
-    serves every tracked phase from the cache, and ``repro cache
-    verify`` passes.
+    serves every tracked phase from the cache.  A third run adds
+    ``--sessions 600`` and re-simulates only ``qoe_sessions``, serving
+    the other tracked phases from the cache.  ``repro cache verify``
+    passes.
 ``city-rss``
     A CI-sized city workload through the tracked phases, then the full
     city fleet's live phase: peak RSS within ``PEAK_RSS_BUDGET_MB``, live
@@ -199,6 +203,15 @@ def count(events: list[dict], etype: str) -> int:
     return sum(1 for event in events if event["type"] == etype)
 
 
+def recoveries(events: list[dict]) -> dict[str, int]:
+    """Print and return a chaos journal's recovery-event counts."""
+    counts = {etype: count(events, etype) for etype in RECOVERY_EVENTS}
+    story = " ".join(f"{k}={v}" for k, v in counts.items() if v)
+    print(f"probe: chaos run recovered from {sum(counts.values())} "
+          f"event(s)" + (f" ({story})" if story else ""))
+    return counts
+
+
 def sha(blob: bytes) -> str:
     """A short digest for the log."""
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -256,11 +269,8 @@ def probe_chaos(args: argparse.Namespace, root: Path) -> str:
     clean, chaotic = load(clean_journal, chaos_journal)
     same_canonical(clean, chaotic)
 
-    counts = {etype: count(chaotic, etype) for etype in RECOVERY_EVENTS}
+    counts = recoveries(chaotic)
     recovered = sum(counts.values())
-    story = " ".join(f"{k}={v}" for k, v in counts.items() if v)
-    print(f"probe: chaos run recovered from {recovered} event(s)"
-          + (f" ({story})" if story else ""))
     if counts["job_quarantined"]:
         fail("chaos run quarantined a job")
     if recovered > args.max_retries:
@@ -278,7 +288,8 @@ def probe_live(args: argparse.Namespace, root: Path) -> str:
     def run_live(name: str, jobs: int,
                  chaos: str | None) -> tuple[bytes, Path]:
         argv = repro("run", "live", "--scale", args.scale, "--ticks",
-                     args.ticks, "--jobs", jobs, "--no-cache")
+                     args.ticks, "--jobs", jobs,
+                     "--cache-dir", root / f"cache-{name}")
         if args.faults is not None:
             argv += ["--faults", args.faults]
         return run_journaled(argv, root, name, chaos)
@@ -293,7 +304,10 @@ def probe_live(args: argparse.Namespace, root: Path) -> str:
         fail("chaos run produced different stdout")
     print(f"probe: stdout identical under --chaos {args.profile} "
           f"(sha256 {sha(clean_out)})")
-    same_canonical(*load(clean_journal, chaos_journal))
+    clean, chaotic = load(clean_journal, chaos_journal)
+    same_canonical(clean, chaotic)
+    if not sum(recoveries(chaotic).values()):
+        fail(f"--chaos {args.profile} armed nothing the live run reached")
     return (f"live run is bit-identical across --jobs and --chaos "
             f"{args.profile}")
 
@@ -567,25 +581,25 @@ def probe_campaign(args: argparse.Namespace, root: Path) -> str:
     return f"campaign_latency within {CAMPAIGN_MAX_RATIO:g}x of reference"
 
 
-def check_warm(events: list[dict]) -> None:
-    """Fail unless the journal served every tracked phase from the cache
-    and stored none of them."""
+def check_warm(events: list[dict], tracked=PHASES) -> None:
+    """Fail unless the journal served every ``tracked`` phase from the
+    cache and stored none of them."""
     from repro.obs import phase_breakdown
 
     phases = phase_breakdown(events)
     stored = {e.get("artifact") for e in events
               if e.get("type") == "cache_store"}
-    missing = [phase for phase in PHASES if phase not in phases]
+    missing = [phase for phase in tracked if phase not in phases]
     if missing:
         fail(f"warm journal lacks phase(s): {', '.join(missing)}")
-    cold = [phase for phase in PHASES
+    cold = [phase for phase in tracked
             if not phases[phase].get("cached") or phase in stored]
     if cold:
         fail(f"warm run regenerated: {', '.join(cold)}")
 
 
 def probe_warm_cache(args: argparse.Namespace, root: Path) -> str:
-    """A cold then a warm run against one cache, then cache verify."""
+    """Cold, warm and engine-knob runs against one cache, then verify."""
     cache = root / "cache"
     argv = repro("run", *WARM_EXPERIMENTS, "--scale", "smoke", "--jobs", 2,
                  "--cache-dir", cache)
@@ -594,10 +608,21 @@ def probe_warm_cache(args: argparse.Namespace, root: Path) -> str:
     events, = load(journal)
     check_warm(events)
     print(f"probe: warm run served {', '.join(PHASES)} from the cache")
+    _, journal = run_journaled(argv + ["--sessions", "600"], root, "sessions")
+    events, = load(journal)
+    kept = [phase for phase in PHASES if phase != "qoe_sessions"]
+    check_warm(events, kept)
+    stored = sorted(e["artifact"] for e in events
+                    if e["type"] == "cache_store")
+    if stored != ["qoe_sessions"]:
+        fail(f"--sessions 600 run stored {stored}, not just qoe_sessions")
+    print(f"probe: --sessions 600 run stored only qoe_sessions and served "
+          f"{', '.join(kept)} from the cache")
     verdict = run(repro("cache", "verify", "--cache-dir", cache),
                   "cache verify")
     print(verdict.decode().strip())
-    return "warm run hit the cache on every phase and the entries verify"
+    return ("warm runs hit the cache on every phase their change left "
+            "alone, and the entries verify")
 
 
 def probe_city_rss(args: argparse.Namespace, root: Path) -> str:

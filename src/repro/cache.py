@@ -11,19 +11,14 @@ Keys and invalidation
 ---------------------
 
 An entry's key is ``sha256(format | code_version | artifact name |
-scenario token)`` where the scenario token canonicalises every
-:class:`~repro.config.Scenario` knob (seed and fault profile included)
-and ``code_version`` digests every ``*.py`` file of the installed
-``repro`` package.  Any source change therefore invalidates the whole
-cache — deliberately conservative: a stale artifact can silently skew
-every downstream figure, an unnecessary regeneration only costs time.
-
-The one deliberate widening: *workload* artifacts drop
-``fault_profile`` from their token (:func:`artifact_token`).
-Workload generation never reads the fault profile — faults are built
-separately and applied to campaigns and availability analyses — so a
-sweep over ``off``/``paper``/``harsh`` cells shares one rendered trace
-instead of paying the multi-minute render per profile.
+scenario token)``.  The scenario token (:func:`artifact_token`) holds
+only the :class:`~repro.config.Scenario` fields the artifact depends on
+(:data:`ARTIFACT_FIELDS`), so a fault-profile sweep, or a rerun with
+other QoE or live-engine knobs, shares the multi-minute trace render.
+``code_version`` digests every ``*.py`` file of the installed ``repro``
+package.  Any source change therefore invalidates the whole cache —
+deliberately conservative: a stale artifact can silently skew every
+downstream figure, an unnecessary regeneration only costs time.
 
 Layout and atomicity
 --------------------
@@ -58,6 +53,7 @@ verification turns the whole entry into an evicted miss.
 from __future__ import annotations
 
 import calendar
+import dataclasses
 import hashlib
 import json
 import os
@@ -139,33 +135,42 @@ WORKLOAD_KIND = "workload"
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Scenario fields excluded from specific artifacts' cache keys because
-#: the producing code provably never reads them.  Workload generation
-#: (:mod:`repro.workload.generator`, :mod:`repro.workload.azure`) only
-#: consumes topology/time/seed knobs — fault weather is built separately
-#: — so fault-profile sweeps reuse one rendered trace per scenario.
-ARTIFACT_TOKEN_EXCLUDES: dict[str, tuple[str, ...]] = {
-    "workload_nep": ("fault_profile",),
-    "workload_azure": ("fault_profile",),
-    # The session engine reads only the qoe_* knobs, the topology and
-    # the seed; fault weather never reaches it.
-    "qoe_sessions": ("fault_profile",),
+_ALL_FIELDS = tuple(spec.name for spec in dataclasses.fields(Scenario))
+_PLATFORM_FIELDS = ("seed", "nep_site_count", "nep_servers_per_site_min",
+                    "nep_servers_per_site_max")
+_TRACE_FIELDS = ("trace_days", "cpu_interval_minutes", "bw_interval_minutes")
+_NEP_FIELDS = _PLATFORM_FIELDS + ("nep_vm_count",) + _TRACE_FIELDS
+_CAMPAIGN_FIELDS = _NEP_FIELDS + ("fault_profile", "participant_count",
+                                  "city_count")
+
+#: Cached artifact -> the :class:`~repro.config.Scenario` fields its
+#: result depends on, its inputs' included; ``tests/test_cache_fields.py``
+#: checks each entry against the fields a cold run of the phase reads.
+ARTIFACT_FIELDS: dict[str, tuple[str, ...]] = {
+    "workload_nep": _NEP_FIELDS,
+    "workload_azure": ("seed", "azure_vm_count") + _TRACE_FIELDS,
+    "campaign_latency": _CAMPAIGN_FIELDS + ("pings_per_target",),
+    "campaign_throughput": _CAMPAIGN_FIELDS + ("throughput_participants",
+                                               "throughput_edge_vms"),
+    "qoe_sessions": ("seed", "nep_site_count") + tuple(
+        name for name in _ALL_FIELDS if name.startswith("qoe_")),
+    "live": _PLATFORM_FIELDS + ("fault_profile", "trace_days") + tuple(
+        name for name in _ALL_FIELDS if name.startswith("live_")),
 }
 
 
 def artifact_token(artifact: str, scenario: Scenario) -> str:
     """The scenario token an artifact's cache key is built on.
 
-    The canonical JSON of every knob (:meth:`Scenario.cache_token
-    <repro.config.Scenario.cache_token>`) minus the fields
-    :data:`ARTIFACT_TOKEN_EXCLUDES` lists for ``artifact``, so scenarios
-    differing only there share one entry.  This is the one place that
-    decides what a key ignores; sweep dedup groups on it too.
+    The canonical JSON of the fields :data:`ARTIFACT_FIELDS` lists for
+    ``artifact`` (every field for an artifact it does not list), so
+    scenarios differing only in other fields share one entry.  This is
+    the one function that turns a scenario into a key; entry metadata
+    and sweep dedup groups use it too.
     """
-    fields = json.loads(scenario.cache_token())
-    for name in ARTIFACT_TOKEN_EXCLUDES.get(artifact, ()):
-        del fields[name]
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    names = ARTIFACT_FIELDS.get(artifact, _ALL_FIELDS)
+    return json.dumps({name: getattr(scenario, name) for name in names},
+                      sort_keys=True, separators=(",", ":"))
 
 
 def default_cache_dir() -> Path:
@@ -618,7 +623,8 @@ class StreamedEntryWriter:
                 "kind": self.kind,
                 "shards": int(shards),
                 "code_version": code_version(),
-                "scenario": json.loads(self.scenario.cache_token()),
+                "scenario": json.loads(
+                    artifact_token(self.artifact, self.scenario)),
                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                             time.gmtime()),
                 "files": _manifest(self.staging),

@@ -54,8 +54,11 @@ SITE_ALPHA_JITTER = (0.75, 1.25)
 #: Per-site mean request rate (requests/s) behind the TTL model; the
 #: realised rate is scaled by a per-site lognormal factor.  Small edge
 #: sites see modest per-object demand, which keeps the TTL hit ratio
-#: sensitive to the TTL knob instead of saturating at 1.
+#: sensitive to the TTL instead of saturating at 1.
 SITE_REQUEST_RATE_HZ = 2.0
+
+#: Object lifetime (seconds) under ``qoe_cache_eviction = "ttl"``.
+CACHE_TTL_S = 300.0
 
 #: One cached object ~ a few seconds of 1080p video (MB).
 OBJECT_MB = 4.0
@@ -199,9 +202,9 @@ class CdnModel:
 
     Everything derives from the scenario: the site count and cache
     knobs (``qoe_cache_mb``, ``qoe_catalog_objects``,
-    ``qoe_zipf_alpha``, ``qoe_cache_eviction``, ``qoe_cache_ttl_s``)
-    shape the hit ratios, and the seeded ``cdn-sites`` / ``cdn-paths``
-    substreams make two models of the same scenario identical.
+    ``qoe_zipf_alpha``, ``qoe_cache_eviction``) shape the hit ratios,
+    and the seeded ``cdn-sites`` / ``cdn-paths`` substreams make two
+    models of the same scenario identical.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -241,8 +244,7 @@ class CdnModel:
         for index, (alpha, rate) in enumerate(
                 zip(self.site_alphas, self.site_request_rates_hz)):
             weights = zipf_weights(catalog, float(alpha))
-            hits = ttl_hit_ratios(rate * weights,
-                                  float(self.scenario.qoe_cache_ttl_s))
+            hits = ttl_hit_ratios(rate * weights, CACHE_TTL_S)
             ratios[index] = float(np.sum(weights * hits))
         return ratios
 

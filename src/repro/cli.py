@@ -516,6 +516,10 @@ def _command_trace(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read journal: {exc}", file=sys.stderr)
         return 2
+    for path, (events, _) in zip(args.journals, loaded):
+        if not events:
+            print(f"error: {path} holds no journal events", file=sys.stderr)
+            return 2
     for path, (_, warnings) in zip(args.journals, loaded):
         for warning in warnings:
             print(f"warning: {path}: {warning}", file=sys.stderr)

@@ -16,7 +16,6 @@ settings for users with the patience for them.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -126,7 +125,6 @@ class Scenario:
     nep_site_count: int = 520          # ">500 sites in China"
     nep_servers_per_site_min: int = 8  # "tens or hundreds of servers"
     nep_servers_per_site_max: int = 96
-    cloud_region_count: int = 12       # AliCloud China regions
 
     # --- workload trace (§2.1.2) ----------------------------------------
     nep_vm_count: int = 1200
@@ -141,7 +139,6 @@ class Scenario:
     pings_per_target: int = 30
     throughput_participants: int = 25
     throughput_edge_vms: int = 20
-    iperf_duration_seconds: int = 15
 
     # --- session-scale QoE (beyond §3.3: CDN + ABR sessions) ------------
     qoe_session_count: int = 2000
@@ -151,7 +148,6 @@ class Scenario:
     qoe_zipf_alpha: float = 0.8
     qoe_abr: str = "throughput"
     qoe_cache_eviction: str = "lru"
-    qoe_cache_ttl_s: int = 300
 
     # --- billing study (§4.5) -------------------------------------------
     heaviest_app_count: int = 50
@@ -163,7 +159,6 @@ class Scenario:
     live_mean_lifetime_ticks: int = 180   # mean VM dwell time, in ticks
     live_autoscale: str = "on"
     live_flash_crowds: int = 2            # flash-crowd windows per run
-    live_flash_magnitude: float = 4.0     # peak arrival multiplier
     live_diurnal_amplitude: float = 0.6   # 0 = flat demand, <1
 
     # --- fault injection (availability study) ---------------------------
@@ -210,10 +205,6 @@ class Scenario:
             raise ConfigurationError(
                 f"live_arrival_rate must be positive, "
                 f"got {self.live_arrival_rate}")
-        if self.live_flash_magnitude < 1.0:
-            raise ConfigurationError(
-                f"live_flash_magnitude must be >= 1, "
-                f"got {self.live_flash_magnitude}")
         if not 0.0 <= self.live_diurnal_amplitude < 1.0:
             raise ConfigurationError(
                 f"live_diurnal_amplitude must be in [0, 1), "
@@ -232,18 +223,6 @@ class Scenario:
     def with_overrides(self, **changes: object) -> "Scenario":
         """Return a copy of this scenario with the given fields replaced."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
-
-    def cache_token(self) -> str:
-        """Canonical JSON of every knob, for artifact-cache keys.
-
-        Two scenarios with equal fields produce the same token; any
-        field difference (seed, scale, fault profile, ...) changes it,
-        so cached artifacts can never be served across configurations.
-        Which fields an artifact's key ignores is decided in one place,
-        :func:`repro.cache.artifact_token`.
-        """
-        return json.dumps(dataclasses.asdict(self), sort_keys=True,
-                          separators=(",", ":"))
 
     @classmethod
     def paper_scale(cls) -> "Scenario":

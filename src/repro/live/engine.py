@@ -51,6 +51,9 @@ EWMA_ALPHA = 0.3
 SCALE_UP_UTIL = 0.85
 SCALE_DOWN_UTIL = 0.30
 
+#: Arrival-rate multiplier inside a flash-crowd window.
+FLASH_MAGNITUDE = 4.0
+
 #: The per-tick series a live run records, in digest order.
 SERIES = ("active", "capacity", "down_servers", "arrivals", "admitted",
           "rejected", "departures", "evacuated", "displaced")
@@ -92,7 +95,7 @@ def demand_curve(scenario: Scenario) -> np.ndarray:
 
     The diurnal factor is ``1 - amplitude * cos(2*pi * time_of_day)``
     (trough at midnight, peak at noon); each flash crowd multiplies a
-    contiguous window of ticks by ``live_flash_magnitude``.  Window
+    contiguous window of ticks by :data:`FLASH_MAGNITUDE`.  Window
     placement draws from the dedicated ``"live-flash"`` stream so
     changing the flash count never shifts the arrival draws.
     """
@@ -106,7 +109,7 @@ def demand_curve(scenario: Scenario) -> np.ndarray:
         width = max(3, ticks // 40)
         for _ in range(scenario.live_flash_crowds):
             start = int(rng.integers(0, max(ticks - width, 1)))
-            factor[start:start + width] *= scenario.live_flash_magnitude
+            factor[start:start + width] *= FLASH_MAGNITUDE
     return factor
 
 

@@ -63,6 +63,9 @@ FIVE_G_CITY = "Beijing"
 #: Edge targets probed per participant (nearest-first).
 EDGE_TARGETS_PER_USER = 10
 
+#: Length of one iperf test (seconds).
+IPERF_DURATION_SECONDS = 15
+
 
 @dataclass(frozen=True)
 class Participant:
@@ -424,10 +427,8 @@ class CrowdCampaign:
                         continue
                     episode = faults.degradation_at(participant.city, minute)
                     degraded = episode is not None
-                result = run_iperf_test(
-                    route, profile,
-                    self._scenario.iperf_duration_seconds, rng,
-                )
+                result = run_iperf_test(route, profile,
+                                        IPERF_DURATION_SECONDS, rng)
                 if degraded:
                     factor = degraded_throughput_factor(
                         episode.loss_probability)

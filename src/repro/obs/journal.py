@@ -36,6 +36,7 @@ final line — and never a corrupt ``journal.jsonl``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -261,12 +262,10 @@ class RunJournal:
     def run_start(self, scenario, **extra: object) -> dict:
         """Emit the ``run_start`` header: full scenario + provenance.
 
-        Records every scenario knob (via
-        :meth:`~repro.config.Scenario.cache_token`), the seed and fault
-        profile redundantly at top level, and the installed code
-        version, so a journal pins exactly what produced a run.  Extra
-        keyword fields (``jobs``, ...) ride along.  Idempotent: only the
-        first call emits.
+        Records every scenario knob, the seed and fault profile
+        redundantly at top level, and the installed code version, so a
+        journal pins exactly what produced a run.  Extra keyword fields
+        (``jobs``, ...) ride along.  Idempotent: only the first call emits.
         """
         if self._run_started:
             return self.events[0]
@@ -275,7 +274,7 @@ class RunJournal:
 
         return self.emit(
             "run_start",
-            scenario=json.loads(scenario.cache_token()),
+            scenario=dataclasses.asdict(scenario),
             seed=scenario.seed,
             fault_profile=scenario.fault_profile,
             code_version=code_version(),

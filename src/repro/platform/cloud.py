@@ -26,17 +26,19 @@ CLOUD_SERVER_SKUS: tuple[tuple[ResourceVector, float], ...] = (
 #: Scaled-down servers per cloud region; still ~10x an average edge site.
 DEFAULT_SERVERS_PER_REGION = 400
 
+#: AliCloud's regions in China.
+CLOUD_REGION_COUNT = 12
+
 
 def build_cloud_platform(scenario: Scenario,
                          rng: np.random.Generator | None = None,
                          name: str = "vCloud",
-                         region_count: int | None = None,
+                         region_count: int = CLOUD_REGION_COUNT,
                          servers_per_region: int = DEFAULT_SERVERS_PER_REGION,
                          ) -> Platform:
     """Construct an empty cloud platform with ``region_count`` regions."""
     rng = rng if rng is not None else scenario.random.stream(f"cloud-{name}")
-    count = region_count if region_count is not None else scenario.cloud_region_count
-    placements = place_cloud_regions(count, rng)
+    placements = place_cloud_regions(region_count, rng)
     platform = Platform(name=name, kind=PlatformKind.CLOUD)
 
     skus = [sku for sku, _ in CLOUD_SERVER_SKUS]

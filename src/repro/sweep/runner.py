@@ -4,7 +4,7 @@ Execution model
 ---------------
 
 Cells are grouped by their **workload cache identity** — the scenario
-token minus the fields workload artifacts ignore (see
+tokens of the two workload artifacts (see
 :func:`~repro.cache.artifact_token`).  Within a group, the
 first pending cell runs alone as the *leader*, rendering every shared
 artifact cold into the sweep's :class:`~repro.cache.ArtifactCache`;
@@ -102,12 +102,14 @@ class SweepResult:
 
 
 def workload_group_token(cell: SweepCell) -> str:
-    """The dedup-group identity of a cell: its workload cache token.
+    """The dedup-group identity of a cell: its two workload cache tokens.
 
-    Two cells with equal tokens render identical workload artifacts, so
-    only one of them needs a cold run against a shared cache.
+    Two cells with equal tokens render identical NEP and Azure traces,
+    so only one of them needs a cold run against a shared cache.
     """
-    token = artifact_token("workload_nep", cell.scenario())
+    scenario = cell.scenario()
+    token = "|".join(artifact_token(name, scenario)
+                     for name in ("workload_nep", "workload_azure"))
     return sha256(token.encode("utf-8")).hexdigest()[:12]
 
 

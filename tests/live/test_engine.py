@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import ArtifactCache
 from repro.errors import ConfigurationError, TopologyError
 from repro.faults.schedule import (
     FaultSchedule,
@@ -33,7 +34,7 @@ from repro.obs import RunJournal
 from repro.platform.cloud import build_cloud_platform
 from repro.platform.nep import build_nep_platform
 from repro.resilience import chaos_spec, install, reset
-from repro.study import scenario_for
+from repro.study import EdgeStudy, scenario_for
 
 
 def inputs_for(scenario):
@@ -227,13 +228,19 @@ class TestAutoscale:
 
 
 class TestRunLive:
-    def test_chaos_is_behaviour_identical(self, scenario):
+    def test_chaos_is_behaviour_identical(self, scenario, tmp_path):
+        # Through a cached study, where the ci profile reaches the live
+        # entry's commit: its cache.commit rule fires on the first hit.
         clean = run_live(scenario)
         install(chaos_spec("ci"))
         try:
-            chaotic = run_live(scenario)
+            with RunJournal(None) as journal:
+                chaotic = EdgeStudy(scenario, cache=ArtifactCache(tmp_path),
+                                    journal=journal).live
         finally:
             reset()
+        retries = [e for e in journal.events if e["type"] == "cache_retry"]
+        assert [e["artifact"] for e in retries] == ["live"]
         assert clean.digest == chaotic.digest
 
     def test_journal_summary_event(self, scenario):

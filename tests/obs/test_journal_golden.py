@@ -24,10 +24,10 @@ PHASES = ("nep", "azure", "alicloud", "faults", "failover", "availability",
           "qoe_sessions", "live")
 
 GOLDEN = {
-    "paper": "2d201c29215fd63220e7408589370ef6dce48f018335dbf217133b1a0746e855",
-    "off": "e3f2cee0c1576a41ab9f2d217ac748c736664318dc24939cc28666fe2b188673",
-    "cold": "9bc3c081ca092c7eb75e76a0c1579c6a74ccc543c2a32a0141608f25129dd7df",
-    "warm": "839fbfd0abeaf1a55cc08357e068bdf47da89dbda423b296519df52549681229",
+    "paper": "b8be3e1e31500524b624270e70b37932e55a90e4da6264dd6c054f99a08c4979",
+    "off": "86572faf45cb7b5ae613a62c9d7f6133d0cc410e816a25f8824aa85459304f16",
+    "cold": "bdbb6e2c101841ef6f46b16b24ebac2b10143424c250cc221ad096fa97318e07",
+    "warm": "8152b04e48976625ca22806a86bfe66c6e48c86e2beac6ecc4110f7851efe54c",
 }
 
 

@@ -36,6 +36,19 @@ class TestGroupToken:
         assert (workload_group_token(spec.cell("a"))
                 != workload_group_token(spec.cell("b")))
 
+    def test_azure_override_splits_groups(self):
+        spec = _tiny_spec(overrides={"azure_vm_count": 9})
+        assert (workload_group_token(spec.cell("a"))
+                != workload_group_token(spec.cell("b")))
+
+    @pytest.mark.parametrize("overrides", [
+        {"qoe_session_count": 600}, {"qoe_abr": "buffer"},
+        {"live_ticks": 100}, {"live_autoscale": "off"}])
+    def test_engine_override_shares_a_group(self, overrides):
+        spec = _tiny_spec(overrides=overrides)
+        assert (workload_group_token(spec.cell("a"))
+                == workload_group_token(spec.cell("b")))
+
 
 class TestRunSweep:
     def test_every_cell_ok(self, finished_sweep):

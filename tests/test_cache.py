@@ -12,7 +12,8 @@ import signal
 import numpy as np
 import pytest
 
-from repro.cache import ArtifactCache, code_version, default_cache_dir
+from repro.cache import (ARTIFACT_FIELDS, ArtifactCache, code_version,
+                         default_cache_dir)
 from repro.config import Scenario
 from repro.errors import ConfigurationError
 from repro.workload.generator import GeneratedWorkload
@@ -78,6 +79,14 @@ class TestKeys:
 
     def test_sensitive_to_artifact_name(self, cache):
         assert cache.key("x", SCENARIO) != cache.key("y", SCENARIO)
+
+    def test_listed_artifact_ignores_fields_it_does_not_read(self, cache):
+        other = SCENARIO.with_overrides(qoe_abr="buffer", live_ticks=9,
+                                        fault_profile="paper")
+        assert cache.key("workload_nep", SCENARIO) == cache.key(
+            "workload_nep", other)
+        assert cache.key("qoe_sessions", SCENARIO) != cache.key(
+            "qoe_sessions", other)
 
     def test_sensitive_to_code_version(self, cache, monkeypatch):
         before = cache.key("x", SCENARIO)
@@ -274,6 +283,11 @@ class TestMaintenance:
         assert meta["artifact"] == "a"
         assert meta["code_version"] == code_version()
         assert meta["scenario"]["seed"] == SCENARIO.seed
+
+    def test_meta_records_exactly_the_keyed_fields(self, cache):
+        cache.put_object("qoe_sessions", SCENARIO, 1)
+        meta = json.loads((cache.entries()[0].path / "meta.json").read_text())
+        assert set(meta["scenario"]) == set(ARTIFACT_FIELDS["qoe_sessions"])
 
 
 class TestDefaultDir:

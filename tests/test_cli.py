@@ -342,3 +342,59 @@ class TestCacheMain:
         err = capsys.readouterr().err
         assert "only apply to 'cache verify'" in err
         assert len(cache.entries()) == 1
+
+
+class TestTraceRejectsNonJournals:
+    """A file with no journal event is an error, not an empty run."""
+
+    @pytest.fixture(params=["text", "empty"])
+    def not_a_journal(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.txt"
+        path.write_text("user:x:1000:1000::/home/user:/bin/sh\nlocalhost\n"
+                        if request.param == "text" else "", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("action", ["show", "summary"])
+    def test_single_journal_actions(self, action, not_a_journal, capsys):
+        assert main(["trace", action, str(not_a_journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(not_a_journal) in err[0]
+
+    def test_diff(self, not_a_journal, capsys, tmp_path):
+        other = tmp_path / "other.txt"
+        other.write_text("localhost\n", encoding="utf-8")
+        assert main(["trace", "diff", str(not_a_journal), str(other)]) == 2
+        captured = capsys.readouterr()
+        assert "no behavioural differences" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(not_a_journal) in err[0]
+
+    def test_killed_run_part_file_still_renders(self, capsys, tmp_path):
+        part = tmp_path / "run.jsonl.part"
+        part.write_text('{"type":"run_start","t":0.0,"seed":1}\n{"type":"ph',
+                        encoding="utf-8")
+        assert main(["trace", "summary", str(part)]) == 0
+        assert "truncated final line" in capsys.readouterr().err
+
+
+class TestEngineKnobsKeepTheTraces:
+    def test_rerun_with_other_engine_knobs_hits_both_workloads(
+            self, capsys, tmp_path):
+        from repro.obs import read_journal
+
+        cache, journal = str(tmp_path / "cache"), tmp_path / "run.jsonl"
+        assert main(["run", "fig8", "--scale", "smoke",
+                     "--cache-dir", cache]) == 0
+        assert main(["run", "fig8", "--scale", "smoke", "--cache-dir", cache,
+                     "--sessions", "600", "--ticks", "100",
+                     "--log-json", str(journal)]) == 0
+        events, _ = read_journal(journal)
+        workloads = {"workload_nep", "workload_azure"}
+        hits = {e["artifact"] for e in events if e["type"] == "cache_hit"}
+        stores = {e["artifact"] for e in events if e["type"] == "cache_store"}
+        assert workloads <= hits
+        assert not workloads & stores
