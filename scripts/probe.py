@@ -44,7 +44,8 @@ constants below.
     studies is within ``CAMPAIGN_MAX_RATIO`` of ``CAMPAIGN_REFERENCE_S``.
 ``warm-cache``
     ``repro run`` cold, then warm, against one cache: the warm run
-    serves every tracked phase from the cache.  A third run adds
+    serves every tracked phase from the cache and prints the cold run's
+    reports byte for byte.  A third run adds
     ``--sessions 600`` and re-simulates only ``qoe_sessions``, serving
     the other tracked phases from the cache.  ``repro cache verify``
     passes.
@@ -123,8 +124,11 @@ QOE_MIN_SPEEDUP = 50.0
 LIVE_REFERENCE_TICKS = 60
 LIVE_MIN_SPEEDUP = 10.0
 
-#: Experiments whose warm re-run must touch every tracked phase.
-WARM_EXPERIMENTS = ("fig2a", "fig5", "fig8", "qoe-sessions")
+#: Experiments whose warm re-run must touch every tracked phase and
+#: print what the cold run printed (fig10, sales and table3 read the
+#: stored trace and platforms through the warm-path reductions).
+WARM_EXPERIMENTS = ("fig2a", "fig5", "fig8", "fig10", "sales", "table3",
+                    "qoe-sessions")
 
 SWEEP_CONFIG = REPO / "benchmarks" / "sweeps" / "ci_smoke.toml"
 SWEEP_MIN_SPEEDUP = 2.0
@@ -603,11 +607,14 @@ def probe_warm_cache(args: argparse.Namespace, root: Path) -> str:
     cache = root / "cache"
     argv = repro("run", *WARM_EXPERIMENTS, "--scale", "smoke", "--jobs", 2,
                  "--cache-dir", cache)
-    run_journaled(argv, root, "cold")
-    _, journal = run_journaled(argv, root, "warm")
+    cold, _ = run_journaled(argv, root, "cold")
+    warm, journal = run_journaled(argv, root, "warm")
     events, = load(journal)
     check_warm(events)
-    print(f"probe: warm run served {', '.join(PHASES)} from the cache")
+    if warm != cold:
+        fail("warm run printed other reports than the cold run")
+    print(f"probe: warm run served {', '.join(PHASES)} from the cache and "
+          f"printed the cold run's reports byte for byte")
     _, journal = run_journaled(argv + ["--sessions", "600"], root, "sessions")
     events, = load(journal)
     kept = [phase for phase in PHASES if phase != "qoe_sessions"]

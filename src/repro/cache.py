@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import calendar
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -209,8 +210,21 @@ class CacheEntry:
 
 
 def _unpickle(path: Path) -> object:
-    with path.open("rb") as handle:
-        return pickle.load(handle)
+    """Load one pickled payload with the garbage collector paused.
+
+    A platform pickle is a large graph of fresh container objects, and
+    every allocation batch would otherwise start a collection pass over
+    them although none is garbage.  The caller's collector state is
+    restored whatever the load does.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open("rb") as handle:
+            return pickle.load(handle)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ArtifactCache:

@@ -18,8 +18,16 @@ exact float semantics of the row-at-a-time originals: reductions run
 along ``axis=1`` of a C-contiguous float32 window, which applies the
 same pairwise summation per row that a 1-D ``row.mean()`` uses, and
 scalar post-processing (the ``float(std / mean)`` CV dance) keeps the
-original operand types and order.  ``tests/core/test_chunks.py`` pins
-this equivalence; the golden-digest suite pins it end to end.
+original operand types and order.  The per-row 95th percentile
+(:func:`row_p95`) does not call ``np.percentile`` on the window, which
+partitions at four ranks and so falls back to numpy's generic
+introselect; it selects the one rank ``floor(0.95 * (n - 1))`` with a
+single-kth ``np.partition``, takes the next rank as the minimum of the
+values above it, and hands that pair to ``np.quantile``, so the same
+numpy lerp combines the same two order statistics with the same weight
+(up to the sign of a zero where ``-0.0`` and ``0.0`` tie).
+``tests/core/test_chunks.py`` pins this equivalence; the golden-digest
+suite pins it end to end.
 
 :class:`StreamingHistogram` is the exception that proves the rule: it
 is an explicitly *approximate*, mergeable fixed-bin sketch for the
@@ -90,6 +98,30 @@ def per_vm_totals(series: Mapping[str, np.ndarray],
     return totals
 
 
+def row_p95(window: np.ndarray) -> np.ndarray:
+    """Per-row 95th percentile, bit-equal to ``np.percentile(window, 95,
+    axis=1)``.
+
+    The linear percentile interpolates between the order statistics at
+    ranks ``k = floor(virtual)`` and ``k + 1``, where ``virtual = (n - 1)
+    * 0.95``.  One single-kth partition puts rank ``k`` in place and
+    every larger value after it, so rank ``k + 1`` is the minimum of
+    that tail (or rank ``k`` itself when it is the last).  A NaN sorts
+    last and propagates through the minimum and the lerp, so a row
+    holding one comes out NaN as it does from ``np.percentile``.  The
+    one bit that can differ is the sign of a zero result from a row
+    where ``-0.0`` and ``0.0`` tie, since the two selections may pick
+    either; rendered CPU series hold no negative zeros.
+    """
+    n = window.shape[1]
+    virtual = (n - 1) * (95 / 100)
+    k = int(virtual)
+    part = np.partition(window, k, axis=1)
+    lo = part[:, k]
+    hi = part[:, k + 1:].min(axis=1) if k + 1 < n else lo
+    return np.quantile(np.stack([lo, hi], axis=1), virtual - k, axis=1)
+
+
 def cpu_row_stats(series: Mapping[str, np.ndarray],
                   rows: int = DEFAULT_CHUNK_ROWS,
                   ) -> tuple[dict[str, float], dict[str, float],
@@ -106,7 +138,7 @@ def cpu_row_stats(series: Mapping[str, np.ndarray],
     cvs: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
         row_means = window.mean(axis=1)
-        row_p95s = np.percentile(window, 95, axis=1)
+        row_p95s = row_p95(window)
         row_stds = window.std(axis=1)
         for offset, vm_id in enumerate(vm_ids):
             mean = float(row_means[offset])

@@ -31,7 +31,8 @@ _ENVELOPE = ("seq", "t", "type")
 def read_journal(path: str | Path) -> tuple[list[dict], list[str]]:
     """Parse a journal file into ``(events, warnings)``.
 
-    Unparseable lines are skipped with a warning — a truncated final
+    Unparseable lines, and JSON values that are not objects with a
+    string ``type``, are skipped with a warning — a truncated final
     line (the signature of a killed run) is reported as such rather
     than as corruption.  Raises :class:`FileNotFoundError` only when
     the file itself is missing.
@@ -54,10 +55,13 @@ def read_journal(path: str | Path) -> tuple[list[dict], list[str]]:
             else:
                 warnings.append(f"line {number}: corrupt event skipped")
             continue
-        if isinstance(event, dict):
-            events.append(event)
-        else:
+        if not isinstance(event, dict):
             warnings.append(f"line {number}: non-object event skipped")
+        elif not isinstance(event.get("type"), str):
+            warnings.append(f"line {number}: object without an event "
+                            "type skipped")
+        else:
+            events.append(event)
     if events and events[-1].get("type") != "run_end":
         warnings.append("journal has no run_end event "
                         "(run did not finish cleanly)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..errors import CapacityError
 from ..geo.coords import GeoPoint
@@ -52,6 +53,21 @@ class ResourceVector:
     @classmethod
     def zero(cls) -> "ResourceVector":
         return cls(0.0, 0.0, 0.0)
+
+
+def _fold(vectors: Iterable[ResourceVector]) -> ResourceVector:
+    """The sum of ``vectors``, added left to right from zero.
+
+    The same float additions in the same order as a ``ResourceVector``
+    ``+`` fold from :meth:`ResourceVector.zero`, without building and
+    validating one vector per step.
+    """
+    cpu = memory = disk = 0.0
+    for vector in vectors:
+        cpu += vector.cpu_cores
+        memory += vector.memory_gb
+        disk += vector.disk_gb
+    return ResourceVector(cpu, memory, disk)
 
 
 @dataclass(frozen=True)
@@ -207,17 +223,11 @@ class Site:
 
     @property
     def capacity(self) -> ResourceVector:
-        total = ResourceVector.zero()
-        for server in self.servers:
-            total = total + server.capacity
-        return total
+        return _fold(server.capacity for server in self.servers)
 
     @property
     def allocated(self) -> ResourceVector:
-        total = ResourceVector.zero()
-        for server in self.servers:
-            total = total + server.allocated
-        return total
+        return _fold(server.allocated for server in self.servers)
 
     def cpu_sales_rate(self) -> float:
         cap = self.capacity

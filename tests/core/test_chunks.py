@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chunks import (
     StreamingHistogram,
@@ -16,9 +18,11 @@ from repro.core.chunks import (
     iter_series_chunks,
     per_vm_means,
     per_vm_totals,
+    row_p95,
 )
 from repro.errors import TraceError
 from repro.shards import ShardWriter, load_sharded_series, write_shard_index
+from repro.trace.dataset import MINUTES_PER_DAY, TraceDataset
 
 
 def _dict_series(rows=10, points=64, seed=4):
@@ -97,12 +101,75 @@ class TestReductionBitIdentity:
         assert per_vm_totals(series, rows=4) == per_vm_totals(sharded, rows=4)
         assert cpu_row_stats(series, rows=4) == cpu_row_stats(sharded, rows=4)
 
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_cpu_row_stats_match_dataset_scalars(self, tmp_path, points):
+        """On a sharded store of 1- and 2-point rows (a p95 rank with
+        and without a rank above it), the chunked scalars equal the
+        dataset's per-VM accessors."""
+        series = _dict_series(rows=7, points=points, seed=points)
+        series["vm003"][:] = 0.0  # the CV guard
+        dataset = TraceDataset("t", trace_days=1,
+                               cpu_interval_minutes=MINUTES_PER_DAY // points,
+                               bw_interval_minutes=MINUTES_PER_DAY)
+        dataset.attach_series(_sharded_series(tmp_path, series, shard_rows=3),
+                              {})
+        means, p95s, cvs = cpu_row_stats(dataset.cpu_series, rows=2)
+        assert means == {vm: dataset.mean_cpu(vm) for vm in series}
+        assert p95s == {vm: dataset.p95_max_cpu(vm) for vm in series}
+        assert cvs == {vm: dataset.cpu_cv(vm) for vm in series}
+
     def test_analyses_use_chunked_path(self, nep_dataset):
         """The shared-dataset smoke trace reduces identically."""
         means = per_vm_means(nep_dataset.cpu_series)
         for vm_id in nep_dataset.vms:
             row = np.asarray(nep_dataset.cpu_series[vm_id])
             assert means[vm_id] == float(row.mean())
+
+
+@st.composite
+def _cpu_windows(draw):
+    """A float32 window of CPU-like rows: ties from a small value pool,
+    readings clipped to exactly 0 or 1, and NaNs.  No ``-0.0``: a
+    signed-zero tie may flip the sign of the result (see ``row_p95``)."""
+    rows = draw(st.integers(1, 40))
+    points = draw(st.integers(1, 600))
+    pool = draw(st.lists(st.floats(0.0, 1.0, width=32).map(abs),
+                         min_size=1, max_size=8))
+    pool += [0.0, 1.0]
+    nan_share = draw(st.sampled_from([0.0, 0.0, 0.001, 0.05, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = rng.choice(np.array(pool, dtype=np.float32), size=(rows, points))
+    window[rng.random((rows, points)) < nan_share] = np.nan
+    return window
+
+
+class TestRowP95:
+    """The single-kth p95 is ``np.percentile(w, 95, axis=1)``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cpu_windows())
+    def test_bit_equal_to_percentile(self, window):
+        expected = np.percentile(window, 95, axis=1)
+        got = row_p95(window)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+        finite = ~np.isnan(expected)
+        assert np.array_equal(got[finite].view(np.uint32),
+                              expected[finite].view(np.uint32))
+
+    def test_signed_zero_ties_are_numerically_equal(self):
+        rng = np.random.default_rng(2)
+        window = rng.choice(np.array([-0.0, 0.0, 0.5], dtype=np.float32),
+                            size=(64, 120), p=[0.45, 0.45, 0.1])
+        assert np.array_equal(row_p95(window),
+                              np.percentile(window, 95, axis=1))
+
+    def test_read_only_window(self):
+        """Sharded windows are read-only memory maps."""
+        window = np.random.default_rng(1).random((3, 50)).astype(np.float32)
+        window.flags.writeable = False
+        assert np.array_equal(row_p95(window),
+                              np.percentile(window, 95, axis=1))
 
 
 class TestStreamingHistogram:

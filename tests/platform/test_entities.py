@@ -125,3 +125,37 @@ class TestSite:
                     province="Beijing", location=GeoPoint(39.9, 116.4))
         assert site.cpu_sales_rate() == 0.0
         assert site.memory_sales_rate() == 0.0
+
+
+def _reference_fold(vectors):
+    """The ``ResourceVector`` ``+`` fold the site totals must reproduce."""
+    total = ResourceVector.zero()
+    for vector in vectors:
+        total = total + vector
+    return total
+
+
+def _reference_rate(allocated, capacity):
+    return 0.0 if capacity == 0 else allocated / capacity
+
+
+class TestSiteTotalsOnSmokePlatform:
+    """Site totals and sales rates equal the reference fold, bit for bit."""
+
+    def test_totals(self, nep_platform):
+        assert any(site.servers for site in nep_platform.sites)
+        for site in nep_platform.sites:
+            assert site.capacity == _reference_fold(
+                server.capacity for server in site.servers)
+            assert site.allocated == _reference_fold(
+                server.allocated for server in site.servers)
+
+    def test_sales_rates(self, nep_platform):
+        cpu, memory = [], []
+        for site in nep_platform.sites:
+            cap = _reference_fold(s.capacity for s in site.servers)
+            alloc = _reference_fold(s.allocated for s in site.servers)
+            cpu.append(_reference_rate(alloc.cpu_cores, cap.cpu_cores))
+            memory.append(_reference_rate(alloc.memory_gb, cap.memory_gb))
+        assert nep_platform.site_cpu_sales_rates() == cpu
+        assert nep_platform.site_memory_sales_rates() == memory

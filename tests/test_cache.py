@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -59,6 +60,31 @@ def store_workload(cache: ArtifactCache, artifact: str,
 @pytest.fixture()
 def cache(tmp_path) -> ArtifactCache:
     return ArtifactCache(tmp_path / "cache")
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """Run a test with the collector on, then off; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestUnpickleLeavesTheCollectorAlone:
+    def test_hit(self, cache, gc_state):
+        cache.put_object("a", SCENARIO, {"n": [1, 2]})
+        assert cache.get_object("a", SCENARIO) == {"n": [1, 2]}
+        assert gc.isenabled() is gc_state
+
+    def test_truncated_pickle_still_evicts(self, cache, gc_state):
+        cache.put_object("a", SCENARIO, list(range(1000)))
+        entry = cache._entry_dir(cache.key("a", SCENARIO))
+        payload = entry / "object.pkl"
+        payload.write_bytes(payload.read_bytes()[:-20])
+        assert cache.get_object("a", SCENARIO) is None
+        assert gc.isenabled() is gc_state
+        assert not entry.exists()
 
 
 class TestKeys:

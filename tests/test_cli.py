@@ -347,11 +347,14 @@ class TestCacheMain:
 class TestTraceRejectsNonJournals:
     """A file with no journal event is an error, not an empty run."""
 
-    @pytest.fixture(params=["text", "empty"])
+    CONTENTS = {"text": "user:x:1000:1000::/home/user:/bin/sh\nlocalhost\n",
+                "empty": "",
+                "untyped": '{"a": 1}\n{"b": 2}\n'}
+
+    @pytest.fixture(params=sorted(CONTENTS))
     def not_a_journal(self, request, tmp_path):
         path = tmp_path / f"{request.param}.txt"
-        path.write_text("user:x:1000:1000::/home/user:/bin/sh\nlocalhost\n"
-                        if request.param == "text" else "", encoding="utf-8")
+        path.write_text(self.CONTENTS[request.param], encoding="utf-8")
         return path
 
     @pytest.mark.parametrize("action", ["show", "summary"])
@@ -372,6 +375,14 @@ class TestTraceRejectsNonJournals:
         err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and str(not_a_journal) in err[0]
+
+    def test_diff_with_itself(self, not_a_journal, capsys):
+        path = str(not_a_journal)
+        assert main(["trace", "diff", path, path]) == 2
+        captured = capsys.readouterr()
+        assert "no behavioural differences" not in captured.out
+        assert captured.err.splitlines() == [
+            f"error: {path} holds no journal events"]
 
     def test_killed_run_part_file_still_renders(self, capsys, tmp_path):
         part = tmp_path / "run.jsonl.part"

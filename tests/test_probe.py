@@ -4,6 +4,7 @@ including when the measurement they read is missing."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -61,6 +62,20 @@ class TestWarmCache:
         with pytest.raises(probe.ProbeFailure,
                            match="regenerated: workload_azure"):
             probe.check_warm(events)
+
+    def test_warm_reports_differing_from_cold_fail(self, probe, monkeypatch,
+                                                   tmp_path):
+        def run_journaled(argv, root, name, chaos=None):
+            journal = root / f"{name}.jsonl"
+            journal.write_text("".join(
+                json.dumps(event) + "\n"
+                for event in warm_events(probe.PHASES)
+                + [{"type": "run_end"}]))
+            return f"report of the {name} run\n".encode(), journal
+
+        monkeypatch.setattr(probe, "run_journaled", run_journaled)
+        with pytest.raises(probe.ProbeFailure, match="other reports"):
+            probe.probe_warm_cache(None, tmp_path)
 
 
 class TestEngines:
