@@ -1,116 +1,39 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from a fresh benchmark run.
+"""Regenerate EXPERIMENTS.md from the paper-claims registry.
 
-Runs the full benchmark suite with output capture, extracts every
-figure/table block and its paper-comparison checks, and rewrites
-EXPERIMENTS.md.  Run from the repository root:
+Builds the default-scale study through the benchmarks' artifact cache
+(``benchmarks/conftest.py``), computes every claim of
+``benchmarks/claims.py`` and writes their rendering.  Leaves the file
+alone when a check fails.  Run from the repository root:
 
-    python scripts/update_experiments.py [--pytest-args "..."]
+    PYTHONPATH=src python scripts/update_experiments.py
 """
 
 from __future__ import annotations
 
-import argparse
-import re
-import subprocess
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-HEADER = """\
-# EXPERIMENTS — paper vs measured
+from claims import CLAIMS, EXPERIMENTS, render  # noqa: E402
+from conftest import open_bench_cache  # noqa: E402
 
-Every benchmark in `benchmarks/` regenerates one table or figure of
-*From Cloud to Edge: A First Look at Public Edge Platforms* (IMC 2021)
-from the simulated study (`Scenario()` defaults: 520 sites, ~1200 VMs,
-28 days at 5-minute resolution, seed 20211102) and checks the paper's
-reported values and qualitative claims. `[OK ]` marks a check that holds
-within its stated tolerance; orderings/crossovers are checked exactly.
-Ablation benchmarks cover the §5 design questions (placement policy,
-scheduling, deployment density, serverless, MEC, build-out growth).
-
-Reproduce with:
-
-```bash
-pytest benchmarks/ --benchmark-only -s
-```
-
-Absolute numbers come from a calibrated simulator, not NEP's production
-network, so tolerances are generous where the paper's numbers depend on
-unobservable specifics (see docs/calibration.md); the *shape* — who
-wins, by what factor, where crossovers sit — is asserted strictly.
-Summary of this run: **{ok}/{total} checks hold** across {benches}
-benchmarks.
-
-Known, documented divergences (inside tolerances, called out for honesty):
-
-* **Table 6 / Cloud-1**: the paper reports 16.6 ms at 670 km over WiFi,
-  which is below the fibre round-trip floor plus its own measured access
-  latency; our simulated value (~31 ms) respects physics, the monotone
-  distance ordering is what the QoE results consume.
-* **Table 3 levels**: our mean cost ratios sit below the paper's because
-  the synthetic traffic is somewhat less peaky than NEP's; the model
-  ordering (by-bandwidth < by-quantity < pre-reserved), the network
-  dominance of NEP bills, and the cheaper-on-cloud outliers reproduce.
-* **Figure 14 / cloud difficulty**: Azure's max-CPU RMSE exceeds the
-  edge's (which matches the paper exactly) but by less than the paper's
-  8.5% — the public Azure dataset's unpredictability has sources
-  (deployment churn, priority classes) our generator does not model.
-  Every (model, target) pair still favours the edge.
-
----
-
-"""
-
-_BLOCK_START = re.compile(
-    r"^(Table|Figure|§4\.1|Ablation|Sales)", re.UNICODE)
+from repro import study_for  # noqa: E402
 
 
-def extract_blocks(output: str) -> list[str]:
-    """Pull each title-through-checks block out of the pytest output."""
-    blocks: list[str] = []
-    current: list[str] = []
-    capturing = False
-    for line in output.splitlines():
-        if _BLOCK_START.match(line) and ("—" in line or "-" in line):
-            capturing = True
-            current = [line]
-            continue
-        if capturing:
-            current.append(line)
-            if line.startswith("-- ") and "checks hold" in line:
-                blocks.append("\n".join(current))
-                capturing = False
-    return blocks
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pytest-args", default="",
-                        help="extra arguments for the pytest invocation")
-    args = parser.parse_args(argv)
-
-    command = [sys.executable, "-m", "pytest", "benchmarks/",
-               "--benchmark-only", "-s", "-q", "-p", "no:cacheprovider"]
-    command.extend(args.pytest_args.split())
-    print("running:", " ".join(command))
-    completed = subprocess.run(command, cwd=REPO_ROOT,
-                               capture_output=True, text=True)
-    output = completed.stdout + completed.stderr
-    if completed.returncode != 0:
-        sys.stderr.write(output[-4000:])
-        sys.stderr.write("\nbenchmarks failed; EXPERIMENTS.md not updated\n")
-        return completed.returncode
-
-    blocks = extract_blocks(output)
-    ok = len(re.findall(r"\[OK \]", output))
-    diff = len(re.findall(r"\[DIFF\]", output))
-    header = HEADER.format(ok=ok, total=ok + diff, benches=len(blocks))
-    body = "\n\n---\n\n".join(f"```\n{block}\n```" for block in blocks)
-    (REPO_ROOT / "EXPERIMENTS.md").write_text(header + body + "\n")
-    print(f"EXPERIMENTS.md updated: {len(blocks)} blocks, "
-          f"{ok}/{ok + diff} checks hold")
+def main() -> int:
+    study = study_for("default", cache_dir=open_bench_cache())
+    outcomes = {name: run(study) for name, run in CLAIMS.items()}
+    failed = [f"{name}: {c.render()}" for name, outcome in outcomes.items()
+              for c in outcome.checks if not c.holds]
+    if failed:
+        sys.stderr.write("\n".join(failed)
+                         + f"\nchecks failed; {EXPERIMENTS.name} "
+                           "not updated\n")
+        return 1
+    EXPERIMENTS.write_text(render(outcomes), encoding="utf-8")
+    print(f"{EXPERIMENTS.name} updated: {len(outcomes)} claims")
     return 0
 
 

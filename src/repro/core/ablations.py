@@ -1,12 +1,11 @@
-"""The six what-if ablations, extracted as library functions.
+"""The six what-if ablations, as library functions.
 
-Each ablation used to live only inside a ``benchmarks/`` module; the
-sweep orchestrator (:mod:`repro.sweep`) needs them callable as ordinary
-analyses so one ``repro sweep run`` can regenerate the whole campaign.
+The sweep orchestrator (:mod:`repro.sweep`) runs them as ordinary
+analyses, so one ``repro sweep run`` regenerates the whole campaign,
+and the paper-claims registry (``benchmarks/claims.py``) checks them.
 Every function takes an :class:`~repro.study.EdgeStudy` and returns an
-:class:`AblationOutcome` whose :attr:`~AblationOutcome.text` matches the
-historical benchmark output byte for byte — EXPERIMENTS.md extraction
-and the benchmark assertions both key off that rendering.
+:class:`AblationOutcome`, the registry's outcome type for every claim:
+its :attr:`~AblationOutcome.text` is the claim's EXPERIMENTS.md block.
 
 Ablations that do not need the study's datasets (growth, placement)
 still derive their scenario from the study's seed, so a sweep cell's
@@ -62,12 +61,12 @@ _DUTY_HOURS = (1, 3, 6, 12, 24)
 
 @dataclass(frozen=True)
 class AblationOutcome:
-    """One ablation's rendered report plus machine-readable results.
+    """One ablation's (or paper claim's) report plus machine results.
 
     ``tables`` are the pre-rendered fixed-width tables (one or more),
     ``checks`` the qualitative paper-vs-measured assertions, and
     ``metrics`` a flat name -> float mapping the sweep report diffs
-    across cells.
+    across cells (empty for the other paper claims).
     """
 
     name: str

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import ABR_POLICIES
 from repro.errors import ParallelError, QuarantineError
 from repro.obs import RunJournal, canonical_events
 from repro.obs.journal import VOLATILE_EVENT_TYPES
@@ -113,6 +116,53 @@ class TestGoldenDigests:
         ref = simulate_reference(workload, "cloud", start=32, count=40)
         for metric in METRICS:
             assert np.array_equal(chunk[metric], ref[metric])
+
+
+def _random_workload(seed, n_sessions, n_ticks, abr, hit_ratios, rtts):
+    hit_rtt_ms, miss_rtt_ms, cloud_rtt_ms = rtts
+    return SessionWorkload(
+        seed=seed, n_sessions=n_sessions, n_ticks=n_ticks, abr=abr,
+        site_hit_ratios=np.array(hit_ratios), hit_rtt_ms=hit_rtt_ms,
+        miss_rtt_ms=miss_rtt_ms, cloud_rtt_ms=cloud_rtt_ms,
+        downlink_mean_mbps=6.0)
+
+
+_RTT_MS = st.floats(1.0, 300.0, allow_nan=False)
+
+
+class TestRandomizedDifferential:
+    """The vectorized engine against the scalar reference, off the
+    pinned workload: random seeds, sizes, policies, cache hit ratios,
+    RTTs and chunkings."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_sessions=st.integers(1, 300),
+           n_ticks=st.integers(1, 64),
+           abr=st.sampled_from(ABR_POLICIES),
+           hit_ratios=st.lists(st.floats(0.0, 1.0), min_size=1,
+                               max_size=8),
+           rtts=st.tuples(_RTT_MS, _RTT_MS, _RTT_MS),
+           chunk_sessions=st.integers(1, 320))
+    def test_vectorized_matches_reference(self, seed, n_sessions, n_ticks,
+                                          abr, hit_ratios, rtts,
+                                          chunk_sessions):
+        workload = _random_workload(seed, n_sessions, n_ticks, abr,
+                                    hit_ratios, rtts)
+        for arm in ARMS:
+            result = run_sessions(workload, arm,
+                                  chunk_sessions=chunk_sessions)
+            assert result.digest == _reference_digest(workload, arm)
+
+    def test_worker_count_never_changes_a_random_workload(self):
+        workload = _random_workload(987_654, 77, 23, "buffer",
+                                    [0.0, 0.35, 1.0], (9.5, 61.0, 120.25))
+        for arm in ARMS:
+            serial = run_sessions(workload, arm, chunk_sessions=10, jobs=1)
+            pooled = run_sessions(workload, arm, chunk_sessions=10, jobs=2)
+            assert pooled.digest == serial.digest \
+                == _reference_digest(workload, arm)
+            assert pooled.means == serial.means
 
 
 class TestRunSessions:
