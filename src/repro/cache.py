@@ -67,10 +67,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from .config import Scenario
-# Unused here.  Importing the analysis package ahead of the workload
-# stack spares scipy's import about 100 MB of fresh page faults (some
-# 0.2 s of start-up on a 2-core x86 host), so it stays first.
-from .core import chunks as _chunks  # noqa: F401
 from .errors import ConfigurationError, InjectedFault, TraceError
 from .resilience import RetryPolicy, failpoint
 from .resilience.retry import call_with_retry

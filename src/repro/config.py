@@ -21,6 +21,10 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 loads ``numpy.random`` on first attribute access; load it with
+# the library so the first :meth:`Scenario.stream` of a timed run does
+# not pay its ~20 modules.
+import numpy.random  # noqa: F401
 
 from .errors import ConfigurationError
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# ``np.median`` reaches ``numpy.ma`` (through ``_median_nancheck``),
+# which numpy 2 loads lazily; load it with the library instead of inside
+# the first median of a timed run.
+import numpy.ma  # noqa: F401
 
 from ..errors import TraceError
 from ..platform.cluster import Platform

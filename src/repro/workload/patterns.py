@@ -9,8 +9,11 @@ a base level, noise, and bursts to produce a VM's usage series.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import ConfigurationError
 
@@ -139,6 +142,62 @@ def regime_switching_levels(count: int, points: int,
     return levels[segment_ids + offsets[:, None]]
 
 
+def _load_sigtools(signal_dir: str | None):
+    """scipy's compiled ``scipy.signal._sigtools``, loaded by file.
+
+    ``signal_dir`` defaults to the installed ``scipy/signal``.  Only the
+    extension module runs: ``scipy/signal/__init__.py`` and the
+    ``scipy.stats`` / ``scipy.interpolate`` / ``scipy.spatial`` stack it
+    imports (about two thirds of ``import repro``'s time and memory)
+    never load.  The extension enters ``sys.modules`` under its real
+    name, so a later ``import scipy.signal`` reuses this module.
+    """
+    if signal_dir is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        signal_dir = os.path.join(
+            scipy_spec.submodule_search_locations[0], "signal")
+    path = os.path.join(
+        signal_dir, "_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    loader = importlib.machinery.ExtensionFileLoader(
+        "scipy.signal._sigtools", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader, origin=path))
+    loader.exec_module(module)
+    return module
+
+
+def _load_ar1_filter(signal_dir: str | None = None):
+    """The AR(1) recursion ``y[t] = x[t] + rho * y[t-1]`` along axis 1.
+
+    Returns ``filter(innovations, rho)``.  It calls ``_linear_filter``
+    from :func:`_load_sigtools`, the routine :func:`scipy.signal.lfilter`
+    runs for this filter, with the arguments ``lfilter`` passes it.  The
+    symbol is private: if the file or the symbol is missing, or a one-row
+    probe raises or misses the textbook answer, the filter is ``lfilter``
+    itself.  Either way the output is bit for bit ``lfilter``'s.
+    """
+    try:
+        linear_filter = _load_sigtools(signal_dir)._linear_filter
+
+        def sigtools_ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
+            return linear_filter(np.array([1.0]), np.array([1.0, -rho]),
+                                 innovations, 1)
+
+        probe = sigtools_ar1(np.array([[1.0, 0.0, 0.0]]), 0.5)
+        if probe.tolist() != [[1.0, 0.5, 0.25]]:
+            raise ImportError(f"_linear_filter probe gave {probe}")
+        return sigtools_ar1
+    except Exception:  # noqa: BLE001 - any failure selects the public path
+        from scipy.signal import lfilter
+
+        def lfilter_ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
+            return lfilter([1.0], [1.0, -rho], innovations, axis=1)
+        return lfilter_ar1
+
+
+_ar1_filter = _load_ar1_filter()
+
+
 def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
                     rho: float = 0.9, sigma: float = 0.15) -> np.ndarray:
     """``count`` independent AR(1) noise rows as one ``(count, points)`` array.
@@ -147,8 +206,8 @@ def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
     0.05.  AR(1) rather than white noise: consecutive usage readings of a
     real VM are strongly autocorrelated, and the §4.4 predictability
     experiment depends on that.  All innovations come from a single
-    normal draw and the recursion runs as one
-    :func:`scipy.signal.lfilter` along axis 1.
+    normal draw and the recursion runs as one call of scipy's compiled
+    linear filter along axis 1 (see :func:`_load_ar1_filter`).
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
@@ -156,7 +215,7 @@ def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
         raise ConfigurationError("count and points must be positive")
     innovations = rng.standard_normal((count, points))
     innovations *= sigma * np.sqrt(1 - rho * rho)
-    noise = lfilter([1.0], [1.0, -rho], innovations, axis=1)
+    noise = _ar1_filter(innovations, rho)
     noise += 1.0
     np.maximum(noise, 0.05, out=noise)
     return noise
