@@ -63,9 +63,16 @@ CACHE_TTL_S = 300.0
 #: One cached object ~ a few seconds of 1080p video (MB).
 OBJECT_MB = 4.0
 
-#: Sites solved per vectorised Newton block (bounds the two
-#: ``(sites, catalog)`` buffers at city-tier site counts).
+#: Sites solved per vectorised Newton block.  A block shares one
+#: convergence test (and so one iteration count), and its
+#: ``(sites, catalog)`` popularity weights are the solve's one large
+#: buffer, bounded here at city-tier site counts.
 SOLVER_SITE_BLOCK = 256
+
+#: Sites per row slice of a Newton sweep: the ``(rows, catalog)``
+#: ``decay`` and scratch pair is 1.3 MB at the default 20 000-object
+#: catalog, so it stays in cache while the sweep walks the block.
+SOLVER_SLICE_ROWS = 4
 
 #: Bisection iterations: 2^-48 relative interval is far below the hit
 #: ratios' meaningful precision.
@@ -135,7 +142,9 @@ def lru_hit_ratio_curve(alphas: np.ndarray, catalog: int,
     Newton started below the root converges monotonically (no bracket
     or damping needed) and one ``exp`` per iteration serves both the
     value and the derivative — about 5x fewer catalog-wide ``exp``
-    sweeps than a fixed-width bisection at a 500-site fleet.
+    sweeps than a fixed-width bisection at a 500-site fleet.  Each
+    sweep walks its block in :data:`SOLVER_SLICE_ROWS`-row slices; the
+    convergence test covers the whole block.
 
     Returns an array of per-site hit ratios in ``[0, 1)``; a capacity
     at or above the catalog returns all-ones (everything fits).
@@ -149,26 +158,41 @@ def lru_hit_ratio_curve(alphas: np.ndarray, catalog: int,
         block = alphas[start:start + SOLVER_SITE_BLOCK]
         weights = ranks[None, :] ** -block[:, None]
         weights /= weights.sum(axis=1, keepdims=True)
-        # Two (sites, catalog) buffers serve every iteration: fresh
-        # temporaries of that size cost more in page faults than the
-        # arithmetic.  weights * -x equals -weights * x bit for bit.
-        decay = np.empty_like(weights)
-        scratch = np.empty_like(weights)
+        slices = [slice(lo, lo + SOLVER_SLICE_ROWS)
+                  for lo in range(0, block.size, SOLVER_SLICE_ROWS)]
+        # One small (rows, catalog) pair serves every slice of every
+        # sweep and stays in cache: block-sized buffers would stream
+        # through memory on each iteration.  A row's sum does not depend
+        # on its neighbours, so slicing keeps every bit; weights * -x
+        # equals -weights * x bit for bit.
+        height = min(SOLVER_SLICE_ROWS, block.size)
+        decay = np.empty((height, catalog))
+        scratch = np.empty((height, catalog))
+        filled = np.empty(block.size)
+        slope = np.empty(block.size)
         # f(x) <= x * f'(0) = x (weights sum to 1), so f(C) <= C: the
         # capacity itself is a starting point at or below the root.
         x = np.full(block.size, float(capacity))
         for _ in range(SOLVER_ITERATIONS):
-            np.exp(np.multiply(weights, -x[:, None], out=decay), out=decay)
-            filled = np.sum(np.subtract(1.0, decay, out=scratch), axis=1)
-            slope = np.sum(np.multiply(weights, decay, out=scratch), axis=1)
+            for rows in slices:
+                w = weights[rows]
+                d, s = decay[:len(w)], scratch[:len(w)]
+                np.exp(np.multiply(w, -x[rows, None], out=d), out=d)
+                np.sum(np.subtract(1.0, d, out=s), axis=1, out=filled[rows])
+                np.sum(np.multiply(w, d, out=s), axis=1, out=slope[rows])
             step = (capacity - filled) / slope
             x = x + step
+            # The test spans the whole block: a per-slice test would
+            # stop some slices earlier and change their bits.
             if float(np.max(np.abs(step))) <= 1e-12 * float(np.min(x)):
                 break
-        np.exp(np.multiply(weights, -x[:, None], out=decay), out=decay)
-        hits = np.subtract(1.0, decay, out=decay)
-        out[start:start + SOLVER_SITE_BLOCK] = np.sum(
-            np.multiply(weights, hits, out=scratch), axis=1)
+        hit_ratios = out[start:start + SOLVER_SITE_BLOCK]
+        for rows in slices:
+            w = weights[rows]
+            d, s = decay[:len(w)], scratch[:len(w)]
+            np.exp(np.multiply(w, -x[rows, None], out=d), out=d)
+            hits = np.subtract(1.0, d, out=d)
+            np.sum(np.multiply(w, hits, out=s), axis=1, out=hit_ratios[rows])
     return out
 
 

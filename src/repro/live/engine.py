@@ -246,6 +246,37 @@ def _result(inputs: LiveInputs, scenario_fields: dict[str, object],
     )
 
 
+def _largest_remainder(total: int, free: np.ndarray) -> np.ndarray:
+    """Largest-remainder split of ``total`` over free-slot weights.
+
+    All-integer arithmetic (``free * placed // capacity`` with exact
+    remainders), so the split is bit-identical to the scalar reference
+    with no float-rounding hazard.  The ``leftover`` largest remainders
+    get one more VM each, lowest server index breaking ties: a
+    single-kth ``np.partition`` finds the cut value, every remainder
+    above it gets +1, and the lowest-index remainders equal to it fill
+    the rest.  That is the set a stable ``argsort`` of ``-remainder``
+    puts first, without sorting the fleet.
+    """
+    out = np.zeros(free.size, dtype=np.int64)
+    capacity = int(free.sum())
+    placed = min(total, capacity)
+    if placed <= 0:
+        return out
+    scaled = free * placed
+    np.floor_divide(scaled, capacity, out=out)
+    leftover = placed - int(out.sum())
+    if leftover > 0:
+        remainder = scaled - out * capacity
+        kth = remainder.size - leftover
+        cut = np.partition(remainder, kth)[kth]
+        above = remainder > cut
+        out += above
+        tied = np.flatnonzero(remainder == cut)
+        out[tied[:leftover - int(np.count_nonzero(above))]] += 1
+    return out
+
+
 def run_live_engine(inputs: LiveInputs, journal=None,
                     scenario_fields: dict[str, object] | None = None,
                     ) -> LiveResult:
@@ -279,28 +310,6 @@ def run_live_engine(inputs: LiveInputs, journal=None,
               for name in SERIES}
     fault_ticks: list[int] = []
 
-    def allocate(total: int, free: np.ndarray) -> np.ndarray:
-        """Largest-remainder split of ``total`` over free-slot weights.
-
-        All-integer arithmetic (``free * placed // capacity`` with exact
-        remainders), so the split is bit-identical to the scalar
-        reference with no float-rounding hazard; remainder +1s go to
-        the largest remainders, lowest server index breaking ties.
-        """
-        out = np.zeros(n, dtype=np.int64)
-        capacity = int(free.sum())
-        placed = min(total, capacity)
-        if placed <= 0:
-            return out
-        scaled = free * placed
-        np.floor_divide(scaled, capacity, out=out)
-        leftover = placed - int(out.sum())
-        if leftover > 0:
-            remainder = scaled - out * capacity
-            order = np.argsort(-remainder, kind="stable")[:leftover]
-            out[order] += 1
-        return out
-
     for t in range(inputs.ticks):
         evacuated = displaced = 0
         changes = by_tick.get(t)
@@ -317,7 +326,7 @@ def run_live_engine(inputs: LiveInputs, journal=None,
             up = ~now_down
             if evacuated:
                 free = np.where(up, slots - active, 0)
-                moved = allocate(evacuated, free)
+                moved = _largest_remainder(evacuated, free)
                 np.add(active, moved, out=active)
                 displaced = evacuated - int(moved.sum())
             fault_ticks.append(t)
@@ -335,7 +344,7 @@ def run_live_engine(inputs: LiveInputs, journal=None,
 
         n_arrivals = int(inputs.arrivals[t])
         free = np.where(up, slots - active, 0)
-        placed = allocate(n_arrivals, free)
+        placed = _largest_remainder(n_arrivals, free)
         np.add(active, placed, out=active)
         admitted = int(placed.sum())
 

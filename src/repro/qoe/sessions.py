@@ -6,11 +6,16 @@ Design constraints, in order:
    tick) and :func:`simulate_reference` (one Python loop per session)
    must produce *the same bytes*.  Every stochastic draw is therefore a
    pure function of ``(seed, stream, session index, tick)`` — a
-   splitmix64 counter hash, not a stateful generator — and every
-   arithmetic expression appears in the same operand order in both
-   engines.  The per-tick math sticks to IEEE-double add/mul/div/min/
-   compare, where NumPy float64 and Python floats round identically;
-   there are no transcendentals inside the tick loop.
+   splitmix64 counter hash, not a stateful generator — and each
+   session sees the same IEEE operations in the same operand order in
+   both engines, though the two are not written alike: the vectorized
+   tick works in preallocated buffers, counts rungs with comparisons
+   and takes the reference's branches as ``where=`` masks.  The
+   per-tick math sticks to IEEE-double add/mul/div/min/compare, where
+   NumPy float64 and Python floats round identically; there are no
+   transcendentals inside the tick loop.  The pinned golden digests and
+   the randomized differential in ``tests/qoe/test_sessions.py``
+   enforce the contract.
 2. **Bounded memory.**  Sessions run in fixed-size chunks; each chunk
    reduces to four metric vectors that fold into per-metric SHA-256
    digests, :class:`~repro.core.chunks.StreamingHistogram` sketches and
@@ -111,12 +116,18 @@ _STREAM_HIT = 4
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z + np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D9B3F979EB676D)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, in place (wrapping).
+
+    ``scratch`` is a uint64 work buffer of ``z``'s shape; returns ``z``.
+    """
+    np.add(z, np.uint64(0x9E3779B97F4A7C15), out=z)
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=scratch), out=z)
+    np.multiply(z, np.uint64(0xBF58476D1CE4E5B9), out=z)
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=scratch), out=z)
+    np.multiply(z, np.uint64(0x94D9B3F979EB676D), out=z)
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=z)
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -146,13 +157,26 @@ def counter_uniform(seed: int, stream: int, index: np.ndarray,
 
     ``index`` is the *absolute* session index, so any chunking of the
     session range reproduces the same draws.  The top 53 bits of a
-    splitmix64 hash become the mantissa.  NumPy warns on (perfectly
-    well-defined) wrapping uint64 arithmetic, hence the errstate guard.
+    splitmix64 hash become the mantissa.
     """
-    base = _stream_base(seed, stream, tick)
+    index = np.asarray(index, dtype=np.uint64)
+    return _uniform_into(seed, stream, index, tick, np.empty(index.shape),
+                         np.empty_like(index), np.empty_like(index))
+
+
+def _uniform_into(seed: int, stream: int, index: np.ndarray, tick: int,
+                  out: np.ndarray, z: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """:func:`counter_uniform` into ``out``, with uint64 work buffers.
+
+    NumPy warns on (perfectly well-defined) wrapping uint64 arithmetic,
+    hence the errstate guard.
+    """
     with np.errstate(over="ignore"):
-        z = _mix64(np.asarray(index, dtype=np.uint64) + np.uint64(base))
-        return (z >> np.uint64(11)) * 2.0 ** -53
+        np.add(index, np.uint64(_stream_base(seed, stream, tick)), out=z)
+        _mix64(z, scratch)
+        np.right_shift(z, np.uint64(11), out=z)
+        return np.multiply(z, 2.0 ** -53, out=out)
 
 
 def _counter_uniform_int(seed: int, stream: int, index: int,
@@ -193,71 +217,141 @@ def _session_statics(workload: SessionWorkload, start: int,
     return hit_p, capacity
 
 
+def rung_count(values: np.ndarray, edges: tuple[float, ...],
+               out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Count the ``edges`` at or below each value, into ``out``.
+
+    ``edges`` ascend.  Both ABR policies pick their rung this way: the
+    throughput policy counts ``LADDER_MBPS[1:]`` at or below its safe
+    estimate (equal to ``max(searchsorted(ladder, est, "right") - 1,
+    0)``), the buffer policy counts ``BUFFER_THRESHOLDS_S`` at or below
+    the buffer level (equal to ``searchsorted(thresholds, buffer,
+    "right")``).  A few comparisons beat a binary search over so short a
+    ladder, and they are the reference's explicit comparison count.
+    ``out`` is an integer array and ``mask`` a bool work buffer, both of
+    ``values``' shape.
+    """
+    out.fill(0)
+    for edge in edges:
+        np.add(out, np.greater_equal(values, edge, out=mask), out=out)
+    return out
+
+
 def simulate_chunk(workload: SessionWorkload, start: int, count: int,
                    arm: str) -> dict[str, np.ndarray]:
     """Simulate sessions ``[start, start + count)`` as array ops.
 
-    Returns the four metric vectors (float64, length ``count``).  The
-    tick loop below and the session loop of :func:`simulate_reference`
-    are **mirrored line by line**: any edit to one must be made to the
-    other, in the same operand order, or the golden digests break.
+    Returns the four metric vectors (float64, length ``count``).  Each
+    session goes through the same IEEE operations, in the same operand
+    order, as in :func:`simulate_reference`; the pinned golden digests
+    and the randomized differential enforce it.  The tick runs in
+    buffers allocated once per chunk (``out=``), the RTT penalty of each
+    request outcome is a Python float computed once, and the updates
+    only started sessions take use ``where=`` (leaving the others as
+    the reference's untaken branch does) until every session plays.
     """
     if arm not in ARMS:
         raise ParallelError(f"unknown session arm {arm!r}")
     idx = np.arange(start, start + count, dtype=np.uint64)
     hit_p, capacity = _session_statics(workload, start, count)
     ladder = np.asarray(LADDER_MBPS, dtype=np.float64)
-    thresholds = np.asarray(BUFFER_THRESHOLDS_S, dtype=np.float64)
     noise_lo, noise_hi = THROUGHPUT_NOISE
     noise_span = noise_hi - noise_lo
+    fresh = 1.0 - EWMA_ALPHA
+    edge = arm == "edge"
+    throughput_abr = workload.abr == "throughput"
+    rung_edges = LADDER_MBPS[1:] if throughput_abr else BUFFER_THRESHOLDS_S
+
+    def penalty(rtt_ms: float) -> float:
+        return SEG_S / (SEG_S + SEGMENT_RTT_ROUNDS * (rtt_ms / 1000.0))
+
+    if edge:
+        # Index 0 is a miss, 1 a hit: the hit mask, read as bytes, indexes it.
+        penalties = np.array([penalty(workload.miss_rtt_ms),
+                              penalty(workload.hit_rtt_ms)])
+    else:
+        cloud_penalty = penalty(workload.cloud_rtt_ms)
+
+    u = np.empty(count)
+    z = np.empty(count, dtype=np.uint64)
+    z_scratch = np.empty(count, dtype=np.uint64)
+    thr = np.empty(count)
+    observed = np.empty(count)
+    work = np.empty(count)
+    rate = np.empty(count)
+    playable = np.empty(count)
+    hit = np.empty(count, dtype=bool)
+    mask = np.empty(count, dtype=bool)
+    rung = np.zeros(count, dtype=np.intp)
+    prev_rung = np.zeros(count, dtype=np.intp)
+    started = np.zeros(count, dtype=bool)
+    waiting = np.ones(count, dtype=bool)
 
     buffer = np.zeros(count)
     ewma = np.zeros(count)
-    prev_rung = np.zeros(count, dtype=np.int64)
-    started = np.zeros(count, dtype=bool)
     startup_s = np.zeros(count)
     rebuffer_s = np.zeros(count)
     played_s = np.zeros(count)
     bitrate_sum = np.zeros(count)
     switches = np.zeros(count)
+    in_play: np.ndarray | bool = started
 
     for t in range(workload.n_ticks):
-        u_thr = counter_uniform(workload.seed, _STREAM_THROUGHPUT, idx, t)
-        thr = capacity * (noise_lo + noise_span * u_thr)
-        if arm == "edge":
-            u_hit = counter_uniform(workload.seed, _STREAM_HIT, idx, t)
-            hit = u_hit < hit_p
-            rtt_ms = np.where(hit, workload.hit_rtt_ms,
-                              workload.miss_rtt_ms)
+        _uniform_into(workload.seed, _STREAM_THROUGHPUT, idx, t, u, z,
+                      z_scratch)
+        # thr = capacity * (noise_lo + noise_span * u_thr)
+        np.multiply(noise_span, u, out=thr)
+        np.add(noise_lo, thr, out=thr)
+        np.multiply(capacity, thr, out=thr)
+        # observed = thr * penalty
+        if edge:
+            _uniform_into(workload.seed, _STREAM_HIT, idx, t, u, z,
+                          z_scratch)
+            np.less(u, hit_p, out=hit)
+            np.take(penalties, hit.view(np.uint8), out=work)
+            np.multiply(thr, work, out=observed)
         else:
-            rtt_ms = np.full(count, workload.cloud_rtt_ms)
-        penalty = SEG_S / (SEG_S + SEGMENT_RTT_ROUNDS * (rtt_ms / 1000.0))
-        observed = thr * penalty
+            np.multiply(thr, cloud_penalty, out=observed)
         if t == 0:
-            ewma = observed
+            ewma[:] = observed
         else:
-            ewma = EWMA_ALPHA * ewma + (1.0 - EWMA_ALPHA) * observed
-        if workload.abr == "throughput":
-            # searchsorted(side="right") counts rungs at or below the
-            # estimate — integer-exact, same result as the reference's
-            # explicit comparison count.
-            est = SAFETY * ewma
-            rung = np.maximum(
-                np.searchsorted(ladder, est, side="right") - 1, 0)
+            # ewma = EWMA_ALPHA * ewma + (1.0 - EWMA_ALPHA) * observed
+            np.multiply(EWMA_ALPHA, ewma, out=ewma)
+            np.add(ewma, np.multiply(fresh, observed, out=work), out=ewma)
+        if throughput_abr:
+            rung_count(np.multiply(SAFETY, ewma, out=work), rung_edges,
+                       rung, mask)
         else:
-            rung = np.searchsorted(thresholds, buffer, side="right")
-        switches += np.where(started & (rung != prev_rung), 1.0, 0.0)
-        prev_rung = rung
-        video_s = observed * TICK_S / ladder[rung]
-        buffer = np.minimum(buffer + video_s, BUFFER_CAP_S)
-        playable = np.minimum(buffer, TICK_S)
-        play = np.where(started, playable, 0.0)
-        played_s += play
-        rebuffer_s += np.where(started, TICK_S - playable, 0.0)
-        bitrate_sum += np.where(started, ladder[rung] * playable, 0.0)
-        buffer = buffer - play
-        startup_s += np.where(started, 0.0, TICK_S)
-        started = started | (buffer >= STARTUP_BUFFER_S)
+            rung_count(buffer, rung_edges, rung, mask)
+        # switches += 1.0 where started and the rung changed (a bool
+        # adds as exactly 1.0 or 0.0)
+        np.logical_and(started, np.not_equal(rung, prev_rung, out=mask),
+                       out=mask)
+        np.add(switches, mask, out=switches)
+        np.take(ladder, rung, out=rate)
+        # buffer = min(buffer + observed * TICK_S / rate, BUFFER_CAP_S)
+        np.multiply(observed, TICK_S, out=work)
+        np.divide(work, rate, out=work)
+        np.add(buffer, work, out=buffer)
+        np.minimum(buffer, BUFFER_CAP_S, out=buffer)
+        # The reference's started branch, per session.
+        np.minimum(buffer, TICK_S, out=playable)
+        np.add(played_s, playable, out=played_s, where=in_play)
+        np.subtract(TICK_S, playable, out=work)
+        np.add(rebuffer_s, work, out=rebuffer_s, where=in_play)
+        np.multiply(rate, playable, out=work)
+        np.add(bitrate_sum, work, out=bitrate_sum, where=in_play)
+        np.subtract(buffer, playable, out=buffer, where=in_play)
+        if in_play is started:
+            np.add(startup_s, TICK_S, out=startup_s, where=waiting)
+            np.logical_or(started, np.greater_equal(
+                buffer, STARTUP_BUFFER_S, out=mask), out=started)
+            np.logical_not(started, out=waiting)
+            if not waiting.any():
+                # Every session plays from here on, and an unmasked
+                # loop is faster than an all-True mask.
+                in_play = True
+        rung, prev_rung = prev_rung, rung
 
     active_s = workload.n_ticks * TICK_S - startup_s
     rebuffer_ratio = np.zeros(count)

@@ -2,18 +2,24 @@
 
 ``_reference_curve`` is the Che solve written with a fresh temporary per
 operation, exactly as the solver read before it reused its per-block
-buffers.  The buffered solver must agree with it bit for bit on both
-sides of every :data:`SOLVER_SITE_BLOCK` boundary.
+buffers.  The buffered solver, which sweeps each block in
+:data:`SOLVER_SLICE_ROWS`-row slices, must agree with it bit for bit on
+both sides of every :data:`SOLVER_SITE_BLOCK` and slice boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdn import lru_hit_ratio_curve
-from repro.cdn.model import SOLVER_ITERATIONS, SOLVER_SITE_BLOCK
+from repro.cdn.model import (
+    SOLVER_ITERATIONS,
+    SOLVER_SITE_BLOCK,
+    SOLVER_SLICE_ROWS,
+)
 
 
 def _reference_curve(alphas, catalog, capacity):
@@ -42,9 +48,14 @@ def _reference_curve(alphas, catalog, capacity):
 
 
 #: One site, both sides of one block boundary, and two full blocks plus
-#: a partial third (1, 255, 256, 257 and 520 sites at a 256-site block).
+#: a partial third (1, 255, 256, 257 and 520 sites at a 256-site block);
+#: then both sides of one row slice, and a block plus a partial slice
+#: (3, 4, 5 and 259 sites at a 4-row slice).
 SITE_COUNTS = [1, SOLVER_SITE_BLOCK - 1, SOLVER_SITE_BLOCK,
-               SOLVER_SITE_BLOCK + 1, 2 * SOLVER_SITE_BLOCK + 8]
+               SOLVER_SITE_BLOCK + 1, 2 * SOLVER_SITE_BLOCK + 8,
+               SOLVER_SLICE_ROWS - 1, SOLVER_SLICE_ROWS,
+               SOLVER_SLICE_ROWS + 1,
+               SOLVER_SITE_BLOCK + SOLVER_SLICE_ROWS - 1]
 
 
 class TestBufferedSolve:
@@ -72,6 +83,13 @@ class TestBufferedSolve:
         assert got.tobytes() == _reference_curve(alphas, catalog,
                                                  capacity).tobytes()
         assert np.all(got == 1.0)
+
+    @pytest.mark.parametrize("sites", SITE_COUNTS)
+    def test_every_site_count(self, sites):
+        alphas = np.random.default_rng(sites).uniform(0.3, 1.6, sites)
+        got = lru_hit_ratio_curve(alphas, 700, 35.0)
+        assert got.tobytes() == _reference_curve(alphas, 700,
+                                                 35.0).tobytes()
 
     def test_scenario_sized_catalog(self):
         # The default scenario's catalog and cache size, over two blocks.

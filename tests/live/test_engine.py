@@ -30,6 +30,7 @@ from repro.live import (
     run_live_engine,
     run_reference_engine,
 )
+from repro.live.engine import _largest_remainder
 from repro.obs import RunJournal
 from repro.platform.cloud import build_cloud_platform
 from repro.platform.nep import build_nep_platform
@@ -179,6 +180,76 @@ class TestTwinSteppers:
         assert vec.digest == ref.digest
         assert vec.fault_ticks == ref.fault_ticks
         assert_fleet_balance(vec)
+
+
+def _argsort_split(total, free):
+    """The sort-based largest-remainder split ``_largest_remainder``
+    replaced: a stable argsort of the negated remainders."""
+    out = np.zeros(free.size, dtype=np.int64)
+    capacity = int(free.sum())
+    placed = min(total, capacity)
+    if placed <= 0:
+        return out
+    scaled = free * placed
+    np.floor_divide(scaled, capacity, out=out)
+    leftover = placed - int(out.sum())
+    if leftover > 0:
+        remainder = scaled - out * capacity
+        out[np.argsort(-remainder, kind="stable")[:leftover]] += 1
+    return out
+
+
+def _leftover_and_nonzero(total, free):
+    """``(leftover, non-zero remainders)`` of one split."""
+    capacity = int(free.sum())
+    scaled = free * min(total, capacity)
+    floors = scaled // capacity
+    remainder = scaled - floors * capacity
+    return (min(total, capacity) - int(floors.sum()),
+            int(np.count_nonzero(remainder)))
+
+
+_FREE_SLOTS = st.one_of(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    # all-equal weights: every remainder ties
+    st.tuples(st.integers(1, 40), st.integers(1, 60)).map(
+        lambda pair: [pair[0]] * pair[1]),
+    # mostly-zero weights: a few small ties among many empty servers
+    st.lists(st.integers(0, 30), min_size=1, max_size=80).map(
+        lambda values: [v - 26 if v > 26 else 0 for v in values]),
+)
+
+
+class TestLargestRemainder:
+    """The select-based split against the stable-argsort one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(free=_FREE_SLOTS, data=st.data())
+    def test_matches_stable_argsort(self, free, data):
+        free = np.array(free, dtype=np.int64)
+        total = data.draw(st.integers(0, int(free.sum()) + 5))
+        np.testing.assert_array_equal(_largest_remainder(total, free),
+                                      _argsort_split(total, free))
+
+    @pytest.mark.parametrize("free", [
+        [5] * 12,
+        [1, 1, 1],
+        [0] * 30 + [3] + [0] * 10 + [3, 1] + [0] * 5,
+        [2, 0, 2, 0, 2, 0, 1, 1, 7, 0, 2],
+    ])
+    def test_every_total_on_tied_fleets(self, free):
+        free = np.array(free, dtype=np.int64)
+        shapes = set()
+        for total in range(int(free.sum()) + 3):
+            np.testing.assert_array_equal(
+                _largest_remainder(total, free),
+                _argsort_split(total, free), err_msg=f"total {total}")
+            shapes.add(_leftover_and_nonzero(total, free))
+        # the sweep reaches one +1 to place, and one fewer +1 than
+        # there are non-zero remainders
+        assert any(leftover == 1 for leftover, _ in shapes)
+        assert any(leftover == nonzero - 1 > 0
+                   for leftover, nonzero in shapes)
 
 
 class TestConservation:

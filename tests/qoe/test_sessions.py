@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ABR_POLICIES
@@ -29,6 +29,11 @@ from repro.qoe import (
     run_sessions,
     simulate_chunk,
     simulate_reference,
+)
+from repro.qoe.sessions import (
+    BUFFER_THRESHOLDS_S,
+    LADDER_MBPS,
+    rung_count,
 )
 from repro.resilience import install, reset
 
@@ -81,6 +86,44 @@ class TestCounterRng:
         left = counter_uniform(5, 3, np.arange(50, dtype=np.uint64))
         right = counter_uniform(5, 3, np.arange(50, 100, dtype=np.uint64))
         assert np.array_equal(whole, np.concatenate([left, right]))
+
+
+def _probe_points(edges):
+    """0, each edge, one ulp either side of each edge, and large values."""
+    edges = np.asarray(edges, dtype=np.float64)
+    points = [0.0, -0.0, 1e-300, 1e6, 1e300, np.inf]
+    for edge in edges:
+        points += [edge, np.nextafter(edge, -np.inf),
+                   np.nextafter(edge, np.inf)]
+    return np.array(points)
+
+
+def _rungs(values, edges):
+    out = np.empty(values.size, dtype=np.intp)
+    return rung_count(values, edges, out, np.empty(values.size, dtype=bool))
+
+
+class TestRungCount:
+    """The comparison count both ABR policies use, against searchsorted."""
+
+    def test_throughput_rung_matches_searchsorted(self):
+        ladder = np.asarray(LADDER_MBPS, dtype=np.float64)
+        est = _probe_points(ladder)
+        want = np.maximum(np.searchsorted(ladder, est, side="right") - 1, 0)
+        np.testing.assert_array_equal(_rungs(est, LADDER_MBPS[1:]), want)
+
+    def test_buffer_rung_matches_searchsorted(self):
+        thresholds = np.asarray(BUFFER_THRESHOLDS_S, dtype=np.float64)
+        buffer = _probe_points(thresholds)
+        want = np.searchsorted(thresholds, buffer, side="right")
+        np.testing.assert_array_equal(
+            _rungs(buffer, BUFFER_THRESHOLDS_S), want)
+
+    def test_output_buffer_is_reset(self):
+        out = np.full(3, 7, dtype=np.intp)
+        rung_count(np.array([0.0, 4.0, 20.0]), BUFFER_THRESHOLDS_S, out,
+                   np.empty(3, dtype=bool))
+        assert out.tolist() == [0, 1, 3]
 
 
 class TestGoldenDigests:
@@ -144,6 +187,10 @@ class TestRandomizedDifferential:
                                max_size=8),
            rtts=st.tuples(_RTT_MS, _RTT_MS, _RTT_MS),
            chunk_sessions=st.integers(1, 320))
+    # Always run the buffer policy at least once, over several chunks.
+    @example(seed=42, n_sessions=150, n_ticks=40, abr="buffer",
+             hit_ratios=[0.1, 0.9], rtts=(12.0, 80.0, 95.0),
+             chunk_sessions=64)
     def test_vectorized_matches_reference(self, seed, n_sessions, n_ticks,
                                           abr, hit_ratios, rtts,
                                           chunk_sessions):
