@@ -52,7 +52,10 @@ constants below.
 ``city-rss``
     A CI-sized city workload through the tracked phases, then the full
     city fleet's live phase: peak RSS within ``PEAK_RSS_BUDGET_MB``, live
-    digest equal to the scalar reference's.
+    digest equal to the scalar reference's.  A child process then runs
+    ``cpu_row_stats`` and ``per_vm_totals`` over the workload's NEP
+    shards: its peak RSS may rise at most ``SCAN_RSS_BUDGET_MB`` above
+    the RSS the scan starts from.
 ``engines``
     The QoE and live engines match their scalar references' digests and
     beat them by ``QOE_MIN_SPEEDUP`` and ``LIVE_MIN_SPEEDUP``; both
@@ -113,6 +116,13 @@ CAMPAIGN_REPEATS = 5
 #: Peak parent RSS (VmHWM, as the run journal samples it per phase) for
 #: the city probe and the 50k-session QoE phase.
 PEAK_RSS_BUDGET_MB = 2048
+#: Peak-RSS rise (VmHWM over the starting VmRSS) allowed to one chunked
+#: pass over the CI-sized city workload's NEP shards.  Its CPU store is
+#: 400 rows of 132 480 float32 points (92 d at 1 minute): 202 MiB, 25
+#: times the 8 MiB window budget (``repro.shards.WINDOW_BYTES``), and
+#: its bandwidth store (5-minute points) 40 MiB.  One whole-store window
+#: would rise by more than the CPU store itself.
+SCAN_RSS_BUDGET_MB = 64
 #: The CI-sized city workload; the live phase keeps the full city fleet.
 CITY_OVERRIDES = {"nep_vm_count": 400, "azure_vm_count": 400,
                   "nep_site_count": 60}
@@ -632,13 +642,57 @@ def probe_warm_cache(args: argparse.Namespace, root: Path) -> str:
             "alone, and the entries verify")
 
 
+#: Child-process scan of one shard store (``argv[1]``): how far (MiB)
+#: ``cpu_row_stats`` over its CPU rows and ``per_vm_totals`` over its
+#: bandwidth rows take VmHWM above the VmRSS the scan starts from.
+SCAN_RSS_CHILD = """
+import json, sys
+from repro.core.chunks import cpu_row_stats, per_vm_totals
+from repro.shards import load_sharded_series, read_shard_index
+def status(field):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+root = sys.argv[1]
+series = load_sharded_series(root, {
+    kind: [str(row) for row in range(layout.rows)]
+    for kind, layout in read_shard_index(root).items()})
+before = status("VmRSS")
+cpu_row_stats(series["cpu"])
+per_vm_totals(series["bw"])
+print(json.dumps({"rise_mb": status("VmHWM") - before}))
+"""
+
+
+def scan_rss_rise(store: Path) -> float:
+    """VmHWM rise (MiB) of a child's chunked pass over ``store``."""
+    out = subprocess.run([sys.executable, "-c", SCAN_RSS_CHILD, str(store)],
+                         env=child_env(), capture_output=True, text=True)
+    if out.returncode:
+        fail(f"shard scan child exited {out.returncode}: "
+             f"{out.stderr.strip()[-400:]}")
+    return json.loads(out.stdout)["rise_mb"]
+
+
 def probe_city_rss(args: argparse.Namespace, root: Path) -> str:
-    """City-tier peak RSS: a CI-sized workload, then the full live fleet."""
+    """City-tier peak RSS: a CI-sized workload, a chunked pass over its
+    shards, then the full live fleet."""
     from repro.study import scenario_for
 
-    _, breakdown = run_study(scenario_for("city", overrides=CITY_OVERRIDES),
-                             PHASES)
+    study, breakdown = run_study(
+        scenario_for("city", overrides=CITY_OVERRIDES), PHASES)
     within_rss_budget("city workload phases", breakdown, PHASES)
+    cpu = study.nep.dataset.cpu_series
+    rise = scan_rss_rise(cpu.root)
+    store_mb = cpu.layout.rows * cpu.layout.points * 4 / (1 << 20)
+    if rise > SCAN_RSS_BUDGET_MB:
+        fail(f"chunked pass over a {store_mb:.0f} MB CPU store raised peak "
+             f"RSS by {rise:.1f} MB, over the {SCAN_RSS_BUDGET_MB} MB "
+             f"budget")
+    print(f"probe: chunked pass over a {store_mb:.0f} MB CPU store raised "
+          f"peak RSS by {rise:.1f} MB, within {SCAN_RSS_BUDGET_MB} MB")
+    del study, cpu
     live_engine(scenario_for("city",
                              overrides={"live_ticks": CITY_LIVE_TICKS}))
     return "city probe within its memory budget"

@@ -44,10 +44,11 @@ run's :class:`~repro.workload.streaming.WorkloadSink` streams shards
 into the staging directory as blocks are rendered
 (:meth:`ArtifactCache.workload_writer`) and seals the entry when the
 last block lands.  ``get_workload`` returns lazy windowed
-:class:`~repro.shards.ShardedSeriesMap` views over memory-mapped
-shards, so a warm hit on a paper-scale trace returns in milliseconds
-and pages series in on demand; any shard whose header or size fails
-verification turns the whole entry into an evicted miss.
+:class:`~repro.shards.ShardedSeriesMap` views over the entry's shards,
+so a warm hit on a paper-scale trace returns in milliseconds and reads
+rows and bounded windows from disk only as analyses ask for them; any
+shard whose header or size fails verification turns the whole entry
+into an evicted miss.
 """
 
 from __future__ import annotations
@@ -298,11 +299,12 @@ class ArtifactCache:
             self._emit("cache_write_error", artifact=artifact, key=key,
                        error=f"{type(exc).__name__}: {exc}")
 
-    # ---- workload artifacts (sharded, mmap-backed series) ----------------
+    # ---- workload artifacts (sharded, disk-backed series) ----------------
 
     def get_workload(self, artifact: str,
                      scenario: Scenario) -> GeneratedWorkload | None:
-        """Load a generated workload, series memory-mapped, or ``None``."""
+        """Load a generated workload, series read from its shards on
+        demand, or ``None``."""
         return self._get(artifact, scenario, WORKLOAD_KIND,
                          self._load_workload)
 

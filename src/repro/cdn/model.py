@@ -154,20 +154,25 @@ def lru_hit_ratio_curve(alphas: np.ndarray, catalog: int,
         return np.ones_like(alphas)
     ranks = np.arange(1, catalog + 1, dtype=np.float64)
     out = np.empty(alphas.size, dtype=np.float64)
+    # One (block, catalog) weights buffer serves every block: a fresh
+    # array per block would be allocated while the previous block's is
+    # still referenced, doubling the solve's peak.  One small
+    # (rows, catalog) pair serves every slice of every sweep and stays
+    # in cache: block-sized buffers would stream through memory on each
+    # iteration.  A row's sum does not depend on its neighbours, so
+    # slicing keeps every bit; weights * -x equals -weights * x bit for
+    # bit.
+    block_weights = np.empty((min(SOLVER_SITE_BLOCK, alphas.size), catalog))
+    height = min(SOLVER_SLICE_ROWS, alphas.size)
+    decay = np.empty((height, catalog))
+    scratch = np.empty((height, catalog))
     for start in range(0, alphas.size, SOLVER_SITE_BLOCK):
         block = alphas[start:start + SOLVER_SITE_BLOCK]
-        weights = ranks[None, :] ** -block[:, None]
+        weights = np.power(ranks[None, :], -block[:, None],
+                           out=block_weights[:block.size])
         weights /= weights.sum(axis=1, keepdims=True)
         slices = [slice(lo, lo + SOLVER_SLICE_ROWS)
                   for lo in range(0, block.size, SOLVER_SLICE_ROWS)]
-        # One small (rows, catalog) pair serves every slice of every
-        # sweep and stays in cache: block-sized buffers would stream
-        # through memory on each iteration.  A row's sum does not depend
-        # on its neighbours, so slicing keeps every bit; weights * -x
-        # equals -weights * x bit for bit.
-        height = min(SOLVER_SLICE_ROWS, block.size)
-        decay = np.empty((height, catalog))
-        scratch = np.empty((height, catalog))
         filled = np.empty(block.size)
         slope = np.empty(block.size)
         # f(x) <= x * f'(0) = x (weights sum to 1), so f(C) <= C: the

@@ -8,6 +8,7 @@ bandwidth of sample VMs), and Figure 13 (the per-app cross-VM usage gap).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -162,16 +163,19 @@ class AppBalanceSummary:
     app_count: int
 
 
-def app_balance_summary(dataset: TraceDataset,
-                        min_vms: int = 3) -> AppBalanceSummary:
+def app_balance_summary(dataset: TraceDataset, min_vms: int = 3,
+                        means: Mapping[str, float] | None = None,
+                        ) -> AppBalanceSummary:
     """The per-app usage-gap distribution (P95/P5 of per-VM mean CPU).
 
     Apps with fewer than ``min_vms`` placed VMs cannot exhibit a
     meaningful gap and are excluded, as a plot over apps "using multiple
-    VMs" implies.  Per-VM means come from one chunked pass over the CPU
-    series, so the analysis works unchanged on an out-of-core trace.
+    VMs" implies.  Per-VM means are ``means`` when the caller already
+    has them (``per_vm_means(dataset.cpu_series)``), else they come from
+    one chunked pass over the CPU series, so the analysis works
+    unchanged on an out-of-core trace.
     """
-    mean_map = per_vm_means(dataset.cpu_series)
+    mean_map = per_vm_means(dataset.cpu_series) if means is None else means
     gaps = []
     for app_id in dataset.app_ids_with_vms():
         vms = dataset.vms_of_app(app_id)
@@ -212,12 +216,14 @@ def hottest_app_day_view(dataset: TraceDataset, app_id: str,
     }
 
 
-def find_unbalanced_app(dataset: TraceDataset, min_vms: int = 8) -> str:
+def find_unbalanced_app(dataset: TraceDataset, min_vms: int = 8,
+                        means: Mapping[str, float] | None = None) -> str:
     """The app with the widest cross-VM gap among apps with many VMs.
 
-    Used by the Figure 13(b) bench to pick its showcase app.
+    Used by the Figure 13(b) bench to pick its showcase app.  ``means``
+    are as in :func:`app_balance_summary`.
     """
-    mean_map = per_vm_means(dataset.cpu_series)
+    mean_map = per_vm_means(dataset.cpu_series) if means is None else means
     best_app, best_gap = None, -1.0
     for app_id in dataset.app_ids_with_vms():
         vms = dataset.vms_of_app(app_id)

@@ -3,12 +3,14 @@
 The §4 analyses historically pulled one 1-D row per VM out of
 ``dataset.cpu_series`` / ``bw_series`` and reduced it in a Python loop.
 That shape breaks down out-of-core: a city-scale sharded store serves
-rows from memory-mapped shard files, and touching them one VM at a time
-fault-in pages in the worst possible order.  This module is the shared
-bulk path: :func:`iter_series_chunks` yields bounded ``(vm_ids, rows)``
-windows in trace order from *either* backing store, and the reduction
-helpers (:func:`per_vm_means`, :func:`per_vm_totals`,
-:func:`cpu_row_stats`) compute per-VM scalars window by window.
+rows from shard files, and reading them one VM at a time pays one
+system call per row.  This module is the shared bulk path:
+:func:`iter_series_chunks` yields bounded ``(vm_ids, rows)`` windows in
+trace order from *either* backing store, each at most
+:data:`~repro.shards.WINDOW_BYTES`, and the reduction helpers
+(:func:`per_vm_means`, :func:`per_vm_totals`, :func:`cpu_row_stats`)
+compute per-VM scalars window by window, so a pass holds one window and
+its temporaries however large the store is.
 
 Bit-identity contract
 ---------------------
@@ -44,40 +46,37 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from ..errors import TraceError
-
-#: Default window height for chunked passes.  Matches the sharded
-#: store's shard rows so a window is one zero-copy mmap slice there.
-DEFAULT_CHUNK_ROWS = 1024
+from ..shards import window_rows
 
 
 def iter_series_chunks(series: Mapping[str, np.ndarray],
-                       rows: int = DEFAULT_CHUNK_ROWS,
+                       rows: int | None = None,
                        ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Yield ``(vm_ids, rows_2d)`` windows over a series mapping.
 
     Works on both backing stores: a
-    :class:`~repro.shards.ShardedSeriesMap` serves shard-aligned
-    zero-copy mmap windows via its own ``iter_windows``; a plain dict is
-    stacked into float32 windows of ``rows`` rows.  Windows arrive in
-    trace (insertion) order either way, and each row in a window is
-    bit-equal to the mapping's 1-D row.
+    :class:`~repro.shards.ShardedSeriesMap` reads shard-aligned windows
+    via its own ``iter_windows``; a plain dict is stacked into windows.
+    Either way a window holds as many rows as fit in
+    :data:`~repro.shards.WINDOW_BYTES`, capped at ``rows`` when given,
+    windows arrive in trace (insertion) order, and each row in a window
+    is bit-equal to the mapping's 1-D row.
 
     Raises:
         TraceError: on a non-positive ``rows``.
     """
-    if rows <= 0:
-        raise TraceError(f"chunk rows must be positive, got {rows}")
     if hasattr(series, "iter_windows"):
         yield from series.iter_windows(rows=rows)
         return
     vm_ids = list(series)
-    for start in range(0, len(vm_ids), rows):
-        window_ids = vm_ids[start:start + rows]
+    step = window_rows(series[vm_ids[0]].nbytes if vm_ids else 1, rows)
+    for start in range(0, len(vm_ids), step):
+        window_ids = vm_ids[start:start + step]
         yield window_ids, np.stack([series[vm_id] for vm_id in window_ids])
 
 
 def per_vm_means(series: Mapping[str, np.ndarray],
-                 rows: int = DEFAULT_CHUNK_ROWS) -> dict[str, float]:
+                 rows: int | None = None) -> dict[str, float]:
     """Per-VM mean of every row, as ``float(row.mean())`` would give."""
     means: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
@@ -88,7 +87,7 @@ def per_vm_means(series: Mapping[str, np.ndarray],
 
 
 def per_vm_totals(series: Mapping[str, np.ndarray],
-                  rows: int = DEFAULT_CHUNK_ROWS) -> dict[str, float]:
+                  rows: int | None = None) -> dict[str, float]:
     """Per-VM sum of every row, as ``float(row.sum())`` would give."""
     totals: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
@@ -123,7 +122,7 @@ def row_p95(window: np.ndarray) -> np.ndarray:
 
 
 def cpu_row_stats(series: Mapping[str, np.ndarray],
-                  rows: int = DEFAULT_CHUNK_ROWS,
+                  rows: int | None = None,
                   ) -> tuple[dict[str, float], dict[str, float],
                              dict[str, float]]:
     """Per-VM ``(mean, p95, cv)`` of the CPU rows in one chunked pass.

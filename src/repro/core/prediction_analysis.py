@@ -22,6 +22,7 @@ from ..prediction.evaluate import (
 )
 from ..prediction.seasonality import seasonality_strength
 from ..trace.dataset import TraceDataset
+from .chunks import per_vm_means
 from .stats import ECDF
 
 
@@ -54,9 +55,13 @@ class PredictionStudyResult:
 
 def _sample_vm_ids(dataset: TraceDataset, count: int,
                    rng: np.random.Generator) -> list[str]:
-    """Sample prediction subjects, preferring VMs with non-trivial load."""
+    """Sample prediction subjects, preferring VMs with non-trivial load.
+
+    Every VM's mean CPU comes from one chunked pass over the series.
+    """
     vm_ids = dataset.vm_ids()
-    active = [v for v in vm_ids if dataset.mean_cpu(v) > 0.01]
+    means = per_vm_means(dataset.cpu_series)
+    active = [v for v in vm_ids if means[v] > 0.01]
     pool = active if len(active) >= count else vm_ids
     if len(pool) <= count:
         return list(pool)

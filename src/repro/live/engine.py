@@ -310,6 +310,22 @@ def run_live_engine(inputs: LiveInputs, journal=None,
               for name in SERIES}
     fault_ticks: list[int] = []
 
+    # Per-server arrays every tick rewrites, allocated once per run.
+    up = np.empty(n, dtype=bool)
+    down = np.empty(n, dtype=bool)
+    scale_mask = np.empty(n, dtype=bool)
+    free = np.empty(n, dtype=np.int64)
+    departed = np.empty(n, dtype=np.int64)
+    candidate = np.empty(n, dtype=np.int64)
+    churn = np.empty(n, dtype=np.float64)
+    util = np.empty(n, dtype=np.float64)
+
+    def free_slots() -> np.ndarray:
+        """``np.where(up, slots - active, 0)``, in ``free``."""
+        np.subtract(slots, active, out=free)
+        np.copyto(free, 0, where=down)
+        return free
+
     for t in range(inputs.ticks):
         evacuated = displaced = 0
         changes = by_tick.get(t)
@@ -323,10 +339,9 @@ def run_live_engine(inputs: LiveInputs, journal=None,
                 evacuated = int(active[newly_down].sum())
                 active[newly_down] = 0
                 acc[newly_down] = 0.0
-            up = ~now_down
+            np.copyto(down, now_down)
             if evacuated:
-                free = np.where(up, slots - active, 0)
-                moved = _largest_remainder(evacuated, free)
+                moved = _largest_remainder(evacuated, free_slots())
                 np.add(active, moved, out=active)
                 displaced = evacuated - int(moved.sum())
             fault_ticks.append(t)
@@ -335,33 +350,38 @@ def run_live_engine(inputs: LiveInputs, journal=None,
                              down=int(now_down.sum()),
                              evacuated=evacuated,
                              displaced=displaced)
-        up = down_count == 0
+        np.equal(down_count, 0, out=up)
+        np.logical_not(up, out=down)
 
-        np.add(acc, active * p, out=acc)
-        departed = np.floor(acc).astype(np.int64)
+        np.add(acc, np.multiply(active, p, out=churn), out=acc)
+        np.copyto(departed, np.floor(acc, out=churn), casting="unsafe")
         np.subtract(acc, departed, out=acc)
         np.subtract(active, departed, out=active)
 
         n_arrivals = int(inputs.arrivals[t])
-        free = np.where(up, slots - active, 0)
-        placed = _largest_remainder(n_arrivals, free)
+        placed = _largest_remainder(n_arrivals, free_slots())
         np.add(active, placed, out=active)
         admitted = int(placed.sum())
 
-        util = active / slots
-        ewma_next = EWMA_ALPHA * util + (1.0 - EWMA_ALPHA) * ewma
-        ewma[:] = ewma_next
+        # ewma = EWMA_ALPHA * util + (1 - EWMA_ALPHA) * ewma
+        np.divide(active, slots, out=util)
+        np.multiply(EWMA_ALPHA, util, out=util)
+        np.add(util, np.multiply(1.0 - EWMA_ALPHA, ewma, out=ewma),
+               out=ewma)
         if inputs.autoscale:
-            slots[:] = np.where(ewma > SCALE_UP_UTIL,
-                                np.minimum(slots + grow, max_slots),
-                                slots)
-            slots[:] = np.where(ewma < SCALE_DOWN_UTIL,
-                                np.maximum(slots - grow, base),
-                                slots)
+            np.minimum(np.add(slots, grow, out=candidate), max_slots,
+                       out=candidate)
+            np.copyto(slots, candidate,
+                      where=np.greater(ewma, SCALE_UP_UTIL, out=scale_mask))
+            np.maximum(np.subtract(slots, grow, out=candidate), base,
+                       out=candidate)
+            np.copyto(slots, candidate,
+                      where=np.less(ewma, SCALE_DOWN_UTIL, out=scale_mask))
 
         series["active"][t] = int(active.sum())
-        series["capacity"][t] = int(slots[up].sum())
-        series["down_servers"][t] = int((~up).sum())
+        series["capacity"][t] = int(np.multiply(slots, up,
+                                                out=candidate).sum())
+        series["down_servers"][t] = int(np.count_nonzero(down))
         series["arrivals"][t] = n_arrivals
         series["admitted"][t] = admitted
         series["rejected"][t] = n_arrivals - admitted

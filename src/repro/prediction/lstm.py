@@ -4,7 +4,8 @@
 input, the gate weights count 4 x (24 x (1 + 24) + 24) = 2496.  A linear
 read-out maps the final hidden state to the scalar forecast.  Training is
 full-batch BPTT with Adam on mean squared error; everything is vectorised
-over the batch so per-VM training stays in the hundreds of milliseconds.
+over the batch so per-VM training stays in the hundreds of milliseconds,
+and every step writes into buffers allocated once per batch shape.
 """
 
 from __future__ import annotations
@@ -20,6 +21,41 @@ HIDDEN_UNITS = 24
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_sigmoid` of ``x`` computed in ``out``, op for op."""
+    np.clip(x, -30.0, 30.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+
+
+class _TrainingBuffers:
+    """Every array one BPTT pass over a ``(B, T)`` batch writes.
+
+    ``z[t]`` is step ``t``'s input ``[x_t, h_{t-1}]`` (step ``t`` writes
+    ``h_t`` into ``z[t + 1]``, the last step into ``final_h``); ``i``,
+    ``f``, ``g``, ``o`` and ``tanh_c`` are the step activations and
+    ``c[t + 1]`` the cell state after step ``t`` (``c[0]`` is zero).
+    The rest is per-step scratch for the forward and backward passes.
+    """
+
+    def __init__(self, T: int, B: int, H: int) -> None:
+        self.shape = (T, B)
+        self.z = np.empty((T, B, 1 + H))
+        self.i, self.f, self.g, self.o, self.tanh_c = (
+            np.empty((T, B, H)) for _ in range(5))
+        self.c = np.zeros((T + 1, B, H))
+        self.final_h = np.empty((B, H))
+        self.gates = np.empty((B, 4 * H))
+        self.d_gates = np.empty((B, 4 * H))
+        self.d_z = np.empty((B, 1 + H))
+        self.d_c, self.scratch, self.scratch2 = (
+            np.empty((B, H)) for _ in range(3))
+        self.d_w = np.empty((1 + H, 4 * H))
+        self.d_b = np.empty(4 * H)
 
 
 @dataclass
@@ -70,6 +106,7 @@ class LSTMForecaster:
         )
         self._mean = 0.0
         self._scale = 1.0
+        self._buffers: _TrainingBuffers | None = None
 
     @property
     def lstm_weight_count(self) -> int:
@@ -90,61 +127,89 @@ class LSTMForecaster:
 
     # ---- forward / backward -------------------------------------------------
 
-    def _forward(self, batch: np.ndarray):
-        """Run the LSTM over a (B, T) batch; returns output and caches."""
-        B, T = batch.shape
-        h_units = self.hidden
-        W, b = self.params["W"], self.params["b"]
-        h = np.zeros((B, h_units))
-        c = np.zeros((B, h_units))
-        caches = []
-        for t in range(T):
-            x = batch[:, t:t + 1]
-            z = np.concatenate([x, h], axis=1)
-            gates = z @ W + b
-            i = _sigmoid(gates[:, :h_units])
-            f = _sigmoid(gates[:, h_units:2 * h_units])
-            g = np.tanh(gates[:, 2 * h_units:3 * h_units])
-            o = _sigmoid(gates[:, 3 * h_units:])
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            new_h = o * tanh_c
-            caches.append((z, i, f, g, o, c.copy(), tanh_c, h))
-            h = new_h
-        y = h @ self.params["Wy"] + self.params["by"]
-        return y[:, 0], h, caches
+    def _training_buffers(self, T: int, B: int) -> _TrainingBuffers:
+        """This instance's BPTT buffers for a ``(B, T)`` batch, allocated
+        on the first batch of that shape and reused after it."""
+        buffers = self._buffers
+        if buffers is None or buffers.shape != (T, B):
+            buffers = self._buffers = _TrainingBuffers(T, B, self.hidden)
+        return buffers
 
-    def _backward(self, batch: np.ndarray, y_pred: np.ndarray,
-                  y_true: np.ndarray, final_h: np.ndarray,
-                  caches) -> dict[str, np.ndarray]:
+    def _forward(self, batch: np.ndarray) -> np.ndarray:
+        """Run the LSTM over a (B, T) batch; returns the (B,) output.
+
+        The activations of every step stay in this instance's
+        :class:`_TrainingBuffers` for :meth:`_backward`, so the next
+        call overwrites them.
+        """
         B, T = batch.shape
-        h_units = self.hidden
+        H = self.hidden
+        W, b = self.params["W"], self.params["b"]
+        buf = self._training_buffers(T, B)
+        z, gates = buf.z, buf.gates
+        z[:, :, 0] = batch.T
+        z[0, :, 1:] = 0.0
+        for t in range(T):
+            np.matmul(z[t], W, out=gates)
+            np.add(gates, b, out=gates)
+            _sigmoid_into(gates[:, :H], buf.i[t])
+            _sigmoid_into(gates[:, H:2 * H], buf.f[t])
+            np.tanh(gates[:, 2 * H:3 * H], out=buf.g[t])
+            _sigmoid_into(gates[:, 3 * H:], buf.o[t])
+            # c = f * c_prev + i * g
+            c = buf.c[t + 1]
+            np.multiply(buf.f[t], buf.c[t], out=c)
+            np.add(c, np.multiply(buf.i[t], buf.g[t], out=buf.scratch), out=c)
+            np.tanh(c, out=buf.tanh_c[t])
+            h = z[t + 1, :, 1:] if t + 1 < T else buf.final_h
+            np.multiply(buf.o[t], buf.tanh_c[t], out=h)
+        y = buf.final_h @ self.params["Wy"] + self.params["by"]
+        return y[:, 0]
+
+    def _backward(self, y_pred: np.ndarray,
+                  y_true: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of the mean squared error over the batch of the last
+        :meth:`_forward`."""
+        buf = self._buffers
+        T, B = buf.shape
+        H = self.hidden
         W = self.params["W"]
         d_y = (2.0 / B) * (y_pred - y_true)[:, None]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads["Wy"] = final_h.T @ d_y
+        grads["Wy"] = buf.final_h.T @ d_y
         grads["by"] = d_y.sum(axis=0)
         d_h = d_y @ self.params["Wy"].T
-        d_c = np.zeros((B, h_units))
+        d_c = buf.d_c
+        d_c.fill(0.0)
+        d_gates, t1, t2 = buf.d_gates, buf.scratch, buf.scratch2
+        d_i, d_f = d_gates[:, :H], d_gates[:, H:2 * H]
+        d_g, d_o = d_gates[:, 2 * H:3 * H], d_gates[:, 3 * H:]
         for t in range(T - 1, -1, -1):
-            z, i, f, g, o, c, tanh_c, _h_prev = caches[t]
-            d_o = d_h * tanh_c
-            d_c = d_c + d_h * o * (1.0 - tanh_c ** 2)
-            d_i = d_c * g
-            d_g = d_c * i
-            c_prev = caches[t - 1][5] if t > 0 else np.zeros((B, h_units))
-            d_f = d_c * c_prev
-            d_gates = np.concatenate([
-                d_i * i * (1 - i),
-                d_f * f * (1 - f),
-                d_g * (1 - g ** 2),
-                d_o * o * (1 - o),
-            ], axis=1)
-            grads["W"] += z.T @ d_gates
-            grads["b"] += d_gates.sum(axis=0)
-            d_z = d_gates @ W.T
-            d_h = d_z[:, 1:]
-            d_c = d_c * f
+            i, f, g, o = buf.i[t], buf.f[t], buf.g[t], buf.o[t]
+            tanh_c = buf.tanh_c[t]
+            # d_c = d_c + d_h * o * (1.0 - tanh_c ** 2)
+            np.multiply(d_h, o, out=t1)
+            np.subtract(1.0, np.square(tanh_c, out=t2), out=t2)
+            np.add(d_c, np.multiply(t1, t2, out=t1), out=d_c)
+            # d_gates = [d_i * i * (1 - i), d_f * f * (1 - f),
+            #            d_g * (1 - g ** 2), d_o * o * (1 - o)],
+            # with d_i = d_c * g, d_f = d_c * c_prev, d_g = d_c * i and
+            # d_o = d_h * tanh_c.
+            np.multiply(np.multiply(d_c, g, out=d_i), i, out=d_i)
+            np.multiply(d_i, np.subtract(1, i, out=t1), out=d_i)
+            np.multiply(np.multiply(d_c, buf.c[t], out=d_f), f, out=d_f)
+            np.multiply(d_f, np.subtract(1, f, out=t1), out=d_f)
+            np.multiply(d_c, i, out=d_g)
+            np.subtract(1, np.square(g, out=t1), out=t1)
+            np.multiply(d_g, t1, out=d_g)
+            np.multiply(np.multiply(d_h, tanh_c, out=d_o), o, out=d_o)
+            np.multiply(d_o, np.subtract(1, o, out=t1), out=d_o)
+            np.add(grads["W"], np.matmul(buf.z[t].T, d_gates, out=buf.d_w),
+                   out=grads["W"])
+            np.add(grads["b"], d_gates.sum(axis=0, out=buf.d_b),
+                   out=grads["b"])
+            d_h = np.matmul(d_gates, W.T, out=buf.d_z)[:, 1:]
+            np.multiply(d_c, f, out=d_c)
         return grads
 
     def _adam_step(self, grads: dict[str, np.ndarray]) -> None:
@@ -174,8 +239,7 @@ class LSTMForecaster:
         normalised = (series - self._mean) / self._scale
         windows, targets = self._make_windows(normalised)
         for _ in range(self.epochs):
-            y_pred, final_h, caches = self._forward(windows)
-            grads = self._backward(windows, y_pred, targets, final_h, caches)
+            grads = self._backward(self._forward(windows), targets)
             self._adam_step(grads)
         return self
 

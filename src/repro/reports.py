@@ -19,6 +19,7 @@ from .core.balance import (
     machine_imbalance,
     site_imbalance,
 )
+from .core.chunks import per_vm_means
 from .core.cost_analysis import run_cost_study
 from .core.deployment import PLATFORM_DEPLOYMENTS, density_of
 from .core.latency_analysis import (
@@ -212,8 +213,8 @@ def fig11(study: EdgeStudy) -> str:
 
 def fig12(study: EdgeStudy) -> str:
     dataset = study.nep.dataset
-    sample = [v for v in dataset.vm_ids()
-              if dataset.bw_series[v].mean() > 1.0][:100]
+    bw_means = per_vm_means(dataset.bw_series)
+    sample = [v for v in dataset.vm_ids() if bw_means[v] > 1.0][:100]
     # The figure needs several periods to show week-over-week swings; on
     # short (smoke) traces fall back to daily averages so the report
     # stays meaningful instead of printing all-zero weekly CVs.
@@ -246,11 +247,16 @@ def fig12(study: EdgeStudy) -> str:
 
 def fig13(study: EdgeStudy) -> str:
     rows = []
-    for dataset in (study.nep.dataset, study.azure.dataset):
-        s = app_balance_summary(dataset)
+    # Each platform's CPU series is scanned once; the showcase app reuses
+    # NEP's per-VM means.
+    nep_means = per_vm_means(study.nep.dataset.cpu_series)
+    for dataset, means in ((study.nep.dataset, nep_means),
+                           (study.azure.dataset, None)):
+        s = app_balance_summary(dataset, means=means)
         rows.append((s.platform, s.app_count, s.gaps_cdf.median,
                      s.fraction_above_50x))
-    app_id = find_unbalanced_app(study.nep.dataset, min_vms=8)
+    app_id = find_unbalanced_app(study.nep.dataset, min_vms=8,
+                                 means=nep_means)
     return format_table(
         ["platform", "apps", "median gap", "share >50x"], rows,
         title=f"Figure 13 — cross-VM gap (showcase app: {app_id})")

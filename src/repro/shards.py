@@ -6,9 +6,13 @@ process should materialise.  This module stores such a series as a
 directory of fixed-size ``.npy`` *shards* (one per contiguous VM-row
 range) plus a tiny ``shards.json`` index, and reads it back through
 :class:`ShardedSeriesMap`: a lazy, read-only ``Mapping[vm_id, row]``
-that memory-maps one shard at a time and can iterate bounded
-``(vm_ids, rows)`` windows for the chunked analyses in
-:mod:`repro.core.chunks`.
+that reads each row, or each bounded ``(vm_ids, rows)`` window for the
+chunked analyses in :mod:`repro.core.chunks`, into a fresh array with
+``os.preadv``.  Nothing is memory-mapped: the process holds only the
+window it is working on (at most :data:`WINDOW_BYTES`), never the
+shard pages it has already read, and a shard truncated under a live
+map raises :class:`~repro.errors.TraceError` instead of killing the
+process with ``SIGBUS``.
 
 The writer half holds no rows at all.  Any process writes a block at
 its global row offset straight into the final shard files through a
@@ -59,6 +63,11 @@ from .resilience import failpoint
 #: shard's pages at a time.
 DEFAULT_SHARD_ROWS = 1024
 
+#: Bytes one bulk read brings in: a window holds as many whole rows as
+#: fit (at least one).  At paper resolution (132 480 float32 points, 518
+#: KiB a row) that is 15 rows; a window never crosses a shard boundary.
+WINDOW_BYTES = 8 << 20
+
 #: Index file describing every sharded series kind inside a store dir.
 SHARD_INDEX_NAME = "shards.json"
 
@@ -100,6 +109,19 @@ class ShardLayout:
 def shard_path(root: Path, kind: str, index: int) -> Path:
     """The file holding shard ``index`` of series kind ``kind``."""
     return Path(root) / kind / f"shard-{index:05d}.npy"
+
+
+def window_rows(row_bytes: int, rows: int | None = None) -> int:
+    """Rows per bulk window: as many whole rows as fit in
+    :data:`WINDOW_BYTES` (at least one), capped at ``rows`` when given.
+
+    Raises:
+        TraceError: on a non-positive ``rows``.
+    """
+    if rows is not None and rows <= 0:
+        raise TraceError(f"window rows must be positive, got {rows}")
+    budget = max(WINDOW_BYTES // max(int(row_bytes), 1), 1)
+    return budget if rows is None else min(int(rows), budget)
 
 
 def write_shard_index(root: Path, layouts: list[ShardLayout]) -> None:
@@ -366,8 +388,9 @@ class ShardWriter:
 
 def _verify_shard(path: Path, expected_rows: int, points: int,
                   checksum: str | None = None,
-                  deep: bool = False) -> None:
-    """Check one shard's header and payload size without loading it.
+                  deep: bool = False) -> int:
+    """Check one shard's header and payload size without loading it;
+    return the byte offset of its payload.
 
     With ``deep=True`` and a recorded ``checksum``, the payload bytes
     are additionally hashed and compared — the full-integrity pass
@@ -415,32 +438,39 @@ def _verify_shard(path: Path, expected_rows: int, points: int,
         if digest != checksum:
             raise TraceError(
                 f"shard {path.name}: payload checksum mismatch")
+    return data_start
 
 
 def verify_layout(root: Path, layout: ShardLayout,
-                  deep: bool = False) -> None:
-    """Check every shard of one series kind with :func:`_verify_shard`.
+                  deep: bool = False) -> list[int]:
+    """Check every shard of one series kind with :func:`_verify_shard`;
+    return each shard's payload offset, in shard order.
 
     Raises:
         TraceError: on the first shard that fails.
     """
     checksums = layout.checksums
+    offsets = []
     for shard in range(layout.n_shards):
         start, stop = layout.shard_extent(shard)
-        _verify_shard(shard_path(root, layout.kind, shard), stop - start,
-                      layout.points,
-                      checksum=(checksums[shard]
-                                if shard < len(checksums) else None),
-                      deep=deep)
+        offsets.append(_verify_shard(
+            shard_path(root, layout.kind, shard), stop - start,
+            layout.points,
+            checksum=checksums[shard] if shard < len(checksums) else None,
+            deep=deep))
+    return offsets
 
 
 class ShardedSeriesMap(Mapping):
     """Read-only ``{vm_id: row}`` view over a sharded series store.
 
-    ``__getitem__`` returns a float32 row *view* into the shard's
-    memory map while keeping at most a small number of shard maps open.
-    :meth:`iter_windows` is the bulk path: shard-bounded, zero-copy
-    ``(vm_ids, rows)`` windows in trace order for the chunked analyses.
+    ``__getitem__`` reads one float32 row from its shard into a fresh
+    read-only array.  :meth:`iter_windows` is the bulk path: bounded,
+    shard-aligned ``(vm_ids, rows)`` windows in trace order for the
+    chunked analyses, each read into a fresh array of at most
+    :data:`WINDOW_BYTES`.  Every read is an ``os.preadv`` into that
+    array; no shard is ever memory-mapped, so the process holds only
+    the arrays its caller keeps.
     """
 
     def __init__(self, root: Path, layout: ShardLayout,
@@ -459,7 +489,12 @@ class ShardedSeriesMap(Mapping):
         #: vm_id -> global row.  Shareable across kinds with one order.
         self._index = (index if index is not None
                        else {vm_id: i for i, vm_id in enumerate(order)})
-        self._maps: dict[int, np.ndarray] = {}
+        self._paths = [os.fspath(shard_path(self.root, layout.kind, shard))
+                       for shard in range(layout.n_shards)]
+        #: Per-shard payload offset from its ``.npy`` header; ``None``
+        #: until the shard is verified (at load, or before its first
+        #: read when verification was deferred).
+        self._offsets: list[int | None] = [None] * layout.n_shards
         if verify:
             self.verify()
 
@@ -469,27 +504,53 @@ class ShardedSeriesMap(Mapping):
         ``deep=True`` additionally hashes each shard's payload against
         the recorded checksum (when the index carries one).
         """
-        verify_layout(self.root, self.layout, deep=deep)
+        self._offsets = verify_layout(self.root, self.layout, deep=deep)
 
-    def _shard(self, index: int) -> np.ndarray:
-        cached = self._maps.get(index)
-        if cached is None:
-            cached = np.load(shard_path(self.root, self.layout.kind, index),
-                             mmap_mode="r")
-            start, stop = self.layout.shard_extent(index)
-            if cached.shape != (stop - start, self.layout.points):
-                raise TraceError(
-                    f"{self.layout.kind} shard {index}: shape "
-                    f"{cached.shape} does not match layout")
-            self._maps[index] = cached
-        return cached
+    def _read(self, shard: int, local: int,
+              shape: tuple[int, ...]) -> np.ndarray:
+        """The rows of shard ``shard`` from row ``local`` on, read into a
+        fresh read-only array of ``shape`` (``(points,)`` for one row,
+        ``(count, points)`` for a window).
+
+        Raises:
+            TraceError: when the shard is missing or ends before the
+                rows (truncated after the map was opened).
+        """
+        layout = self.layout
+        path = self._paths[shard]
+        payload = self._offsets[shard]
+        if payload is None:
+            first, stop = layout.shard_extent(shard)
+            payload = _verify_shard(Path(path), stop - first,
+                                    layout.points)
+            self._offsets[shard] = payload
+        out = np.empty(shape, dtype=SHARD_DTYPE)
+        view = memoryview(out).cast("B")
+        offset = payload + local * layout.points * out.itemsize
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise TraceError(
+                f"missing shard {os.path.basename(path)}") from None
+        try:
+            while view:
+                got = os.preadv(fd, [view], offset)
+                if not got:
+                    raise TraceError(
+                        f"shard {os.path.basename(path)}: ends before "
+                        f"byte {offset + len(view)} (truncated)")
+                view = view[got:]
+                offset += got
+        finally:
+            os.close(fd)
+        out.flags.writeable = False
+        return out
 
     # ---- Mapping protocol ------------------------------------------------
 
     def __getitem__(self, vm_id: str) -> np.ndarray:
-        row = self._index[vm_id]
-        shard, offset = divmod(row, self.layout.shard_rows)
-        return self._shard(shard)[offset]
+        shard, local = divmod(self._index[vm_id], self.layout.shard_rows)
+        return self._read(shard, local, (self.layout.points,))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._order)
@@ -506,20 +567,21 @@ class ShardedSeriesMap(Mapping):
                      ) -> Iterator[tuple[list[str], np.ndarray]]:
         """Yield ``(vm_ids, rows_2d)`` windows in trace order.
 
-        Windows never cross a shard boundary, so each yielded 2-D array
-        is a contiguous zero-copy slice of one shard's memory map.
-        ``rows`` caps the window height (default: whole shards).
+        Each window is as many rows as fit in :data:`WINDOW_BYTES`,
+        capped at ``rows`` when given, and never crosses a shard
+        boundary.  Every window is a fresh array, so a caller may keep
+        any of them.
         """
-        step = self.layout.shard_rows if rows is None \
-            else min(int(rows), self.layout.shard_rows)
-        if step <= 0:
-            raise TraceError(f"window rows must be positive, got {rows}")
-        for shard in range(self.layout.n_shards):
-            start, stop = self.layout.shard_extent(shard)
-            data = self._shard(shard)
-            for lo in range(0, stop - start, step):
-                hi = min(lo + step, stop - start)
-                yield (self._order[start + lo:start + hi], data[lo:hi])
+        layout = self.layout
+        step = window_rows(
+            layout.points * np.dtype(SHARD_DTYPE).itemsize, rows)
+        for shard in range(layout.n_shards):
+            start, stop = layout.shard_extent(shard)
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                window = self._read(shard, lo - start,
+                                    (hi - lo, layout.points))
+                yield self._order[lo:hi], window
 
 
 def load_sharded_series(root: Path, orders: dict[str, list[str]],

@@ -114,15 +114,16 @@ class EdgeStudy:
         """Load a generated workload from the cache, or build and store it.
 
         A hit bumps the ``cache_hit:<name>`` counter and skips
-        generation entirely (the returned series are memory-mapped from
-        the cache entry); a miss builds with this study's ``jobs``
-        setting.  Rendered series rows flow through a
+        generation entirely (the returned series read their rows from
+        the cache entry's shards on demand); a miss builds with this
+        study's ``jobs`` setting.  Rendered series rows flow through a
         :class:`~repro.workload.streaming.WorkloadSink` into sharded
         on-disk storage as they are produced — directly into the cache
         entry when a cache is configured (no separate store step), or
         into a spill directory that lives as long as the series
-        otherwise.  Either way the returned dataset serves its series
-        from memory maps and the working set stays bounded.
+        otherwise.  Either way the returned dataset reads its series
+        from the shards a row or a bounded window at a time, and the
+        working set stays bounded.
         """
         if self.cache is not None:
             cached = self.cache.get_workload(name, self.scenario)

@@ -165,7 +165,7 @@ class TestRowP95:
                               np.percentile(window, 95, axis=1))
 
     def test_read_only_window(self):
-        """Sharded windows are read-only memory maps."""
+        """Sharded windows are read-only arrays."""
         window = np.random.default_rng(1).random((3, 50)).astype(np.float32)
         window.flags.writeable = False
         assert np.array_equal(row_p95(window),

@@ -84,7 +84,7 @@ class TestPrediction:
 def _reference_predict(model, history):
     """A single-window forecast through the training-time forward pass."""
     window = (history[-model.window:] - model._mean) / model._scale
-    y_pred, _, _ = model._forward(window[None, :])
+    y_pred = model._forward(window[None, :])
     return float(y_pred[0] * model._scale + model._mean)
 
 
@@ -126,3 +126,104 @@ class TestBatchedWalkForward:
         else:
             with pytest.raises(PredictionError):
                 model.walk_forward(train, test)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _fresh_forward(model, batch):
+    """BPTT forward pass that allocates fresh arrays at every step."""
+    B, T = batch.shape
+    h_units = model.hidden
+    W, b = model.params["W"], model.params["b"]
+    h = np.zeros((B, h_units))
+    c = np.zeros((B, h_units))
+    caches = []
+    for t in range(T):
+        x = batch[:, t:t + 1]
+        z = np.concatenate([x, h], axis=1)
+        gates = z @ W + b
+        i = _sigmoid(gates[:, :h_units])
+        f = _sigmoid(gates[:, h_units:2 * h_units])
+        g = np.tanh(gates[:, 2 * h_units:3 * h_units])
+        o = _sigmoid(gates[:, 3 * h_units:])
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        new_h = o * tanh_c
+        caches.append((z, i, f, g, o, c.copy(), tanh_c, h))
+        h = new_h
+    y = h @ model.params["Wy"] + model.params["by"]
+    return y[:, 0], h, caches
+
+
+def _fresh_backward(model, batch, y_pred, y_true, final_h, caches):
+    """BPTT backward pass that allocates fresh arrays at every step."""
+    B, T = batch.shape
+    h_units = model.hidden
+    W = model.params["W"]
+    d_y = (2.0 / B) * (y_pred - y_true)[:, None]
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    grads["Wy"] = final_h.T @ d_y
+    grads["by"] = d_y.sum(axis=0)
+    d_h = d_y @ model.params["Wy"].T
+    d_c = np.zeros((B, h_units))
+    for t in range(T - 1, -1, -1):
+        z, i, f, g, o, c, tanh_c, _h_prev = caches[t]
+        d_o = d_h * tanh_c
+        d_c = d_c + d_h * o * (1.0 - tanh_c ** 2)
+        d_i = d_c * g
+        d_g = d_c * i
+        c_prev = caches[t - 1][5] if t > 0 else np.zeros((B, h_units))
+        d_f = d_c * c_prev
+        d_gates = np.concatenate([
+            d_i * i * (1 - i),
+            d_f * f * (1 - f),
+            d_g * (1 - g ** 2),
+            d_o * o * (1 - o),
+        ], axis=1)
+        grads["W"] += z.T @ d_gates
+        grads["b"] += d_gates.sum(axis=0)
+        d_z = d_gates @ W.T
+        d_h = d_z[:, 1:]
+        d_c = d_c * f
+    return grads
+
+
+def _fresh_fit(model, series):
+    """``LSTMForecaster.fit`` over the fresh-array passes above."""
+    series = np.asarray(series, dtype=float)
+    model._mean = float(series.mean())
+    model._scale = float(series.std()) or 1.0
+    windows, targets = model._make_windows(
+        (series - model._mean) / model._scale)
+    for _ in range(model.epochs):
+        y_pred, final_h, caches = _fresh_forward(model, windows)
+        model._adam_step(_fresh_backward(model, windows, y_pred, targets,
+                                         final_h, caches))
+    return model
+
+
+class TestPreallocatedTraining:
+    """Training in reused buffers equals fresh arrays at every step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.integers(2, 30), hidden=st.integers(1, 30),
+           epochs=st.integers(1, 4), seed=st.integers(0, 2**16),
+           extra=st.integers(0, 60), refit=st.integers(0, 20),
+           level=st.sampled_from([1e-3, 1.0, 250.0]))
+    def test_fit_and_forecasts_bit_equal(self, window, hidden, epochs, seed,
+                                         extra, refit, level):
+        rng = np.random.default_rng(seed)
+        series = level * rng.random(window + 1 + extra + refit + 10)
+        train, test = series[:-10], series[-10:]
+        models = [LSTMForecaster(window=window, hidden=hidden,
+                                 epochs=epochs, seed=seed) for _ in range(2)]
+        fast, fresh = models[0].fit(train), _fresh_fit(models[1], train)
+        # A second fit on a shorter series reshapes the buffers.
+        fast.fit(train[refit:])
+        _fresh_fit(fresh, train[refit:])
+        for key, value in fresh.params.items():
+            assert fast.params[key].tobytes() == value.tobytes()
+        assert (fast.walk_forward(train, test).tobytes()
+                == fresh.walk_forward(train, test).tobytes())

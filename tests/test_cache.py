@@ -167,12 +167,18 @@ class TestWorkloadRoundTrip:
         assert repr(src.vms) == repr(dst.vms)
         assert repr(nep_workload.platform.sites) == repr(loaded.platform.sites)
 
-    def test_loaded_series_are_memory_mapped(self, cache, nep_workload):
+    def test_loaded_rows_are_fresh_reads_of_the_entry(self, cache,
+                                                      nep_workload):
+        """Rows come from the entry's shard bytes, a new array per read."""
         store_workload(cache, "workload_nep", nep_workload)
         loaded = cache.get_workload("workload_nep", SCENARIO)
-        first = next(iter(loaded.dataset.cpu_series.values()))
-        assert isinstance(np.asarray(first).base, np.memmap) or isinstance(
-            first, np.memmap) or first.base is not None
+        series = loaded.dataset.cpu_series
+        vm_id = next(iter(series))
+        first, again = series[vm_id], series[vm_id]
+        entry = cache._entry_dir(cache.key("workload_nep", SCENARIO))
+        stored = np.load(entry / "cpu" / "shard-00000.npy")[0]
+        assert first.tobytes() == stored.tobytes()
+        assert not np.shares_memory(first, again)
 
     def test_truncated_series_is_a_miss(self, cache, nep_workload):
         store_workload(cache, "workload_nep", nep_workload)

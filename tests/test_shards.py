@@ -11,21 +11,27 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cache import ArtifactCache
 from repro.config import Scenario
 from repro.errors import TraceError
 from repro.shards import (
     DEFAULT_SHARD_ROWS,
+    WINDOW_BYTES,
     ShardedSeriesMap,
     ShardLayout,
     ShardWriter,
@@ -181,11 +187,16 @@ class TestShardedSeriesMap:
             assert vm_id in series
             assert np.array_equal(series[vm_id], data[i])
 
-    def test_rows_are_mmap_views(self, tmp_path):
+    def test_rows_are_fresh_reads_of_the_stored_bytes(self, tmp_path):
+        """A row is read from its shard into an array of its own."""
         order, _ = _write_store(tmp_path)
         series = load_sharded_series(tmp_path, {"cpu": order})["cpu"]
-        row = series[order[0]]
-        assert isinstance(row.base, np.memmap) or isinstance(row, np.memmap)
+        first, again = series[order[5]], series[order[5]]
+        # Row 5 is row 1 of shard 1 at four rows per shard.
+        stored = np.load(shard_path(tmp_path, "cpu", 1))[1]
+        assert first.tobytes() == stored.tobytes()
+        assert not np.shares_memory(first, again)
+        assert not first.flags.writeable
 
     def test_iter_windows_covers_in_order(self, tmp_path):
         order, data = _write_store(tmp_path, rows=10, shard_rows=4)
@@ -263,6 +274,97 @@ class TestCorruptionDetection:
         series = ShardedSeriesMap(tmp_path, layout, order, verify=False)
         with pytest.raises(TraceError):
             series.verify()
+
+
+def _child(script: str, *args: object) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this ``repro``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script,
+                           *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
+#: Opens a 10-row store and reads row 4 (shard 1's first row), then
+#: halves shard 1 under the open map and reads row 7 (``row``) or every
+#: window (``windows``) from it.
+_TRUNCATED_READ = """
+import os, sys
+from repro.errors import TraceError
+from repro.shards import load_sharded_series, shard_path
+root, read = sys.argv[1], sys.argv[2]
+order = [f"vm{i}" for i in range(10)]
+series = load_sharded_series(root, {"cpu": order})["cpu"]
+series["vm4"]
+path = shard_path(root, "cpu", 1)
+os.truncate(path, os.path.getsize(path) // 2)
+try:
+    if read == "row":
+        series["vm7"].sum()
+    else:
+        [window.sum() for _, window in series.iter_windows()]
+except TraceError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+class TestReadsAfterLoad:
+    """Reads past a shard truncated after load fail as TraceError.
+
+    Each read runs in a child, so a regression to a memory-mapped read,
+    which dies with SIGBUS there, fails the test instead of pytest.
+    """
+
+    @pytest.mark.parametrize("read", ["row", "windows"])
+    def test_truncated_shard_raises_trace_error(self, tmp_path, read):
+        # 8 KiB rows: half of shard 1 is whole pages past the new end.
+        _write_store(tmp_path, points=2048)
+        child = _child(_TRUNCATED_READ, tmp_path, read)
+        assert child.returncode == 3, (child.returncode, child.stderr)
+        assert "shard-00001.npy" in child.stdout
+
+
+#: How far (MiB) one ``cpu_row_stats`` pass over a store takes the
+#: peak RSS (VmHWM) above the RSS (VmRSS) the pass starts from.
+_SCAN_PEAK_GROWTH = """
+import json, sys
+from repro.core.chunks import cpu_row_stats
+from repro.shards import load_sharded_series, read_shard_index
+def status(field):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+root = sys.argv[1]
+rows = read_shard_index(root)["cpu"].rows
+series = load_sharded_series(root, {"cpu": [str(i) for i in range(rows)]})
+before = status("VmRSS")
+cpu_row_stats(series["cpu"])
+print(json.dumps(status("VmHWM") - before))
+"""
+
+
+class TestScanMemory:
+    #: 1536 rows of 16 384 float32 points: 96 MiB over two shards, twelve
+    #: window budgets.
+    ROWS, POINTS = 1536, 16_384
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmRSS/VmHWM from /proc")
+    def test_scan_grows_peak_rss_by_less_than_half_the_store(self,
+                                                            tmp_path):
+        writer = ShardWriter(tmp_path, "cpu", self.POINTS)
+        rng = np.random.default_rng(5)
+        for _ in range(0, self.ROWS, 128):
+            writer.append(rng.random((128, self.POINTS), dtype=np.float32))
+        write_shard_index(tmp_path, [writer.finalize()])
+        store_mb = self.ROWS * self.POINTS * 4 / (1 << 20)
+        assert store_mb >= 12 * WINDOW_BYTES / (1 << 20)
+        child = _child(_SCAN_PEAK_GROWTH, tmp_path)
+        assert child.returncode == 0, child.stderr
+        # Reading this store through 1024-row memory-mapped windows took
+        # the peak 129 MiB above the start; 8 MiB windows take it 17 MiB.
+        assert json.loads(child.stdout) < store_mb / 2
 
 
 def _stream_bomb(root: str) -> None:

@@ -22,7 +22,7 @@ from repro.config import Scenario
 from repro.errors import QuarantineError, TraceError
 from repro.obs import RunJournal, canonical_events
 from repro.resilience import RetryPolicy, install, reset
-from repro.shards import read_shard_index
+from repro.shards import read_shard_index, shard_path
 from repro.study import EdgeStudy, scenario_for
 from repro.workload.azure import generate_azure_workload
 from repro.workload.generator import generate_nep_workload
@@ -73,12 +73,16 @@ class TestStreamedGoldenDigests:
         assert reloaded is not None
         assert workload_digest(reloaded) == GOLDEN[("smoke", "nep")]
 
-    def test_streamed_rows_are_disk_backed(self, tmp_path):
+    def test_streamed_rows_are_read_from_the_spill(self, tmp_path):
+        """Rows come from the spilled shard bytes, a new array per read."""
         workload = generate_nep_workload(
             SCENARIO, sink=WorkloadSink.spill(tmp_path / "nep"))
-        first = next(iter(workload.dataset.cpu_series.values()))
-        assert isinstance(first.base, np.memmap) or isinstance(
-            first, np.memmap)
+        series = workload.dataset.cpu_series
+        vm_id = next(iter(series))
+        first, again = series[vm_id], series[vm_id]
+        stored = np.load(shard_path(series.root, "cpu", 0))[0]
+        assert first.tobytes() == stored.tobytes()
+        assert not np.shares_memory(first, again)
 
 
 class TestStudyStreaming:
@@ -107,7 +111,7 @@ class TestOneEntryFormat:
     def test_in_memory_and_streamed_stores_commit_equal_shards(self,
                                                                 tmp_path):
         """A spill directory holds the shards a cache entry commits."""
-        from repro.shards import read_shard_index
+        from repro.shards import read_shard_index, shard_path
         from repro.study import EdgeStudy
 
         cache = ArtifactCache(tmp_path)
