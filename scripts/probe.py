@@ -135,10 +135,11 @@ LIVE_REFERENCE_TICKS = 60
 LIVE_MIN_SPEEDUP = 10.0
 
 #: Experiments whose warm re-run must touch every tracked phase and
-#: print what the cold run printed (fig10, sales and table3 read the
-#: stored trace and platforms through the warm-path reductions).
-WARM_EXPERIMENTS = ("fig2a", "fig5", "fig8", "fig10", "sales", "table3",
-                    "qoe-sessions")
+#: print what the cold run printed (fig10, fig12, fig13, table3 and
+#: categories read the row stats stored with the trace, sales the
+#: stored platform).
+WARM_EXPERIMENTS = ("fig2a", "fig5", "fig8", "fig10", "fig12", "fig13",
+                    "sales", "table3", "categories", "qoe-sessions")
 
 SWEEP_CONFIG = REPO / "benchmarks" / "sweeps" / "ci_smoke.toml"
 SWEEP_MIN_SPEEDUP = 2.0

@@ -18,8 +18,8 @@ See DESIGN.md for the experiment index and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from .cache import ArtifactCache, default_cache_dir
-from .config import DEFAULT_SCENARIO, FAULT_PROFILES, RandomState, Scenario
+from importlib import import_module
+
 from .errors import (
     BillingError,
     CapacityError,
@@ -34,11 +34,36 @@ from .errors import (
     TopologyError,
     TraceError,
 )
-from .faults import FaultSchedule, build_fault_schedule
-from .obs import RunJournal
-from .parallel import resolve_jobs
-from .perf import PerfRegistry
-from .study import EdgeStudy, study_for
+
+#: Public name -> the submodule that defines it.  They load on first
+#: access, so a command that needs one layer (``repro trace``,
+#: ``repro cache``) does not import numpy and the simulation stack.
+_LAZY_EXPORTS = {
+    "ArtifactCache": "cache",
+    "default_cache_dir": "cache",
+    "DEFAULT_SCENARIO": "config",
+    "FAULT_PROFILES": "config",
+    "RandomState": "config",
+    "Scenario": "config",
+    "FaultSchedule": "faults",
+    "build_fault_schedule": "faults",
+    "RunJournal": "obs",
+    "resolve_jobs": "parallel",
+    "PerfRegistry": "perf",
+    "EdgeStudy": "study",
+    "study_for": "study",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name's submodule on first access (PEP 562)."""
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

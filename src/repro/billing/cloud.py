@@ -72,7 +72,7 @@ class CloudBilling:
         total = 0.0
         for series in usage.location_series.values():
             hourly = series_to_hourly_peaks(series, usage.points_per_hour)
-            total += sum(self._hourly.cost(float(p)) for p in hourly)
+            total += self._hourly.total_cost(hourly)
         return total * month_scale
 
     def _on_demand_quantity(self, usage: AppUsage) -> float:

@@ -68,6 +68,29 @@ class TieredRate:
         above = max(0.0, mbps - self.knee_mbps)
         return below * self.below_rate + above * self.above_rate
 
+    def total_cost(self, peaks_mbps: np.ndarray) -> float:
+        """``sum(self.cost(float(p)) for p in peaks_mbps)``, bit for bit.
+
+        The tier split runs in float64 numpy: each ``np.where`` keeps
+        what the builtin ``min``/``max`` keep (their first argument
+        unless the second compares strictly less/greater, so a NaN peak
+        costs NaN below the knee and nothing above it), and the builtin
+        ``sum`` adds the per-peak costs left to right.
+
+        Raises:
+            BillingError: on a negative peak (the first one).
+        """
+        peaks = np.asarray(peaks_mbps, dtype=np.float64)
+        negative = peaks < 0
+        if negative.any():
+            raise BillingError(
+                f"negative bandwidth {float(peaks[negative.argmax()])}")
+        below = np.where(self.knee_mbps < peaks, self.knee_mbps, peaks)
+        excess = peaks - self.knee_mbps
+        above = np.where(excess > 0.0, excess, 0.0)
+        return sum((below * self.below_rate
+                    + above * self.above_rate).tolist())
+
 
 #: Cloud pre-reserved fixed bandwidth: 23/Mbps/month below 5 Mbps then
 #: 80/Mbps/month (both AliCloud and Huawei quote the same tiers).

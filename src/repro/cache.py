@@ -66,21 +66,23 @@ import uuid
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import Scenario
 from .errors import ConfigurationError, InjectedFault, TraceError
 from .resilience import RetryPolicy, failpoint
 from .resilience.retry import call_with_retry
-from .shards import (
-    SHARD_INDEX_NAME,
-    load_sharded_series,
-    read_shard_index,
-    verify_layout,
-)
-from .workload.generator import GeneratedWorkload
+
+if TYPE_CHECKING:
+    from .workload.generator import GeneratedWorkload
+
+# ``repro.shards`` (numpy) and ``repro.workload`` load only where a
+# workload entry is opened or its shards verified, so listing,
+# inspecting and clearing a cache (``repro cache ls|info|clear``)
+# imports neither.
 
 #: Bump when the on-disk entry layout changes.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 #: Files above this size record only their byte count in the entry
 #: manifest, not a sha256 — hashing a large pickled artifact (a
@@ -345,6 +347,9 @@ class ArtifactCache:
         a failure propagates to :meth:`get_workload`, which evicts the
         entry and misses.
         """
+        from .shards import load_sharded_series, read_shard_index
+        from .workload.generator import GeneratedWorkload
+
         dataset = _unpickle(entry / "dataset.pkl")
         order = list(dataset.vms)
         maps = load_sharded_series(
@@ -572,7 +577,8 @@ class ArtifactCache:
             want = info.get("sha256")
             if deep and want and _file_sha256(path) != want:
                 issues.append(f"checksum mismatch {rel}")
-        if (entry_dir / SHARD_INDEX_NAME).exists():
+        if meta.get("kind") == WORKLOAD_KIND:
+            from .shards import read_shard_index, verify_layout
             try:
                 layouts = read_shard_index(entry_dir)
                 for kind in sorted(layouts):

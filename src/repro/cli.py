@@ -19,16 +19,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cache import ArtifactCache, default_cache_dir
-from .config import ABR_POLICIES, AUTOSCALE_MODES, FAULT_PROFILES
+from .config import ABR_POLICIES, AUTOSCALE_MODES, FAULT_PROFILES, SCALES
 from .errors import ConfigurationError, ReproError
 from .obs import RunJournal, diff_journals, read_journal, render_show, \
     render_summary
-from .reports import REPORTS
 from .resilience import CHAOS_PROFILES, chaos_spec, install
-from .study import SCALES, EdgeStudy, scenario_for
+
+if TYPE_CHECKING:
+    from .study import EdgeStudy
+
+# ``repro.study`` and ``repro.reports`` (numpy and the whole simulation
+# stack) load inside the commands that build a study, so ``repro
+# trace`` and ``repro cache`` start without them.
 
 #: Human-readable one-liners for `repro list`.
 DESCRIPTIONS = {
@@ -273,6 +278,8 @@ def _study(args: argparse.Namespace,
     With a cache, phases an earlier run of the same scenario committed
     (even one that was killed) replay from it instead of running again.
     """
+    from .study import EdgeStudy, scenario_for
+
     overrides = {field: getattr(args, flag)
                  for flag, field in _ENGINE_FLAGS.items()
                  if getattr(args, flag, None) is not None}
@@ -291,6 +298,8 @@ def _maybe_report_perf(args: argparse.Namespace, study: EdgeStudy) -> None:
 
 
 def _command_list() -> int:
+    from .reports import REPORTS
+
     width = max(len(name) for name in REPORTS)
     for name in REPORTS:
         print(f"{name.ljust(width)}  {DESCRIPTIONS.get(name, '')}")
@@ -318,6 +327,8 @@ def _command_info(args: argparse.Namespace,
 
 def _command_run(args: argparse.Namespace,
                  journal: RunJournal | None = None) -> int:
+    from .reports import REPORTS
+
     names = list(REPORTS) if "all" in args.experiments else args.experiments
     unknown = [n for n in names if n not in REPORTS]
     if unknown:

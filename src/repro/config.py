@@ -19,14 +19,12 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
-# numpy 2 loads ``numpy.random`` on first attribute access; load it with
-# the library so the first :meth:`Scenario.stream` of a timed run does
-# not pay its ~20 modules.
-import numpy.random  # noqa: F401
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DEFAULT_SEED = 20211102  # IMC 2021 opening day
 
@@ -104,8 +102,11 @@ class RandomState:
         digest = 0
         for ch in name:
             digest = (digest * 131 + ord(ch)) % (2**31 - 1)
-        seq = np.random.SeedSequence([self.seed, digest])
-        return np.random.default_rng(seq)
+        # numpy loads here, not with this module, so the CLI's parser
+        # (which reads this module's choices) stays numpy-free;
+        # ``repro.study`` loads ``numpy.random`` with the library.
+        from numpy.random import SeedSequence, default_rng
+        return default_rng(SeedSequence([self.seed, digest]))
 
     def child(self, name: str) -> "RandomState":
         """Derive a child RandomState, for components that themselves fan out."""
@@ -296,3 +297,12 @@ class Scenario:
 
 
 DEFAULT_SCENARIO = Scenario()
+
+#: Scale name -> the :class:`Scenario` factory behind it; the names
+#: :func:`repro.study.scenario_for` and the CLI's ``--scale`` accept.
+SCALES = {
+    "smoke": Scenario.smoke_scale,
+    "default": Scenario,
+    "paper": Scenario.paper_scale,
+    "city": Scenario.city_scale,
+}

@@ -8,13 +8,15 @@ bandwidth of sample VMs), and Figure 13 (the per-app cross-VM usage gap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from ..errors import TraceError
 from ..trace.dataset import TraceDataset, merge_days
-from .chunks import per_vm_means
+# Unused here since the analyses read ``TraceDataset.row_stats``, but
+# the benchmark's span wrappers (``bench/spans.py``) resolve it through
+# this module.
+from .chunks import per_vm_means  # noqa: F401
 from .stats import ECDF, fairness_index, quantile_ratio
 
 
@@ -163,19 +165,16 @@ class AppBalanceSummary:
     app_count: int
 
 
-def app_balance_summary(dataset: TraceDataset, min_vms: int = 3,
-                        means: Mapping[str, float] | None = None,
-                        ) -> AppBalanceSummary:
+def app_balance_summary(dataset: TraceDataset,
+                        min_vms: int = 3) -> AppBalanceSummary:
     """The per-app usage-gap distribution (P95/P5 of per-VM mean CPU).
 
     Apps with fewer than ``min_vms`` placed VMs cannot exhibit a
     meaningful gap and are excluded, as a plot over apps "using multiple
-    VMs" implies.  Per-VM means are ``means`` when the caller already
-    has them (``per_vm_means(dataset.cpu_series)``), else they come from
-    one chunked pass over the CPU series, so the analysis works
-    unchanged on an out-of-core trace.
+    VMs" implies.  Per-VM means come from the dataset's
+    :meth:`~repro.trace.dataset.TraceDataset.row_stats`.
     """
-    mean_map = per_vm_means(dataset.cpu_series) if means is None else means
+    mean_map = dataset.row_stats().cpu_means_by_vm()
     gaps = []
     for app_id in dataset.app_ids_with_vms():
         vms = dataset.vms_of_app(app_id)
@@ -216,14 +215,13 @@ def hottest_app_day_view(dataset: TraceDataset, app_id: str,
     }
 
 
-def find_unbalanced_app(dataset: TraceDataset, min_vms: int = 8,
-                        means: Mapping[str, float] | None = None) -> str:
+def find_unbalanced_app(dataset: TraceDataset, min_vms: int = 8) -> str:
     """The app with the widest cross-VM gap among apps with many VMs.
 
-    Used by the Figure 13(b) bench to pick its showcase app.  ``means``
-    are as in :func:`app_balance_summary`.
+    Used by the Figure 13(b) bench to pick its showcase app; per-VM
+    means as in :func:`app_balance_summary`.
     """
-    mean_map = per_vm_means(dataset.cpu_series) if means is None else means
+    mean_map = dataset.row_stats().cpu_means_by_vm()
     best_app, best_gap = None, -1.0
     for app_id in dataset.app_ids_with_vms():
         vms = dataset.vms_of_app(app_id)

@@ -12,6 +12,21 @@ trace order from *either* backing store, each at most
 compute per-VM scalars window by window, so a pass holds one window and
 its temporaries however large the store is.
 
+The render computes these reductions, so a generated trace never
+needs the passes: the farm task that renders an app's block reduces it
+right after writing it (:func:`block_row_stats`, over
+:func:`~repro.shards.window_rows` slices of the block), the workload
+sink joins the blocks' arrays into one :class:`RowStats` in VM order,
+and the cache stores it in the entry's ``dataset.pkl``.
+:meth:`TraceDataset.row_stats
+<repro.trace.dataset.TraceDataset.row_stats>` is the one accessor the
+§4 analyses read; a trace built row by row (an imported trace, a
+test) fills it with one chunked pass (:meth:`RowStats.of_series`) on
+first use.  Both fillers and the helpers below make the same calls on
+each window (:func:`cpu_window_stats`, ``window.mean(axis=1)``,
+``window.sum(axis=1)``), so every reader sees the scalars a
+row-at-a-time pass would give.
+
 Bit-identity contract
 ---------------------
 
@@ -41,7 +56,8 @@ statistics.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,9 +96,7 @@ def per_vm_means(series: Mapping[str, np.ndarray],
     """Per-VM mean of every row, as ``float(row.mean())`` would give."""
     means: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
-        row_means = window.mean(axis=1)
-        for offset, vm_id in enumerate(vm_ids):
-            means[vm_id] = float(row_means[offset])
+        means.update(zip(vm_ids, window.mean(axis=1).tolist()))
     return means
 
 
@@ -91,9 +105,7 @@ def per_vm_totals(series: Mapping[str, np.ndarray],
     """Per-VM sum of every row, as ``float(row.sum())`` would give."""
     totals: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
-        row_totals = window.sum(axis=1)
-        for offset, vm_id in enumerate(vm_ids):
-            totals[vm_id] = float(row_totals[offset])
+        totals.update(zip(vm_ids, window.sum(axis=1).tolist()))
     return totals
 
 
@@ -121,6 +133,20 @@ def row_p95(window: np.ndarray) -> np.ndarray:
     return np.quantile(np.stack([lo, hi], axis=1), virtual - k, axis=1)
 
 
+def cpu_window_stats(window: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(mean, p95, std)`` of one CPU window, unconverted."""
+    return window.mean(axis=1), row_p95(window), window.std(axis=1)
+
+
+def cpu_cvs(means: np.ndarray, stds: np.ndarray) -> list[float]:
+    """Per-row CV, as :meth:`TraceDataset.cpu_cv
+    <repro.trace.dataset.TraceDataset.cpu_cv>` gives it: the float32
+    std over the python-float mean, 0 where the mean is 0."""
+    return [0.0 if mean == 0.0 else float(std / mean)
+            for mean, std in zip(means.tolist(), stds)]
+
+
 def cpu_row_stats(series: Mapping[str, np.ndarray],
                   rows: int | None = None,
                   ) -> tuple[dict[str, float], dict[str, float],
@@ -136,16 +162,135 @@ def cpu_row_stats(series: Mapping[str, np.ndarray],
     p95s: dict[str, float] = {}
     cvs: dict[str, float] = {}
     for vm_ids, window in iter_series_chunks(series, rows=rows):
-        row_means = window.mean(axis=1)
-        row_p95s = row_p95(window)
-        row_stds = window.std(axis=1)
-        for offset, vm_id in enumerate(vm_ids):
-            mean = float(row_means[offset])
-            means[vm_id] = mean
-            p95s[vm_id] = float(row_p95s[offset])
-            cvs[vm_id] = (0.0 if mean == 0.0
-                          else float(row_stds[offset] / mean))
+        row_means, row_p95s, row_stds = cpu_window_stats(window)
+        means.update(zip(vm_ids, row_means.tolist()))
+        p95s.update(zip(vm_ids, row_p95s.tolist()))
+        cvs.update(zip(vm_ids, cpu_cvs(row_means, row_stds)))
     return means, p95s, cvs
+
+
+@dataclass(frozen=True, eq=False)
+class RowStats:
+    """Every per-VM row reduction the §4 analyses read, in VM order.
+
+    ``vm_ids[i]`` owns entry ``i`` of each array.  The arrays hold the
+    raw reductions (float32 CPU means, p95s and stds, float32 bandwidth
+    means and totals); the ``*_by_vm`` views convert them exactly as
+    :func:`per_vm_means`, :func:`per_vm_totals` and
+    :func:`cpu_row_stats` do, so a reader gets the same python floats
+    whichever fills the stats.
+    """
+
+    vm_ids: tuple[str, ...]
+    cpu_mean: np.ndarray
+    cpu_p95: np.ndarray
+    cpu_std: np.ndarray
+    bw_mean: np.ndarray
+    bw_total: np.ndarray
+
+    @classmethod
+    def of_series(cls, vm_ids: Sequence[str],
+                  cpu_series: Mapping[str, np.ndarray],
+                  bw_series: Mapping[str, np.ndarray]) -> "RowStats":
+        """One chunked pass over each store, for the rows of ``vm_ids``.
+
+        Raises:
+            TraceError: when a store's rows are not ``vm_ids``, in order.
+        """
+        vm_ids = tuple(vm_ids)
+        cpu_ids: list[str] = []
+        bw_ids: list[str] = []
+        arrays = _reduce(_windows(cpu_series, cpu_ids),
+                         _windows(bw_series, bw_ids))
+        if tuple(cpu_ids) != vm_ids or tuple(bw_ids) != vm_ids:
+            raise TraceError("series rows do not match the VM table")
+        return cls(vm_ids, *arrays)
+
+    @classmethod
+    def of_blocks(cls, vm_ids: Sequence[str],
+                  blocks: Sequence[tuple[np.ndarray, ...]]) -> "RowStats":
+        """Join the :func:`block_row_stats` of consecutive blocks, in
+        order, under the VM ids ``vm_ids``.
+
+        Raises:
+            TraceError: when the blocks hold another number of rows.
+        """
+        arrays = ([np.concatenate(column) for column in zip(*blocks)]
+                  or [_EMPTY] * len(_COLUMNS))
+        if any(len(array) != len(vm_ids) for array in arrays):
+            raise TraceError(
+                f"row stats for {len(arrays[0])} rows, "
+                f"{len(vm_ids)} VM ids")
+        return cls(tuple(vm_ids), *arrays)
+
+    def cpu_means_by_vm(self) -> dict[str, float]:
+        """``per_vm_means(cpu_series)``."""
+        return dict(zip(self.vm_ids, self.cpu_mean.tolist()))
+
+    def cpu_p95s_by_vm(self) -> dict[str, float]:
+        """The p95 map of :func:`cpu_row_stats`."""
+        return dict(zip(self.vm_ids, self.cpu_p95.tolist()))
+
+    def cpu_cv(self) -> list[float]:
+        """Per-VM CV, as the CV map of :func:`cpu_row_stats` holds it."""
+        return cpu_cvs(self.cpu_mean, self.cpu_std)
+
+    def bw_means_by_vm(self) -> dict[str, float]:
+        """``per_vm_means(bw_series)``."""
+        return dict(zip(self.vm_ids, self.bw_mean.tolist()))
+
+    def bw_totals_by_vm(self) -> dict[str, float]:
+        """``per_vm_totals(bw_series)``."""
+        return dict(zip(self.vm_ids, self.bw_total.tolist()))
+
+
+#: The :class:`RowStats` arrays, in field order.
+_COLUMNS = ("cpu_mean", "cpu_p95", "cpu_std", "bw_mean", "bw_total")
+
+#: The reduction of no rows.
+_EMPTY = np.empty(0, dtype=np.float32)
+
+
+def block_row_stats(cpu_rows: np.ndarray,
+                    bw_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :class:`RowStats` arrays of one rendered block's rows.
+
+    Reduces a :func:`window_rows` slice at a time, so the temporaries
+    stay within a window's bytes however many VMs the block holds.
+    """
+    return tuple(_reduce(_slices(cpu_rows), _slices(bw_rows)))
+
+
+def _slices(rows_2d: np.ndarray) -> Iterator[np.ndarray]:
+    """``rows_2d`` in :func:`window_rows`-sized row slices."""
+    step = window_rows(rows_2d[0].nbytes if len(rows_2d) else 1)
+    for start in range(0, len(rows_2d), step):
+        yield rows_2d[start:start + step]
+
+
+def _windows(series: Mapping[str, np.ndarray],
+             ids: list[str]) -> Iterator[np.ndarray]:
+    """The windows of :func:`iter_series_chunks`; their VM ids go to
+    ``ids``."""
+    for window_ids, window in iter_series_chunks(series):
+        ids.extend(window_ids)
+        yield window
+
+
+def _reduce(cpu_windows: Iterator[np.ndarray],
+            bw_windows: Iterator[np.ndarray]) -> list[np.ndarray]:
+    """The :class:`RowStats` arrays of consecutive windows, reducing
+    each window as it arrives."""
+    columns: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
+    for window in cpu_windows:
+        for column, values in zip(columns[:3], cpu_window_stats(window)):
+            column.append(values)
+    for window in bw_windows:
+        for column, values in zip(columns[3:], (window.mean(axis=1),
+                                                window.sum(axis=1))):
+            column.append(values)
+    return [np.concatenate(column) if column else _EMPTY
+            for column in columns]
 
 
 class StreamingHistogram:

@@ -9,6 +9,7 @@ the paper discusses in prose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +21,10 @@ from ..billing.usage import AppUsage, HardwareSubscription
 from ..errors import BillingError
 from ..geo.coords import GeoPoint
 from ..trace.dataset import TraceDataset
-from .chunks import per_vm_totals
+# Unused here since ``heaviest_apps`` reads ``TraceDataset.row_stats``,
+# but the benchmark's span wrappers (``bench/spans.py``) resolve it
+# through this module.
+from .chunks import per_vm_totals  # noqa: F401
 
 
 def build_app_usage(dataset: TraceDataset, app_id: str) -> AppUsage:
@@ -52,14 +56,14 @@ def build_app_usage(dataset: TraceDataset, app_id: str) -> AppUsage:
 def heaviest_apps(dataset: TraceDataset, count: int) -> list[str]:
     """The ``count`` apps with the most total public traffic (§4.5).
 
-    Per-VM totals come from one chunked pass over the bandwidth series
-    (disk-order friendly on a sharded trace); the per-app sums then run
-    in the same VM order as the original row-at-a-time loop, so the
-    ranking is bit-identical.
+    Per-VM totals come from the dataset's
+    :meth:`~repro.trace.dataset.TraceDataset.row_stats`; the per-app
+    sums then run in the same VM order as the original row-at-a-time
+    loop, so the ranking is bit-identical.
     """
     if count <= 0:
         raise BillingError(f"count must be positive, got {count}")
-    vm_totals = per_vm_totals(dataset.bw_series)
+    vm_totals = dataset.row_stats().bw_totals_by_vm()
     totals = []
     for app_id in dataset.app_ids_with_vms():
         total = sum(vm_totals[vm.vm_id]
@@ -143,24 +147,40 @@ class CostStudyResult:
         return {"mean": float(shares.mean()), "max": float(shares.max())}
 
 
+def run_cost_studies(dataset: TraceDataset,
+                     clouds: Sequence[CloudBilling],
+                     regions: list[CloudRegion], nep_billing: NepBilling,
+                     app_count: int = 50) -> list[CostStudyResult]:
+    """Bill the heaviest apps on NEP and on each virtual cloud baseline.
+
+    Each app's usage, its clustering onto ``regions`` and its NEP bill
+    are computed once and billed against every cloud, in ``clouds``
+    order.  The NEP bills draw ``nep_billing``'s city prices in the
+    order one :func:`run_cost_study` per cloud would.
+    """
+    locations = site_locations(dataset)
+    apps = []
+    for app_id in heaviest_apps(dataset, app_count):
+        usage = build_app_usage(dataset, app_id)
+        apps.append((app_id, nep_billing.bill(usage),
+                     cluster_usage_to_cloud(usage, locations, regions)))
+    if not apps:
+        raise BillingError("no apps to compare")
+    return [
+        CostStudyResult(cloud_name=cloud.provider, comparisons=[
+            AppCostComparison(
+                app_id=app_id, nep=nep,
+                cloud_bills={model: cloud.bill(clustered, model)
+                             for model in NetworkModel})
+            for app_id, nep, clustered in apps])
+        for cloud in clouds
+    ]
+
+
 def run_cost_study(dataset: TraceDataset, cloud_billing: CloudBilling,
                    regions: list[CloudRegion], nep_billing: NepBilling,
                    app_count: int = 50) -> CostStudyResult:
     """Bill the heaviest apps on NEP and one virtual cloud baseline."""
-    locations = site_locations(dataset)
-    comparisons = []
-    for app_id in heaviest_apps(dataset, app_count):
-        usage = build_app_usage(dataset, app_id)
-        clustered = cluster_usage_to_cloud(usage, locations, regions)
-        comparisons.append(AppCostComparison(
-            app_id=app_id,
-            nep=nep_billing.bill(usage),
-            cloud_bills={
-                model: cloud_billing.bill(clustered, model)
-                for model in NetworkModel
-            },
-        ))
-    if not comparisons:
-        raise BillingError("no apps to compare")
-    return CostStudyResult(cloud_name=cloud_billing.provider,
-                           comparisons=comparisons)
+    result, = run_cost_studies(dataset, [cloud_billing], regions,
+                               nep_billing, app_count)
+    return result

@@ -22,7 +22,6 @@ from ..prediction.evaluate import (
 )
 from ..prediction.seasonality import seasonality_strength
 from ..trace.dataset import TraceDataset
-from .chunks import per_vm_means
 from .stats import ECDF
 
 
@@ -57,10 +56,11 @@ def _sample_vm_ids(dataset: TraceDataset, count: int,
                    rng: np.random.Generator) -> list[str]:
     """Sample prediction subjects, preferring VMs with non-trivial load.
 
-    Every VM's mean CPU comes from one chunked pass over the series.
+    Every VM's mean CPU comes from the dataset's
+    :meth:`~repro.trace.dataset.TraceDataset.row_stats`.
     """
     vm_ids = dataset.vm_ids()
-    means = per_vm_means(dataset.cpu_series)
+    means = dataset.row_stats().cpu_means_by_vm()
     active = [v for v in vm_ids if means[v] > 0.01]
     pool = active if len(active) >= count else vm_ids
     if len(pool) <= count:

@@ -18,8 +18,9 @@ import numpy.ma  # noqa: F401
 from ..errors import TraceError
 from ..platform.cluster import Platform
 from ..trace.dataset import TraceDataset
-# ``iter_series_chunks`` is unused here, but the benchmark's span
-# wrappers (``bench/spans.py``) resolve it through this module.
+# Unused here since the analyses read ``TraceDataset.row_stats``, but
+# the benchmark's span wrappers (``bench/spans.py``) resolve them
+# through this module.
 from .chunks import (  # noqa: F401
     cpu_row_stats,
     iter_series_chunks,
@@ -114,18 +115,17 @@ class CpuUtilizationSummary:
 def cpu_utilization_summary(dataset: TraceDataset) -> CpuUtilizationSummary:
     """Figure 10: per-VM mean, P95-max, and across-time CV of CPU usage.
 
-    Runs as one chunked pass over the CPU series (the out-of-core bulk
-    path), producing exactly the values the per-VM
+    Reads the dataset's :meth:`~repro.trace.dataset.TraceDataset.row_stats`,
+    which hold exactly the values the per-VM
     :meth:`~repro.trace.dataset.TraceDataset.mean_cpu` /
     ``p95_max_cpu`` / ``cpu_cv`` accessors give.
     """
     if not dataset.vms:
         raise TraceError("dataset has no VMs")
-    vm_ids = dataset.vm_ids()
-    mean_map, p95_map, cv_map = cpu_row_stats(dataset.cpu_series)
-    means = np.array([mean_map[v] for v in vm_ids])
-    p95s = np.array([p95_map[v] for v in vm_ids])
-    cvs = np.array([cv_map[v] for v in vm_ids])
+    stats = dataset.row_stats()
+    means = stats.cpu_mean.astype(np.float64)
+    p95s = stats.cpu_p95.astype(np.float64)
+    cvs = np.array(stats.cpu_cv())
     return CpuUtilizationSummary(
         platform=dataset.platform_name,
         mean_cdf=ECDF.from_samples(means),
@@ -210,7 +210,7 @@ def category_breakdown(dataset: TraceDataset) -> CategoryBreakdown:
     vms_per_category: dict[str, int] = {}
     traffic_per_category: dict[str, float] = {}
     total_traffic = 0.0
-    vm_traffic = per_vm_totals(dataset.bw_series)
+    vm_traffic = dataset.row_stats().bw_totals_by_vm()
     for vm in dataset.vms.values():
         apps_per_category.setdefault(vm.category, set()).add(vm.app_id)
         vms_per_category[vm.category] = \

@@ -82,6 +82,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import Scenario
+from .core.chunks import block_row_stats
 from .errors import ConfigurationError, ParallelError, QuarantineError
 from .perf import PerfRegistry
 from .resilience import DEFAULT_TRANSIENT, SupervisionConfig, fire
@@ -548,16 +549,21 @@ def _render(setup: _SeriesSetup, job: SeriesJob) -> SeriesBlock:
     return block
 
 
-def _render_task(arg: tuple) -> tuple[np.ndarray, PerfRegistry]:
-    """Farm task: render one job and write its rows in place.
+def _render_task(arg: tuple,
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], PerfRegistry]:
+    """Farm task: render one job, write its rows in place and reduce
+    them while they are hot.
 
     Returns only what the parent needs besides the rows: the per-VM
-    mean bandwidths and the render's perf spans.
+    mean bandwidths, the rows' reductions
+    (:func:`~repro.core.chunks.block_row_stats`) and the render's perf
+    spans.
     """
     setup, job, row, targets = arg
     block = _render(setup, job)
     write_block(targets, row, block)
-    return block.mean_bws, block.perf
+    return (block.mean_bws, block_row_stats(block.cpu_rows, block.bw_rows),
+            block.perf)
 
 
 def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
@@ -607,8 +613,8 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
         values = farm.ordered(_render_task, (
             (job.app_id, (setup, job, row, targets))
             for row, job in zip(rows, jobs_list)))
-        for row, job, (mean_bws, block_perf) in zip(rows, jobs_list,
-                                                     values):
+        for row, job, (mean_bws, stats, block_perf) in zip(
+                rows, jobs_list, values):
             # Inline and pooled renders both merge a private perf
             # registry, so their journals cannot tell them apart.
             if perf is not None:
@@ -621,4 +627,5 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
                      for kind, target in targets.items()}
             yield SeriesBlock(app_id=job.app_id, mean_bws=mean_bws,
                               cpu_rows=views["cpu"], bw_rows=views["bw"],
-                              private_rows=views.get("private"))
+                              private_rows=views.get("private"),
+                              stats=stats)

@@ -19,8 +19,7 @@ from .core.balance import (
     machine_imbalance,
     site_imbalance,
 )
-from .core.chunks import per_vm_means
-from .core.cost_analysis import run_cost_study
+from .core.cost_analysis import run_cost_studies, run_cost_study
 from .core.deployment import PLATFORM_DEPLOYMENTS, density_of
 from .core.latency_analysis import (
     cv_cdfs,
@@ -213,7 +212,7 @@ def fig11(study: EdgeStudy) -> str:
 
 def fig12(study: EdgeStudy) -> str:
     dataset = study.nep.dataset
-    bw_means = per_vm_means(dataset.bw_series)
+    bw_means = dataset.row_stats().bw_means_by_vm()
     sample = [v for v in dataset.vm_ids() if bw_means[v] > 1.0][:100]
     # The figure needs several periods to show week-over-week swings; on
     # short (smoke) traces fall back to daily averages so the report
@@ -247,16 +246,11 @@ def fig12(study: EdgeStudy) -> str:
 
 def fig13(study: EdgeStudy) -> str:
     rows = []
-    # Each platform's CPU series is scanned once; the showcase app reuses
-    # NEP's per-VM means.
-    nep_means = per_vm_means(study.nep.dataset.cpu_series)
-    for dataset, means in ((study.nep.dataset, nep_means),
-                           (study.azure.dataset, None)):
-        s = app_balance_summary(dataset, means=means)
+    for dataset in (study.nep.dataset, study.azure.dataset):
+        s = app_balance_summary(dataset)
         rows.append((s.platform, s.app_count, s.gaps_cdf.median,
                      s.fraction_above_50x))
-    app_id = find_unbalanced_app(study.nep.dataset, min_vms=8,
-                                 means=nep_means)
+    app_id = find_unbalanced_app(study.nep.dataset, min_vms=8)
     return format_table(
         ["platform", "apps", "median gap", "share >50x"], rows,
         title=f"Figure 13 — cross-VM gap (showcase app: {app_id})")
@@ -283,14 +277,14 @@ def fig14(study: EdgeStudy) -> str:
 
 def table3(study: EdgeStudy) -> str:
     rows = []
-    for cloud in (study.vcloud1, study.vcloud2):
-        result = run_cost_study(
-            study.nep.dataset, cloud, study.vcloud_regions,
-            study.nep_billing,
-            app_count=min(study.scenario.heaviest_app_count, 20))
+    results = run_cost_studies(
+        study.nep.dataset, (study.vcloud1, study.vcloud2),
+        study.vcloud_regions, study.nep_billing,
+        app_count=min(study.scenario.heaviest_app_count, 20))
+    for result in results:
         for model in NetworkModel:
             summary = result.summary(model)
-            rows.append((cloud.provider, model.value, summary["mean"],
+            rows.append((result.cloud_name, model.value, summary["mean"],
                          summary["median"],
                          f"{summary['min']:.2f}-{summary['max']:.2f}"))
     return format_table(["cloud", "network model", "mean ratio",

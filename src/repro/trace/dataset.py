@@ -10,12 +10,15 @@ stored as float32 arrays keyed by VM id, all aligned to the same clock
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from ..errors import TraceError
 from .schema import AppRecord, ServerRecord, SiteRecord, VMRecord
+
+if TYPE_CHECKING:
+    from ..core.chunks import RowStats
 
 MINUTES_PER_DAY = 24 * 60
 
@@ -48,6 +51,10 @@ class TraceDataset:
     _server_index: dict[str, list[str]] | None = field(
         default=None, repr=False, compare=False)
     _app_index: dict[str, list[str]] | None = field(
+        default=None, repr=False, compare=False)
+    #: Per-VM row reductions (see :meth:`row_stats`): set by the
+    #: workload sink from the render, or filled on first use.
+    _row_stats: RowStats | None = field(
         default=None, repr=False, compare=False)
 
     # ---- structure -------------------------------------------------------
@@ -97,6 +104,7 @@ class TraceDataset:
             raise TraceError(f"VM {record.vm_id!r}: negative bandwidth")
         self.vms[record.vm_id] = record
         self._site_index = self._server_index = self._app_index = None
+        self._row_stats = None
         self.cpu_series[record.vm_id] = cpu.astype(np.float32)
         self.bw_series[record.vm_id] = bw.astype(np.float32)
         if bw_private is not None:
@@ -122,6 +130,7 @@ class TraceDataset:
             raise TraceError(f"duplicate VM id {record.vm_id!r}")
         self.vms[record.vm_id] = record
         self._site_index = self._server_index = self._app_index = None
+        self._row_stats = None
 
     def attach_series(self, cpu: Mapping[str, np.ndarray],
                       bw: Mapping[str, np.ndarray],
@@ -135,6 +144,32 @@ class TraceDataset:
         self.cpu_series = cpu
         self.bw_series = bw
         self.bw_private_series = bw_private if bw_private is not None else {}
+
+    def attach_row_stats(self, stats: RowStats) -> None:
+        """Set the row stats of the attached series, computed elsewhere
+        (the render, via the workload sink).
+
+        Raises:
+            TraceError: when ``stats`` are not for this VM table.
+        """
+        if stats.vm_ids != tuple(self.vms):
+            raise TraceError("row stats do not match the VM table")
+        self._row_stats = stats
+
+    def row_stats(self) -> RowStats:
+        """Per-VM CPU mean/p95/std and bandwidth mean/total, VM order.
+
+        The one source of per-VM scalars for the §4 analyses.  A
+        generated trace carries the stats its render computed (also
+        through the cache); any other trace fills them with one chunked
+        pass over each store on first use, and :meth:`add_vm` clears
+        them.
+        """
+        if self._row_stats is None:
+            from ..core.chunks import RowStats
+            self._row_stats = RowStats.of_series(
+                self.vms, self.cpu_series, self.bw_series)
+        return self._row_stats
 
     # ---- lookups ----------------------------------------------------------
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-
 import numpy as np
 
 from ..config import RandomState
@@ -136,6 +135,10 @@ class SeriesBlock:
     #: the executor merges them into the caller's registry, and the
     #: blocks it yields leave this ``None``.
     perf: PerfRegistry | None = None
+    #: The rows' :func:`~repro.core.chunks.block_row_stats`, computed
+    #: by the farm task that rendered them; the workload sink gathers
+    #: them into the dataset.
+    stats: tuple[np.ndarray, ...] | None = None
 
 
 def job_rng(seed: int, recipe: SeriesRecipe, app_id: str) -> np.random.Generator:

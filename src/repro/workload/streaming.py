@@ -22,7 +22,12 @@ Two backings share one class:
 
 ``finalize`` then attaches lazy :class:`~repro.shards.ShardedSeriesMap`
 views to the dataset, so every downstream analysis sees the familiar
-``Mapping[vm_id, row]`` interface over the on-disk shards.
+``Mapping[vm_id, row]`` interface over the on-disk shards.  The
+per-VM row reductions the farm tasks computed while the rows were hot
+(:func:`~repro.core.chunks.block_row_stats`) travel with the blocks;
+``finalize`` joins them into the dataset's
+:class:`~repro.core.chunks.RowStats` before the entry is pickled, so a
+warm load reads them instead of scanning the shards.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Scenario
+from ..core.chunks import RowStats
 from ..errors import InjectedFault, TraceError
 from ..shards import (
     DEFAULT_SHARD_ROWS,
@@ -112,6 +118,8 @@ class WorkloadSink:
         self._lifetime = lifetime
         self._writers: dict[str, ShardWriter] = {}
         self._order: list[str] = []
+        #: Each consumed block's :attr:`SeriesBlock.stats`, in order.
+        self._stats: list[tuple[np.ndarray, ...]] = []
         self._seen: set[str] = set()
         self._began = False
         self._done = False
@@ -173,8 +181,9 @@ class WorkloadSink:
     def consume(self, vm_ids: list[str], block: SeriesBlock) -> None:
         """Take the next block, already written at the next free row.
 
-        Checks the VM ids (no duplicates, one per row) and seals the
-        shards whose rows are now all in.
+        Checks the VM ids (no duplicates, one per row), keeps the
+        block's row stats and seals the shards whose rows are now all
+        in.
         """
         if not self._began or self._done:
             raise TraceError("workload sink is not accepting blocks")
@@ -189,14 +198,16 @@ class WorkloadSink:
         for writer in self._writers.values():
             writer.advance(len(self._order), len(vm_ids))
         self._order.extend(vm_ids)
+        self._stats.append(block.stats)
 
     def finalize(self, platform, dataset) -> None:
         """Seal the store and attach lazy series maps to ``dataset``.
 
-        For a cache-backed sink this pickles the platform and the
-        dataset into the entry and commits via the atomic-rename
+        The blocks' row stats attach first.  For a cache-backed sink
+        this then pickles the platform and the dataset (its tables and
+        row stats) into the entry and commits via the atomic-rename
         protocol; the series attach only afterwards, so the pickle
-        holds the tables alone.  Either way the dataset's series become
+        holds no rows.  Either way the dataset's series become
         :class:`~repro.shards.ShardedSeriesMap` views over the final
         on-disk location.
         """
@@ -206,6 +217,7 @@ class WorkloadSink:
         if list(dataset.vms) != self._order:
             raise TraceError(
                 "sink row order does not match the dataset VM table")
+        dataset.attach_row_stats(RowStats.of_blocks(self._order, self._stats))
         layouts = [writer.finalize() for writer in self._writers.values()]
         write_shard_index(self.root, layouts)
         if self._entry_writer is not None:

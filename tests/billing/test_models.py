@@ -1,11 +1,16 @@
 """Tests for pricing primitives (Table 5)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.billing.models import (
     ALICLOUD_HARDWARE,
     ALICLOUD_ON_DEMAND_HOURLY,
+    HUAWEI_ON_DEMAND_HOURLY,
     CLOUD_PRERESERVED_MONTHLY,
     NEP_HARDWARE,
     TieredRate,
@@ -57,6 +62,54 @@ class TestTieredRate:
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(BillingError):
             CLOUD_PRERESERVED_MONTHLY.cost(-1.0)
+
+
+_KNEE = ALICLOUD_ON_DEMAND_HOURLY.knee_mbps
+
+#: Peaks on and around the tier edges.
+_EDGE_PEAKS = (0.0, -0.0, _KNEE, math.nextafter(_KNEE, 0.0),
+               math.nextafter(_KNEE, math.inf), 1e300, math.inf, math.nan)
+
+
+def _fold(rate, peaks):
+    """The scalar fold ``total_cost`` replaces."""
+    return sum(rate.cost(float(p)) for p in peaks)
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class TestTotalCost:
+    """``TieredRate.total_cost`` is the scalar ``cost`` fold, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([ALICLOUD_ON_DEMAND_HOURLY,
+                            HUAWEI_ON_DEMAND_HOURLY,
+                            CLOUD_PRERESERVED_MONTHLY]),
+           st.lists(st.one_of(st.sampled_from(_EDGE_PEAKS),
+                              st.floats(0.0, 1e300),
+                              st.floats(0.0, 2 * _KNEE)), max_size=60))
+    @example(ALICLOUD_ON_DEMAND_HOURLY, list(_EDGE_PEAKS))
+    @example(ALICLOUD_ON_DEMAND_HOURLY, [])
+    def test_equals_the_scalar_fold(self, rate, peaks):
+        array = np.array(peaks, dtype=np.float64)
+        assert _same_float(rate.total_cost(array), _fold(rate, array))
+
+    def test_float32_peaks(self):
+        peaks = np.array([0.5, 4.9999, 5.0, 5.0001, 70.25], dtype=np.float32)
+        rate = ALICLOUD_ON_DEMAND_HOURLY
+        assert rate.total_cost(peaks) == _fold(rate, peaks)
+
+    def test_negative_peak_raises_like_the_fold(self):
+        rate = ALICLOUD_ON_DEMAND_HOURLY
+        peaks = np.array([1.0, -0.5, -2.0])
+        with pytest.raises(BillingError) as scalar:
+            _fold(rate, peaks)
+        with pytest.raises(BillingError) as vector:
+            rate.total_cost(peaks)
+        assert str(vector.value) == str(scalar.value)
 
 
 class TestSeriesReductions:

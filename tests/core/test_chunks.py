@@ -7,13 +7,18 @@ stores, or streaming would silently change every §4 figure.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import shards
 from repro.core.chunks import (
+    RowStats,
     StreamingHistogram,
+    block_row_stats,
     cpu_row_stats,
     iter_series_chunks,
     per_vm_means,
@@ -266,3 +271,78 @@ class TestStreamingHistogram:
         hist.add(np.array([1.0, 1.0]))  # everything in the top bin
         assert hist.quantile(1.0) <= 1.0
         assert hist.quantile(0.0) >= 0.75
+
+
+@st.composite
+def _rendered_blocks(draw):
+    """CPU and bandwidth rows as a render makes them: float32 readings
+    from a small pool (ties), CPU clipped to exactly 0 or 1; plus a
+    window size in bytes and where a sink's block boundary falls."""
+    rows = draw(st.integers(1, 40))
+    points = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=1,
+                         max_size=8)) + [0.0, 1.0]
+    cpu = rng.choice(np.array(pool, dtype=np.float32), size=(rows, points))
+    bw = (cpu * np.float32(draw(st.floats(0.25, 512.0, width=32)))).astype(
+        np.float32)
+    window_bytes = draw(st.integers(1, rows * points * 4))
+    split = draw(st.integers(0, rows))
+    return cpu, bw, window_bytes, split
+
+
+class TestRowStats:
+    """Render-time stats equal the chunked helpers, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rendered_blocks())
+    def test_block_stats_equal_the_chunked_helpers(self, drawn):
+        cpu, bw, window_bytes, split = drawn
+        vm_ids = [f"vm{i:02d}" for i in range(len(cpu))]
+        with mock.patch.object(shards, "WINDOW_BYTES", window_bytes):
+            blocks = [block_row_stats(cpu[:split], bw[:split]),
+                      block_row_stats(cpu[split:], bw[split:])]
+        stats = RowStats.of_blocks(vm_ids, blocks)
+        cpu_series = dict(zip(vm_ids, cpu))
+        bw_series = dict(zip(vm_ids, bw))
+        means, p95s, cvs = cpu_row_stats(cpu_series)
+        assert stats.cpu_means_by_vm() == means == per_vm_means(cpu_series)
+        assert stats.cpu_p95s_by_vm() == p95s
+        assert dict(zip(vm_ids, stats.cpu_cv())) == cvs
+        assert stats.bw_means_by_vm() == per_vm_means(bw_series)
+        assert stats.bw_totals_by_vm() == per_vm_totals(bw_series)
+        for name in ("cpu_mean", "cpu_p95", "cpu_std", "bw_mean",
+                     "bw_total"):
+            assert getattr(stats, name).dtype == np.float32
+        assert np.array_equal(stats.cpu_std, cpu.std(axis=1))
+
+    def test_series_pass_equals_block_stats(self, tmp_path):
+        cpu = _dict_series(rows=9, points=50, seed=1)
+        bw = _dict_series(rows=9, points=25, seed=2)
+        sharded = _sharded_series(tmp_path, cpu, shard_rows=4)
+        vm_ids = list(cpu)
+        block = block_row_stats(np.stack(list(cpu.values())),
+                                np.stack(list(bw.values())))
+        expected = RowStats.of_blocks(vm_ids, [block])
+        for cpu_series in (cpu, sharded):
+            got = RowStats.of_series(vm_ids, cpu_series, bw)
+            assert got.vm_ids == tuple(vm_ids)
+            for name in ("cpu_mean", "cpu_p95", "cpu_std", "bw_mean",
+                         "bw_total"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(expected, name))
+
+    def test_series_out_of_vm_order_rejected(self):
+        cpu = _dict_series(rows=3)
+        with pytest.raises(TraceError, match="VM table"):
+            RowStats.of_series(list(reversed(cpu)), cpu, cpu)
+
+    def test_blocks_of_other_row_counts_rejected(self):
+        block = block_row_stats(np.zeros((2, 4), np.float32),
+                                np.zeros((2, 4), np.float32))
+        with pytest.raises(TraceError, match="3 VM ids"):
+            RowStats.of_blocks(["a", "b", "c"], [block])
+
+    def test_no_rows(self):
+        stats = RowStats.of_blocks([], [])
+        assert stats.cpu_means_by_vm() == {} and stats.cpu_cv() == []

@@ -90,3 +90,70 @@ class TestCostStudy:
     def test_summary_fields(self, cost_study):
         summary = cost_study.summary(NetworkModel.PRE_RESERVED)
         assert summary["min"] <= summary["median"] <= summary["max"]
+
+
+class TestOneCostStudyForBothClouds:
+    """``run_cost_studies`` bills each app's usage against both clouds
+    and equals one ``run_cost_study`` per cloud, prices included."""
+
+    @staticmethod
+    def _per_cloud_table3(study):
+        """Table 3 as one cost study per cloud renders it."""
+        from repro.core.report import format_table
+
+        rows = []
+        for cloud in (study.vcloud1, study.vcloud2):
+            result = run_cost_study(
+                study.nep.dataset, cloud, study.vcloud_regions,
+                study.nep_billing,
+                app_count=min(study.scenario.heaviest_app_count, 20))
+            for model in NetworkModel:
+                summary = result.summary(model)
+                rows.append((cloud.provider, model.value, summary["mean"],
+                             summary["median"],
+                             f"{summary['min']:.2f}-{summary['max']:.2f}"))
+        return format_table(["cloud", "network model", "mean ratio",
+                             "median", "range"], rows,
+                            title="Table 3 — cost ratios (cloud / NEP)")
+
+    def test_table3_and_prices_equal_the_per_cloud_loop(self, study):
+        from repro.reports import table3
+        from repro.study import EdgeStudy
+
+        shared, loop = EdgeStudy(study.scenario), EdgeStudy(study.scenario)
+        shared.__dict__["nep"] = loop.__dict__["nep"] = study.nep
+        assert table3(shared) == self._per_cloud_table3(loop)
+        prices = shared.nep_billing._prices._prices
+        assert list(prices.items()) == list(
+            loop.nep_billing._prices._prices.items())
+        assert prices
+
+    def test_comparisons_equal_one_study_per_cloud(self, study):
+        from repro.billing.nep import CityPriceBook, NepBilling
+        from repro.core.cost_analysis import run_cost_studies
+
+        def billing():
+            return NepBilling(CityPriceBook(
+                study.scenario.random.stream("city-prices")))
+
+        clouds = (study.vcloud1, study.vcloud2)
+        shared = run_cost_studies(study.nep.dataset, clouds,
+                                  study.vcloud_regions, billing(),
+                                  app_count=6)
+        nep_billing = billing()
+        for result, cloud in zip(shared, clouds):
+            alone = run_cost_study(study.nep.dataset, cloud,
+                                   study.vcloud_regions, nep_billing,
+                                   app_count=6)
+            assert result.cloud_name == cloud.provider
+            assert result.comparisons == alone.comparisons
+
+    def test_no_apps_raises(self, study):
+        from repro.core.cost_analysis import run_cost_studies
+        from repro.trace.dataset import TraceDataset
+
+        empty = TraceDataset("t", trace_days=1, cpu_interval_minutes=60,
+                             bw_interval_minutes=60)
+        with pytest.raises(BillingError, match="no apps"):
+            run_cost_studies(empty, (study.vcloud1,), study.vcloud_regions,
+                             study.nep_billing, app_count=3)

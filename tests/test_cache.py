@@ -16,6 +16,7 @@ import pytest
 from repro.cache import (ARTIFACT_FIELDS, ArtifactCache, code_version,
                          default_cache_dir)
 from repro.config import Scenario
+from repro.core.chunks import block_row_stats
 from repro.errors import ConfigurationError
 from repro.workload.generator import GeneratedWorkload
 from repro.workload.series import SeriesBlock
@@ -42,12 +43,14 @@ def store_workload(cache: ArtifactCache, artifact: str,
                    private=bool(ds.bw_private_series))
         for row, vm_id in enumerate(ds.vms):
             private = ds.bw_private_series.get(vm_id)
+            cpu_rows = np.asarray(ds.cpu_series[vm_id])[None]
+            bw_rows = np.asarray(ds.bw_series[vm_id])[None]
             block = SeriesBlock(
-                app_id=vm_id, mean_bws=None,
-                cpu_rows=np.asarray(ds.cpu_series[vm_id])[None],
-                bw_rows=np.asarray(ds.bw_series[vm_id])[None],
+                app_id=vm_id, mean_bws=None, cpu_rows=cpu_rows,
+                bw_rows=bw_rows,
                 private_rows=(None if private is None
-                              else np.asarray(private)[None]))
+                              else np.asarray(private)[None]),
+                stats=block_row_stats(cpu_rows, bw_rows))
             write_block(sink.targets, row, block)
             sink.consume([vm_id], block)
         sink.finalize(workload.platform, copy)

@@ -42,3 +42,33 @@ class TestFig11TieBreak:
         # These two hash seeds picked different tied sites before ties
         # were broken by site id.
         assert _render_fig11("0") == _render_fig11("2")
+
+
+class TestImportedTraceReports:
+    """A trace saved and loaded back (dict-backed rows whose row stats
+    fill on first use) prints the reports the generated trace prints
+    from the stats its render computed."""
+
+    REPORTS = ("fig10", "fig12", "fig13", "table3", "categories")
+
+    def test_round_trip_prints_the_same_reports(self, study, tmp_path):
+        from repro.reports import REPORTS
+        from repro.trace.io import load_dataset, save_dataset
+        from repro.workload.generator import GeneratedWorkload
+
+        # Fresh studies, so both draw NEP city prices from a new book.
+        generated = EdgeStudy(study.scenario)
+        imported = EdgeStudy(study.scenario)
+        for name in ("nep", "azure"):
+            workload = getattr(study, name)
+            assert workload.dataset._row_stats is not None
+            dataset = load_dataset(
+                save_dataset(workload.dataset, tmp_path / name))
+            assert dataset._row_stats is None
+            generated.__dict__[name] = workload
+            imported.__dict__[name] = GeneratedWorkload(
+                platform=workload.platform, dataset=dataset)
+        for report in self.REPORTS:
+            assert REPORTS[report](imported) == REPORTS[report](generated), \
+                report
+        assert imported.nep.dataset._row_stats is not None

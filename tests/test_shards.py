@@ -380,6 +380,7 @@ def _stream_bomb(root: str) -> None:
     block.cpu_rows = np.full((3, 16), 0.5, dtype=np.float32)
     block.bw_rows = np.ones((3, 16), dtype=np.float32)
     block.private_rows = None
+    block.stats = None  # never joined: the process dies before finalize
     write_block(sink.targets, 0, block)
     sink.consume(["vm0", "vm1", "vm2"], block)  # seals shard 0
     os.kill(os.getpid(), signal.SIGKILL)

@@ -121,6 +121,50 @@ class TestAggregations:
             _dataset().vms_of_app("ghost")
 
 
+class TestRowStats:
+    """One memoised accessor: filled on first use, cleared by add_vm."""
+
+    @staticmethod
+    def _filled(n=3):
+        ds = _dataset()
+        rng = np.random.default_rng(5)
+        for i in range(n):
+            ds.add_vm(_record(f"vm{i}"), rng.random(ds.cpu_points),
+                      rng.random(ds.bw_points) * 50)
+        return ds
+
+    def test_filled_on_first_use_and_memoised(self):
+        ds = self._filled()
+        stats = ds.row_stats()
+        assert ds.row_stats() is stats
+        assert stats.vm_ids == ("vm0", "vm1", "vm2")
+        assert stats.cpu_means_by_vm() == {
+            vm: ds.mean_cpu(vm) for vm in ds.vms}
+        assert stats.cpu_p95s_by_vm() == {
+            vm: ds.p95_max_cpu(vm) for vm in ds.vms}
+        assert stats.cpu_cv() == [ds.cpu_cv(vm) for vm in ds.vms]
+        assert stats.bw_totals_by_vm() == {
+            vm: float(ds.bw_series[vm].sum()) for vm in ds.vms}
+
+    def test_add_vm_invalidates(self):
+        ds = self._filled()
+        stale = ds.row_stats()
+        ds.add_vm(_record("vm9"), np.full(ds.cpu_points, 0.5),
+                  np.full(ds.bw_points, 2.0))
+        fresh = ds.row_stats()
+        assert fresh is not stale
+        assert fresh.vm_ids[-1] == "vm9"
+        assert fresh.cpu_means_by_vm()["vm9"] == 0.5
+
+    def test_attached_stats_must_match_the_vm_table(self):
+        ds = self._filled()
+        other = self._filled(n=2).row_stats()
+        with pytest.raises(TraceError, match="VM table"):
+            ds.attach_row_stats(other)
+        ds.attach_row_stats(self._filled().row_stats())
+        assert ds.row_stats().vm_ids == ("vm0", "vm1", "vm2")
+
+
 class TestValidate:
     def test_dangling_site_detected(self):
         ds = _dataset()

@@ -19,9 +19,10 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.config import Scenario
+from repro.core.chunks import RowStats, block_row_stats
 from repro.errors import QuarantineError, TraceError
 from repro.obs import RunJournal, canonical_events
-from repro.resilience import RetryPolicy, install, reset
+from repro.resilience import RetryPolicy, chaos_spec, install, reset
 from repro.shards import read_shard_index, shard_path
 from repro.study import EdgeStudy, scenario_for
 from repro.workload.azure import generate_azure_workload
@@ -40,6 +41,7 @@ def _block(n=2, points=8):
     block.cpu_rows = np.full((n, points), 0.25, dtype=np.float32)
     block.bw_rows = np.ones((n, points), dtype=np.float32)
     block.private_rows = None
+    block.stats = block_row_stats(block.cpu_rows, block.bw_rows)
     return block
 
 
@@ -83,6 +85,49 @@ class TestStreamedGoldenDigests:
         stored = np.load(shard_path(series.root, "cpu", 0))[0]
         assert first.tobytes() == stored.tobytes()
         assert not np.shares_memory(first, again)
+
+
+class TestRenderedRowStats:
+    """The row stats the farm tasks hand the sink equal a chunked pass
+    over the shards they stored, however the render ran."""
+
+    COLUMNS = ("cpu_mean", "cpu_p95", "cpu_std", "bw_mean", "bw_total")
+
+    def _assert_stats_match_store(self, workload):
+        dataset = workload.dataset
+        # Set by the sink: a lazily filled accessor would prove nothing.
+        stats = dataset._row_stats
+        assert stats is not None
+        stored = RowStats.of_series(dataset.vms, dataset.cpu_series,
+                                    dataset.bw_series)
+        assert stats.vm_ids == stored.vm_ids == tuple(dataset.vms)
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(stats, name),
+                                  getattr(stored, name)), name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sink_stats_equal_the_stored_shards(self, jobs, tmp_path):
+        for name, generate in (("nep", generate_nep_workload),
+                               ("azure", generate_azure_workload)):
+            workload = generate(SCENARIO, jobs=jobs,
+                                sink=WorkloadSink.spill(tmp_path / name))
+            self._assert_stats_match_store(workload)
+
+    def test_retried_renders_under_chaos(self, tmp_path):
+        """``--chaos ci`` kills a worker mid-render; the retried render's
+        stats reach the cache entry and come back with a warm load."""
+        cache = ArtifactCache(tmp_path / "cache")
+        install(chaos_spec("ci"))
+        try:
+            workload = generate_nep_workload(
+                SCENARIO, jobs=2,
+                sink=WorkloadSink.for_cache(cache, "workload_nep", SCENARIO))
+        finally:
+            reset()
+        assert workload_digest(workload) == GOLDEN[("smoke", "nep")]
+        self._assert_stats_match_store(workload)
+        reloaded = cache.get_workload("workload_nep", SCENARIO)
+        self._assert_stats_match_store(reloaded)
 
 
 class TestStudyStreaming:
